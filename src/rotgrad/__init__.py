@@ -32,12 +32,14 @@ from .representations import (
 )
 from .riemannian import (
     Chamfer,
+    CutLocusError,
     Flow,
     GeodesicSquared,
     L2Frobenius,
     NoAnalyticTauError,
     TauSchedule,
     euclid_grad,
+    euclid_grad_batch,
     goal_rotation,
     loss_value,
     riemannian_grad,
@@ -87,12 +89,14 @@ __all__ = [
     "embed",
     "representation_map",
     "Chamfer",
+    "CutLocusError",
     "Flow",
     "GeodesicSquared",
     "L2Frobenius",
     "NoAnalyticTauError",
     "TauSchedule",
     "euclid_grad",
+    "euclid_grad_batch",
     "goal_rotation",
     "loss_value",
     "riemannian_grad",

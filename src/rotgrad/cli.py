@@ -40,7 +40,7 @@ from .harness import (
     train_s2,
 )
 from .representations import DegenerateInputError, RepKind
-from .riemannian import NoAnalyticTauError, TauSchedule
+from .riemannian import CutLocusError, NoAnalyticTauError, TauSchedule
 from .rpmg import DegenerateProjectionError, Method
 
 EXIT_OK = 0
@@ -435,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DegenerateInputError, DegenerateProjectionError,
+    except (DegenerateInputError, DegenerateProjectionError, CutLocusError,
             FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE

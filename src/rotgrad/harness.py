@@ -26,7 +26,9 @@ from .representations import (
     rotations_from_raw,
 )
 from .riemannian import (
+    LOSS_NAMES,
     Chamfer,
+    CutLocusError,
     Flow,
     GeodesicSquared,
     L2Frobenius,
@@ -43,8 +45,6 @@ from .rpmg import (
     rpmg_gradient_batch,
 )
 from .sphere import TAU_CONVERGE_S2
-
-LOSS_NAMES = ("l2", "geodesic", "flow", "chamfer")
 
 # point-set losses have no closed-form converging step; these were picked
 # with tau_probe so that the goal rotation moves a few degrees per step
@@ -279,13 +279,6 @@ def _resolve_tau_s2(spec: TauSpec) -> Callable[[int], float]:
 # metrics
 
 
-def _geodesic_deg_batch(rs: np.ndarray, r_gts: np.ndarray) -> np.ndarray:
-    rel = np.einsum("bji,bjk->bik", rs, r_gts)
-    quats = so3._rot_to_quat_batch(rel)
-    angles = 2.0 * np.arctan2(np.linalg.norm(quats[:, 1:], axis=1), np.abs(quats[:, 0]))
-    return np.degrees(angles)
-
-
 def _row_from_errors(errors_deg: np.ndarray, iteration: int, mean_norm: float) -> MetricsRow:
     ordered = np.sort(errors_deg)
     median = float(ordered[(len(ordered) - 1) // 2])
@@ -316,7 +309,8 @@ def compute_metrics(
         raise ValueError(f"expected matching (n, 3, 3) stacks, got {preds.shape} and {gts.shape}")
     if len(preds) == 0:
         raise ValueError("cannot summarize an empty set of predictions")
-    return _row_from_errors(_geodesic_deg_batch(preds, gts), iteration, mean_norm)
+    errors_deg = np.degrees(so3.geodesic_distance_batch(preds, gts))
+    return _row_from_errors(errors_deg, iteration, mean_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +362,10 @@ def fit_single_rotation(
     of the relaxed inverse images whose escape is governed by the slow
     1/(lr*lambda) regularization timescale, and near-antipodal targets sit
     next to the critical set of the loss where every first-order rule
-    crawls. A degenerate raw vector aborts the run and is reported through
-    the diagnostic instead of raising.
+    crawls. A degenerate raw vector or projection, or a geodesic step
+    from the cut locus, aborts the run and is reported through the
+    diagnostic instead of raising. Each step makes one per-sample
+    ``rpmg_gradient`` call.
     """
     if loss not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_NAMES}")
@@ -431,6 +427,10 @@ def fit_single_rotation(
                 aborted = True
                 diagnostic = f"degenerate projection at step {it}: {exc}"
                 break
+            except CutLocusError as exc:
+                aborted = True
+                diagnostic = f"cut locus at step {it}: {exc}"
+                break
             if not np.all(np.isfinite(g)):
                 aborted = True
                 diagnostic = f"non-finite gradient at step {it}"
@@ -480,11 +480,13 @@ def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> nn.M
 def train(config: ExperimentConfig) -> MetricsReport:
     """Train an MLP to regress rotations from rotated point clouds.
 
-    Adam's rate follows ``config.lr``, a float or an ``LrSchedule``.
-    Evaluates on the holdout split at iteration 0, every ``eval_every``
-    iterations, and at the final iteration. Non-finite gradients or
-    degenerate raw outputs abort the run with a diagnostic rather than
-    raising, so sweeps can keep going.
+    Every loss takes the batched route: one ``rpmg_gradient_batch`` call
+    per step over the whole batch, with flow and chamfer built on the
+    dataset's point cloud. Adam's rate follows ``config.lr``, a float or an
+    ``LrSchedule``. Evaluates on the holdout split at iteration 0, every
+    ``eval_every`` iterations, and at the final iteration. Non-finite
+    gradients, degenerate raw outputs and geodesic cut-locus hits abort the
+    run with a diagnostic rather than raising, so sweeps can keep going.
     """
     if not isinstance(config.method, Method):
         raise ValueError(f"train expects a rotation method, got {config.method!r}")
@@ -519,23 +521,23 @@ def train(config: ExperimentConfig) -> MetricsReport:
                 diagnostic = f"degenerate raw output in evaluation at iteration {it}: {exc}"
                 break
             mean_norm = float(np.linalg.norm(ys, axis=1).mean())
-            rows.append(_row_from_errors(_geodesic_deg_batch(rs, r_ev), it, mean_norm))
+            errors_deg = np.degrees(so3.geodesic_distance_batch(rs, r_ev))
+            rows.append(_row_from_errors(errors_deg, it, mean_norm))
         if it == config.iters:
             break
         idx = batch_rng.integers(0, len(x_tr), size=config.batch)
         ys, cache = nn.forward(mlp, x_tr[idx])
         try:
             rs = rotations_from_raw(config.rep, ys)
-            if config.loss == "l2":
-                g = rpmg_gradient_batch(config.rep, ys, rs, r_tr[idx], tau_fn(it), params)
-            else:
-                g = np.empty_like(ys)
-                for i in range(config.batch):
-                    loss_inst = _make_loss(config.loss, r_tr[idx[i]], dataset.points)
-                    g[i] = rpmg_gradient(config.rep, ys[i], rs[i], loss_inst, tau_fn(it), params)
+            g = rpmg_gradient_batch(config.rep, ys, rs, r_tr[idx], tau_fn(it), params,
+                                    loss=config.loss, points=dataset.points)
         except (DegenerateInputError, DegenerateProjectionError) as exc:
             aborted = True
             diagnostic = f"degenerate sample at iteration {it}: {exc}"
+            break
+        except CutLocusError as exc:
+            aborted = True
+            diagnostic = f"cut locus at iteration {it}: {exc}"
             break
         if not np.all(np.isfinite(g)):
             aborted = True

@@ -22,8 +22,26 @@ import numpy as np
 from . import so3
 
 
+LOSS_NAMES = ("l2", "geodesic", "flow", "chamfer")
+
+# the point-set size cap shared by Flow, Chamfer and euclid_grad_batch
+_MAX_POINTS = 4096
+
+# beyond this angle from its target a rotation counts as on the cut locus
+_CUT_LOCUS = math.pi - 1e-9
+
+# chamfer distance tables of at most this many (z - y) components are built
+# at once; euclid_grad_batch splits larger batches
+_CHAMFER_CHUNK = 1 << 22
+
+
 class NoAnalyticTauError(ValueError):
     """Requested the closed-form converging step size of a loss that has none."""
+
+
+class CutLocusError(ValueError):
+    """The squared-geodesic gradient is undefined: the rotation sits at angle
+    pi from its target, where every direction descends equally."""
 
 
 @dataclass(frozen=True)
@@ -47,8 +65,8 @@ class Flow:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] != 3 or pts.shape[1] > 4096:
-            raise ValueError(f"flow points must be (3, N<=4096), got {pts.shape}")
+        if pts.ndim != 2 or pts.shape[0] != 3 or pts.shape[1] > _MAX_POINTS:
+            raise ValueError(f"flow points must be (3, N<={_MAX_POINTS}), got {pts.shape}")
         object.__setattr__(self, 'points', pts)
         object.__setattr__(self, 'gram', pts @ pts.T)
 
@@ -66,8 +84,8 @@ class Chamfer:
     def __post_init__(self):
         for name in ("canonical", "observed"):
             pts = np.asarray(getattr(self, name), dtype=np.float64)
-            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] > 4096:
-                raise ValueError(f"chamfer {name} must be (N<=4096, 3), got {pts.shape}")
+            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] > _MAX_POINTS:
+                raise ValueError(f"chamfer {name} must be (N<={_MAX_POINTS}, 3), got {pts.shape}")
             object.__setattr__(self, name, pts)
 
 
@@ -105,8 +123,8 @@ def euclid_grad(loss: LossKind, r) -> np.ndarray:
         return 2.0 * (r - loss.r_gt)
     if isinstance(loss, GeodesicSquared):
         theta = so3.geodesic_distance(r, loss.r_gt)
-        if theta > math.pi - 1e-9:
-            raise ValueError("squared-geodesic gradient is undefined at the cut locus")
+        if theta > _CUT_LOCUS:
+            raise CutLocusError("squared-geodesic gradient is undefined at the cut locus")
         # d/dR of acos((tr(r_gt^T R) - 1) / 2) squared
         factor = 1.0 + theta * theta / 6.0 if theta < 1e-6 else theta / math.sin(theta)
         return -factor * loss.r_gt
@@ -120,6 +138,59 @@ def euclid_grad(loss: LossKind, r) -> np.ndarray:
         e_y = loss.canonical[iy] - y            # (M, 3)
         return (-2.0 / k) * loss.observed[jz].T @ e_z + (-2.0 / m) * loss.observed.T @ e_y
     raise TypeError(f"unknown loss {type(loss).__name__}")
+
+
+def euclid_grad_batch(loss: str, rs, r_gts, points=None) -> np.ndarray:
+    """Batched :func:`euclid_grad` over (B, 3, 3) rotations and targets.
+
+    ``loss`` is one of :data:`LOSS_NAMES`.  Row i equals the per-sample
+    gradient of the loss the trainer builds for target ``r_gts[i]`` over the
+    shared (K, 3) point set ``points``: flow uses ``points.T`` as its point
+    set, chamfer matches ``points`` against ``points @ r_gts[i].T``.  The
+    point set is ignored by l2 and geodesic.  A geodesic row at the cut
+    locus raises :class:`CutLocusError` naming the first such row.
+    """
+    rs = np.asarray(rs, dtype=np.float64)
+    r_gts = np.asarray(r_gts, dtype=np.float64)
+    if loss == "l2":
+        return 2.0 * (rs - r_gts)
+    if loss == "geodesic":
+        theta = so3.geodesic_distance_batch(rs, r_gts)
+        bad = np.flatnonzero(theta > _CUT_LOCUS)
+        if bad.size:
+            raise CutLocusError(
+                f"squared-geodesic gradient is undefined at the cut locus "
+                f"(sample {bad[0]}, angle {theta[bad[0]]!r} rad)")
+        small = theta < 1e-6
+        factor = np.where(small, 1.0 + theta * theta / 6.0,
+                          theta / np.sin(np.where(small, 1.0, theta)))
+        return -factor[:, None, None] * r_gts
+    if loss not in ("flow", "chamfer"):
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_NAMES}")
+    z = np.asarray(points, dtype=np.float64) if points is not None else None
+    if z is None or z.ndim != 2 or z.shape[1] != 3 or z.shape[0] > _MAX_POINTS:
+        shape = None if z is None else z.shape
+        raise ValueError(f"{loss} needs a (N<={_MAX_POINTS}, 3) point set, got {shape}")
+    if loss == "flow":
+        return 2.0 * (rs - r_gts) @ (z.T @ z)
+    # observed[b, j] = r_gt[b] @ z[j]; y[b, j] = r[b]^T @ observed[b, j]
+    observed = z @ r_gts.transpose(0, 2, 1)
+    y = observed @ rs
+    k = len(z)
+    out = np.empty_like(rs)
+    step = max(1, _CHAMFER_CHUNK // (3 * k * k))
+    for lo in range(0, len(rs), step):
+        obs, yc = observed[lo:lo + step], y[lo:lo + step]
+        d2 = ((z[None, :, None, :] - yc[:, None, :, :]) ** 2).sum(-1)  # (b, K, M)
+        jz = d2.argmin(axis=2)[:, :, None]
+        iy = d2.argmin(axis=1)
+        e_z = z - np.take_along_axis(yc, jz, axis=1)
+        e_y = z[iy] - yc
+        # each matched term ||z - r^T xobs||^2 contributes -2 xobs (z - y)^T
+        matched = np.take_along_axis(obs, jz, axis=1)
+        out[lo:lo + step] = (-2.0 / k) * (np.einsum('bki,bkj->bij', matched, e_z)
+                                          + np.einsum('bmi,bmj->bij', obs, e_y))
+    return out
 
 
 def riemannian_grad(r, dl_dr) -> np.ndarray:

@@ -38,7 +38,13 @@ from .representations import (
     sym4_from_params,
     vanilla_backward_batch,
 )
-from .riemannian import LossKind, euclid_grad, goal_rotation, riemannian_grad
+from .riemannian import (
+    LossKind,
+    euclid_grad,
+    euclid_grad_batch,
+    goal_rotation,
+    riemannian_grad,
+)
 
 # Below this squared norm the 10-dim projection direction is considered
 # degenerate.  Unreachable for unit quaternions (the norm is >= 1/2); the
@@ -197,7 +203,7 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
 
 
 # ---------------------------------------------------------------------------
-# Batched route used by the trainer (squared-Frobenius loss only).  Semantics
+# Batched route used by the trainer, for every loss in LOSS_NAMES.  Semantics
 # are pinned to the per-sample functions above by equality tests.
 
 def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
@@ -265,15 +271,19 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
 
 
 def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
-                        params: RpmgParams) -> np.ndarray:
-    """Batched :func:`rpmg_gradient` under L(R) = ||R - r_gt||_F^2.
+                        params: RpmgParams, loss: str = "l2",
+                        points=None) -> np.ndarray:
+    """Batched :func:`rpmg_gradient` under any loss of ``LOSS_NAMES``.
 
     rs must be the forward rotations of xs; r_gts are per-sample targets.
+    ``loss`` defaults to the squared-Frobenius loss; flow and chamfer need
+    the shared (K, 3) point set ``points`` (see :func:`euclid_grad_batch`).
+    Row i equals :func:`rpmg_gradient` under the per-sample loss for
+    ``r_gts[i]``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     rs = np.asarray(rs, dtype=np.float64)
-    r_gts = np.asarray(r_gts, dtype=np.float64)
-    dl = 2.0 * (rs - r_gts)
+    dl = euclid_grad_batch(loss, rs, r_gts, points)
     if params.method is Method.VANILLA:
         return vanilla_backward_batch(rep, xs, dl)
     if rep not in MANIFOLD_REPS:

@@ -200,6 +200,13 @@ def _rot_to_quat_batch(rs: np.ndarray) -> np.ndarray:
     return q
 
 
+def geodesic_distance_batch(r1s, r2s) -> np.ndarray:
+    """Vectorized :func:`geodesic_distance` over (B, 3, 3) stacks."""
+    rel = np.einsum("bji,bjk->bik", r1s, r2s)
+    q = _rot_to_quat_batch(rel)
+    return 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
+
+
 def rot_x(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

@@ -13,6 +13,7 @@ import rotgrad.cli as cli
 import rotgrad.rpmg as rpmg
 from rotgrad.harness import ExperimentConfig, FitResult, LrSchedule
 from rotgrad.representations import RepKind
+from rotgrad.riemannian import CutLocusError
 from rotgrad.rpmg import Method
 
 
@@ -201,6 +202,26 @@ def test_fit_numeric_failure_exits_3(monkeypatch, tmp_path, capsys):
     doc = _load_report(_one_dir(tmp_path, "fit-*") / "report.json")
     assert doc["summary"]["aborted"] is True
     assert doc["summary"]["final_error_rad"] is None
+
+
+def test_fit_at_cut_locus_exits_3(tmp_path, capsys):
+    # 9d pmg under the geodesic loss walks to angle pi on seed 1
+    code = cli.main(["fit", "--rep", "9d", "--method", "pmg", "--loss", "geodesic",
+                     "--seed", "1", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "cut locus at step" in capsys.readouterr().err
+    doc = _load_report(_one_dir(tmp_path, "fit-*") / "report.json")
+    assert doc["summary"]["aborted"] is True
+    assert doc["summary"]["diagnostic"].startswith("cut locus at step")
+
+
+def test_escaping_cut_locus_error_exits_3(monkeypatch, tmp_path, capsys):
+    def raise_cut_locus(*args, **kwargs):
+        raise CutLocusError("squared-geodesic gradient is undefined at the cut locus")
+
+    monkeypatch.setattr(cli, "fit_single_rotation", raise_cut_locus)
+    assert cli.main(["fit", "--loss", "geodesic", "--out-dir", str(tmp_path)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_config_hash_is_canonical():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rotgrad import nn, so3
+from rotgrad import harness, nn, so3
 from rotgrad.harness import (
     DEFAULT_TAU_BY_LOSS,
     ExperimentConfig,
@@ -27,7 +27,7 @@ from rotgrad.representations import (
     embed,
     representation_map,
 )
-from rotgrad.riemannian import tau_gt_l2
+from rotgrad.riemannian import CutLocusError, tau_gt_l2
 from rotgrad.rpmg import RpmgParams, rpmg_gradient
 from rotgrad.sphere import s2_rpmg_gradient
 
@@ -320,11 +320,50 @@ def test_train_improves_over_initial():
     assert report.final.median_deg < 0.5 * report.initial.median_deg
 
 
-def test_train_per_sample_loss_path_runs():
+def test_train_non_l2_loss_runs():
     cfg = ExperimentConfig(rep=RepKind.QUAT4, loss="geodesic", tau="auto", iters=20, n_rotations=64, batch=8, eval_every=10)
     report = train(cfg)
     assert not report.aborted
     assert np.isfinite(report.final.mean_deg)
+
+
+@pytest.mark.parametrize("loss", ["geodesic", "flow", "chamfer"])
+def test_train_non_l2_loss_never_calls_per_sample_route(monkeypatch, loss):
+    def per_sample(*args, **kwargs):
+        raise AssertionError("train called the per-sample rpmg_gradient")
+
+    monkeypatch.setattr(harness, "rpmg_gradient", per_sample)
+    for method in (Method.RPMG, Method.VANILLA):
+        cfg = ExperimentConfig(rep=RepKind.SIX_D, method=method, loss=loss,
+                               tau=DEFAULT_TAU_BY_LOSS.get(loss, "auto"),
+                               iters=6, n_rotations=64, batch=8, eval_every=3)
+        report = train(cfg)
+        assert not report.aborted, report.diagnostic
+        assert len(report.rows) == 3
+
+
+def test_train_cut_locus_aborts_with_diagnostic(monkeypatch):
+    def at_cut_locus(*args, **kwargs):
+        raise CutLocusError("squared-geodesic gradient is undefined at the cut locus (sample 5)")
+
+    monkeypatch.setattr(harness, "rpmg_gradient_batch", at_cut_locus)
+    cfg = ExperimentConfig(rep=RepKind.TEN_D, loss="geodesic", iters=10, n_rotations=64, eval_every=5)
+    report = train(cfg)
+    assert report.aborted
+    assert report.diagnostic.startswith("cut locus at iteration 0:")
+    assert "sample 5" in report.diagnostic
+    assert len(report.rows) == 1
+
+
+def test_fit_driven_to_cut_locus_aborts_with_diagnostic():
+    # a projective geodesic fit that walks to angle pi (a known defect of
+    # pmg under the geodesic loss) stops there instead of raising
+    result = fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", seed=1, iters=2000)
+    assert result.aborted
+    assert result.diagnostic.startswith("cut locus at step ")
+    assert len(result.errors) < 2001
+    assert result.final_error > math.pi - 1e-6
+    assert np.isfinite(result.errors).all() and np.isfinite(result.norms).all()
 
 
 def test_train_rejects_sphere_method_and_bad_rep():

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rotgrad import so3
+from rotgrad import riemannian, so3
 from rotgrad.riemannian import (
     Chamfer,
+    CutLocusError,
     Flow,
     GeodesicSquared,
     L2Frobenius,
     NoAnalyticTauError,
     TauSchedule,
     euclid_grad,
+    euclid_grad_batch,
     goal_rotation,
     loss_value,
     riemannian_grad,
@@ -126,8 +128,68 @@ def test_geodesic_grad_small_angle_branch():
 def test_geodesic_grad_cut_locus_raises():
     r_gt = np.eye(3)
     r = so3.exp_so3(np.eye(3), np.array([math.pi - 1e-12, 0, 0]))
-    with pytest.raises(ValueError, match="cut locus"):
+    with pytest.raises(CutLocusError, match="cut locus"):
         euclid_grad(GeodesicSquared(r_gt), r)
+
+
+# ---------------------------------------------------------------------------
+# batched Euclidean gradient
+
+def _trainer_loss(name, r_gt, points):
+    """The per-sample loss the trainer's point set defines for one target."""
+    if name == "l2":
+        return L2Frobenius(r_gt)
+    if name == "geodesic":
+        return GeodesicSquared(r_gt)
+    if name == "flow":
+        return Flow(r_gt, points.T)
+    return Chamfer(points, points @ r_gt.T)
+
+
+@pytest.mark.parametrize("name", ["l2", "geodesic", "flow", "chamfer"])
+def test_euclid_grad_batch_matches_per_sample(name):
+    rng = np.random.default_rng(10)
+    points = rng.uniform(-1, 1, (24, 3))
+    rs = np.stack(rotations(11, 30))
+    r_gts = np.stack(rotations(12, 30))
+    r_gts[0] = rs[0]  # zero error
+    r_gts[1] = so3.exp_so3(rs[1], np.array([1e-8, 0, 0]))  # small-angle branch
+    r_gts[2] = so3.exp_so3(rs[2], np.array([0, math.pi - 1e-6, 0]))  # near the cut locus
+    batch = euclid_grad_batch(name, rs, r_gts, points)
+    assert batch.shape == (30, 3, 3)
+    for i in range(30):
+        one = euclid_grad(_trainer_loss(name, r_gts[i], points), rs[i])
+        assert np.linalg.norm(batch[i] - one) <= 1e-9 * max(1.0, np.linalg.norm(one)), i
+
+
+def test_euclid_grad_batch_chamfer_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(13)
+    points = rng.uniform(-1, 1, (8, 3))
+    rs, r_gts = np.stack(rotations(14, 7)), np.stack(rotations(15, 7))
+    whole = euclid_grad_batch("chamfer", rs, r_gts, points)
+    monkeypatch.setattr(riemannian, "_CHAMFER_CHUNK", 2 * 3 * 8 * 8)  # two rows a chunk
+    assert np.array_equal(euclid_grad_batch("chamfer", rs, r_gts, points), whole)
+
+
+def test_euclid_grad_batch_cut_locus_names_first_row():
+    rs = np.stack(rotations(16, 5))
+    r_gts = rs.copy()
+    r_gts[2] = rs[2] @ so3.rot_z(math.pi)
+    r_gts[4] = rs[4] @ so3.rot_y(math.pi)
+    with pytest.raises(CutLocusError, match="sample 2"):
+        euclid_grad_batch("geodesic", rs, r_gts)
+
+
+def test_euclid_grad_batch_rejects_bad_input():
+    rs = np.stack(rotations(17, 2))
+    with pytest.raises(ValueError, match="unknown loss"):
+        euclid_grad_batch("huber", rs, rs)
+    with pytest.raises(ValueError, match="point set"):
+        euclid_grad_batch("flow", rs, rs)
+    with pytest.raises(ValueError, match="point set"):
+        euclid_grad_batch("chamfer", rs, rs, np.zeros((4097, 3)))
+    with pytest.raises(ValueError, match="point set"):
+        euclid_grad_batch("chamfer", rs, rs, np.zeros((3, 16)))
 
 
 # ---------------------------------------------------------------------------

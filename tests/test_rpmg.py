@@ -16,7 +16,14 @@ from rotgrad.representations import (
     rotations_from_raw,
     sym4_from_params,
 )
-from rotgrad.riemannian import L2Frobenius, euclid_grad
+from rotgrad.riemannian import (
+    Chamfer,
+    CutLocusError,
+    Flow,
+    GeodesicSquared,
+    L2Frobenius,
+    euclid_grad,
+)
 from rotgrad.rpmg import (
     Method,
     RpmgParams,
@@ -289,3 +296,44 @@ def test_batch_matches_per_sample(rep):
         for i in range(n):
             one = rpmg_gradient(rep, xs[i], rs[i], L2Frobenius(r_gts[i]), 0.2, params)
             assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)
+
+
+def _per_sample_loss(name, r_gt, points):
+    if name == "geodesic":
+        return GeodesicSquared(r_gt)
+    if name == "flow":
+        return Flow(r_gt, points.T)
+    return Chamfer(points, points @ r_gt.T)
+
+
+@pytest.mark.parametrize("loss", ["geodesic", "flow", "chamfer"])
+@pytest.mark.parametrize("rep", list(RepKind), ids=lambda r: r.value)
+def test_batch_matches_per_sample_every_loss(rep, loss):
+    rng = np.random.default_rng(17)
+    n = 40
+    points = rng.uniform(-1.0, 1.0, (16, 3))
+    xs = np.stack([_random_case(rng, rep)[0] for _ in range(n)])
+    r_gts = np.stack([so3.sample_uniform_rotation(rng) for _ in range(n)])
+    rs = rotations_from_raw(rep, xs)
+    methods = [RpmgParams(Method.VANILLA)]
+    if rep in MANIFOLD_REPS:
+        methods += [RpmgParams(Method.MG), RpmgParams(Method.PMG),
+                    RpmgParams(Method.RPMG, lam=0.01)]
+    for params in methods:
+        batch = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.2, params, loss=loss, points=points)
+        for i in range(n):
+            one = rpmg_gradient(rep, xs[i], rs[i], _per_sample_loss(loss, r_gts[i], points),
+                                0.2, params)
+            assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)
+
+
+def test_batch_geodesic_raises_cut_locus_on_one_row():
+    rng = np.random.default_rng(18)
+    rep = RepKind.NINE_D
+    xs = np.stack([_random_case(rng, rep)[0] for _ in range(6)])
+    rs = rotations_from_raw(rep, xs)
+    r_gts = np.stack([so3.sample_uniform_rotation(rng) for _ in range(6)])
+    r_gts[3] = rs[3] @ so3.rot_x(math.pi)
+    for params in (RpmgParams(Method.VANILLA), RpmgParams(Method.RPMG)):
+        with pytest.raises(CutLocusError, match="sample 3"):
+            rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss="geodesic")

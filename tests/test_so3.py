@@ -8,6 +8,7 @@ from rotgrad.so3 import (
     canonical_quat,
     exp_so3,
     geodesic_distance,
+    geodesic_distance_batch,
     hat,
     log_so3,
     quat_to_rot,
@@ -108,6 +109,9 @@ def test_geodesic_distance_properties():
         assert d == pytest.approx(geodesic_distance(g @ r1, g @ r2), abs=1e-9)
         # chordal identity ||R1 - R2||_F^2 = 4 - 4 cos d
         assert np.linalg.norm(r1 - r2) ** 2 == pytest.approx(4.0 - 4.0 * math.cos(d), abs=1e-8)
+    batch = geodesic_distance_batch(np.stack(rots[::2]), np.stack(rots[1::2]))
+    single = [geodesic_distance(r1, r2) for r1, r2 in zip(rots[::2], rots[1::2])]
+    assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
 
 
 def test_quat_rot_roundtrip():
