@@ -17,6 +17,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from . import representations as _reps
 from . import rpmg as _rpmg
 from . import so3
 from .lin_core import eig_sym4, solve_dense, svd3
@@ -25,7 +26,9 @@ from .representations import (
     RepKind,
     baseline_rotation,
     embed,
+    params_from_sym4,
     representation_map,
+    rotations_from_raw,
     sym4_from_params,
 )
 from .riemannian import (
@@ -155,6 +158,7 @@ def sample_projection_cases(rep: RepKind, n: int, seed: int,
 TOL_PROJECTION_EXCESS = 1e-4
 TOL_MEMBERSHIP = 1e-6
 TOL_GRAD_REL = 1e-6
+TOL_VANILLA_FD = 1e-6
 TOL_GRAD_CHAMFER = 1e-3
 TOL_HAND_CASE = 1e-9
 TOL_GOAL_DIRECTION = 1e-8
@@ -294,6 +298,60 @@ def check_gradient_fd(loss_name: str, n: int = 100, seed: int = 211) -> CheckRes
         kept += 1
     return CheckResult(name, worst <= tol,
                        f"max relative FD residual {worst:.3e} (tol {tol:.0e}, n={n})",
+                       measured=worst)
+
+
+def _vanilla_fd_cases(rng, n: int):
+    """n raw 9d and n raw 10d vectors with the hard regimes included.
+
+    9d: half of the matrices have det < 0, where the projection flips the
+    last singular direction.  10d: half have their smallest eigengap drawn
+    from [5e-4, 2e-3], where the eigenvector derivative grows like 1/gap.
+    """
+    m = rng.standard_normal((n, 3, 3))
+    want = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    m[:, 0] *= (np.sign(np.linalg.det(m)) * want)[:, None]
+    a = rng.standard_normal((n, 4, 4))
+    a = 0.5 * (a + a.transpose(0, 2, 1))
+    vecs = np.linalg.qr(rng.standard_normal((n // 2, 4, 4)))[0]
+    lam = np.cumsum(np.concatenate([rng.normal(0.0, 1.0, (n // 2, 1)),
+                                    rng.uniform(5e-4, 2e-3, (n // 2, 1)),
+                                    rng.uniform(0.2, 2.0, (n // 2, 2))], axis=1), axis=1)
+    a[:n // 2] = vecs @ (lam[:, :, None] * vecs.transpose(0, 2, 1))
+    return {RepKind.NINE_D: m.reshape(n, 9),
+            RepKind.TEN_D: np.array([params_from_sym4(ai) for ai in a])}
+
+
+def _forward_map_fd(rep: RepKind, xs: np.ndarray, ws: np.ndarray, h: float) -> np.ndarray:
+    """Central difference of <W, R(x)> over every raw coordinate."""
+    n, dim = xs.shape
+    step = h * np.eye(dim)
+    pert = np.concatenate([xs[:, None] + step, xs[:, None] - step], axis=1)
+    rs = rotations_from_raw(rep, pert.reshape(-1, dim)).reshape(n, 2, dim, 3, 3)
+    return np.einsum('bij,bkij->bk', ws, rs[:, 0] - rs[:, 1]) / (2.0 * h)
+
+
+def check_vanilla_backward_fd(n: int = 100, seed: int = 853) -> CheckResult:
+    """Closed-form 9d/10d chain rule against differences of the forward map,
+    for L(R) = <W, R> with a random W per case.
+
+    The oracle is the Richardson extrapolation of central differences at h
+    and h/2 (fourth order): at eigengaps near 1e-3 a plain central
+    difference at h = 1e-6 is itself off by about 1e-4.
+    """
+    name = "vanilla-backward-fd"
+    h = 1e-6
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for rep, xs in _vanilla_fd_cases(rng, n).items():
+        ws = rng.standard_normal((n, 3, 3))
+        got = _reps.vanilla_backward_batch(rep, xs, ws)
+        fd = (4.0 * _forward_map_fd(rep, xs, ws, h / 2) - _forward_map_fd(rep, xs, ws, h)) / 3.0
+        rel = np.linalg.norm(got - fd, axis=1) / np.maximum(1.0, np.linalg.norm(fd, axis=1))
+        worst = max(worst, float(np.max(rel)))
+    return CheckResult(name, worst <= TOL_VANILLA_FD,
+                       f"max relative FD residual {worst:.3e} over 9d and 10d "
+                       f"(tol {TOL_VANILLA_FD:.0e}, n={n} per rep)",
                        measured=worst)
 
 
@@ -521,6 +579,7 @@ def _registry() -> "OrderedDict[str, Callable[[], CheckResult]]":
     for loss_name in ("l2", "geodesic", "flow", "chamfer"):
         checks[f"gradient-fd-{loss_name}"] = partial(check_gradient_fd, loss_name)
     checks["gradient-hand-case"] = check_gradient_hand_case
+    checks["vanilla-backward-fd"] = check_vanilla_backward_fd
     checks["tau-converge-l2"] = partial(check_tau_converge, "l2")
     checks["tau-converge-geodesic"] = partial(check_tau_converge, "geodesic")
     checks["tau-converge-s2"] = check_tau_converge_s2

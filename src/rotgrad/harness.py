@@ -423,6 +423,10 @@ def fit_single_rotation(
                 break
             try:
                 g = rpmg_gradient(rep, x, r, loss_inst, tau_fn(it), params)
+            except DegenerateInputError as exc:
+                aborted = True
+                diagnostic = f"degenerate raw vector at step {it}: {exc}"
+                break
             except DegenerateProjectionError as exc:
                 aborted = True
                 diagnostic = f"degenerate projection at step {it}: {exc}"

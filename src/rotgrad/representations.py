@@ -35,8 +35,6 @@ GRAM_RESIDUAL_MIN = 1e-8
 SIGMA_SUM_MIN = 1e-8
 EIGENGAP_MIN = 1e-10
 
-_FD_STEP = 1e-5
-
 # row-major upper-triangle order used to pack a symmetric 4x4 matrix into
 # the ten free parameters of the 10-dim representation
 _SYM4_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -268,19 +266,82 @@ def _sym4_batch(xs: np.ndarray) -> np.ndarray:
     return a
 
 
-def smallest_eigvec_batch(xs: np.ndarray) -> np.ndarray:
-    """Unit eigenvector (canonical sign) of the smallest eigenvalue of A(x)."""
+def _eigh_sym4_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of A(x), gap-guarded."""
     vals, vecs = np.linalg.eigh(_sym4_batch(xs))
     gap = vals[:, 1] - vals[:, 0]
     bad = gap <= EIGENGAP_MIN
     if bad.any():
         raise DegenerateInputError(
             f"10d smallest-eigenvalue gap below {EIGENGAP_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+    return vals, vecs
+
+
+def smallest_eigvec_batch(xs: np.ndarray) -> np.ndarray:
+    """Unit eigenvector (canonical sign) of the smallest eigenvalue of A(x)."""
+    _, vecs = _eigh_sym4_batch(xs)
     q = vecs[:, :, 0].copy()
     q[q[:, 0] < 0.0] *= -1.0
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = so3.canonical_quat(q[i])
     return q
+
+
+def _special_svd_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of M = x.reshape(3, 3) signed for SO(3): (U', s', Vt).
+
+    U' is U with its third column scaled by d = det(U Vt), and s' is
+    (s1, s2, d s3), so M = U' diag(s') Vt and the projection is U' Vt.
+    """
+    u, s, vt = np.linalg.svd(xs.reshape(-1, 3, 3))
+    bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
+    if bad.any():
+        raise DegenerateInputError(
+            f"9d sigma2+sigma3 below {SIGMA_SUM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+    d = np.linalg.det(u @ vt)
+    u = u.copy()
+    u[:, :, 2] *= d[:, None]
+    s[:, 2] *= d
+    return u, s, vt
+
+
+def _euler_to_rot_batch(xs: np.ndarray) -> np.ndarray:
+    a, b, c = xs[:, 0], xs[:, 1], xs[:, 2]
+    ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
+    r = np.empty((xs.shape[0], 3, 3))
+    r[:, 0, 0] = cb * cc
+    r[:, 0, 1] = -cb * sc
+    r[:, 0, 2] = sb
+    r[:, 1, 0] = ca * sc + sa * sb * cc
+    r[:, 1, 1] = ca * cc - sa * sb * sc
+    r[:, 1, 2] = -sa * cb
+    r[:, 2, 0] = sa * sc - ca * sb * cc
+    r[:, 2, 1] = sa * cc + ca * sb * sc
+    r[:, 2, 2] = ca * cb
+    return r
+
+
+def _hat_batch(xs: np.ndarray) -> np.ndarray:
+    k = np.zeros((xs.shape[0], 3, 3))
+    k[:, 0, 1] = -xs[:, 2]
+    k[:, 0, 2] = xs[:, 1]
+    k[:, 1, 0] = xs[:, 2]
+    k[:, 1, 2] = -xs[:, 0]
+    k[:, 2, 0] = -xs[:, 1]
+    k[:, 2, 1] = xs[:, 0]
+    return k
+
+
+def _rodrigues_batch(xs: np.ndarray) -> np.ndarray:
+    """Vectorized Rodrigues formula, with a series below 1e-6 rad."""
+    theta2 = np.einsum('bi,bi->b', xs, xs)
+    theta = np.sqrt(theta2)
+    small = theta < 1e-6
+    with np.errstate(invalid='ignore', divide='ignore'):
+        a_ = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
+        b_ = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
+    k = _hat_batch(xs)
+    return np.eye(3) + a_[:, None, None] * k + b_[:, None, None] * (k @ k)
 
 
 def rotations_from_raw(rep: RepKind, xs: np.ndarray) -> np.ndarray:
@@ -297,79 +358,53 @@ def rotations_from_raw(rep: RepKind, xs: np.ndarray) -> np.ndarray:
         return np.stack([u_hat, v_hat, np.cross(u_hat, v_hat)], axis=2)
 
     if rep is RepKind.NINE_D:
-        m = xs.reshape(-1, 3, 3)
-        u, s, vt = np.linalg.svd(m)
-        bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
-        if bad.any():
-            raise DegenerateInputError(
-                f"9d sigma2+sigma3 below {SIGMA_SUM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-        d = np.linalg.det(u @ vt)
-        u = u.copy()
-        u[:, :, 2] *= d[:, None]
+        u, _, vt = _special_svd_batch(xs)
         return u @ vt
 
     if rep is RepKind.TEN_D:
         return _quat_to_rot_batch(smallest_eigvec_batch(xs))
 
     if rep is RepKind.EULER3:
-        a, b, c = xs[:, 0], xs[:, 1], xs[:, 2]
-        ca, sa, cb, sb, cc, sc = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(c), np.sin(c)
-        r = np.empty((xs.shape[0], 3, 3))
-        r[:, 0, 0] = cb * cc
-        r[:, 0, 1] = -cb * sc
-        r[:, 0, 2] = sb
-        r[:, 1, 0] = ca * sc + sa * sb * cc
-        r[:, 1, 1] = ca * cc - sa * sb * sc
-        r[:, 1, 2] = -sa * cb
-        r[:, 2, 0] = sa * sc - ca * sb * cc
-        r[:, 2, 1] = sa * cc + ca * sb * sc
-        r[:, 2, 2] = ca * cb
-        return r
-
-    # AXIS_ANGLE3: vectorized Rodrigues with the same small-angle series
-    theta2 = np.einsum('bi,bi->b', xs, xs)
-    theta = np.sqrt(theta2)
-    small = theta < 1e-6
-    with np.errstate(invalid='ignore', divide='ignore'):
-        a_ = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        b_ = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    k = np.zeros((xs.shape[0], 3, 3))
-    k[:, 0, 1] = -xs[:, 2]
-    k[:, 0, 2] = xs[:, 1]
-    k[:, 1, 0] = xs[:, 2]
-    k[:, 1, 2] = -xs[:, 0]
-    k[:, 2, 0] = -xs[:, 1]
-    k[:, 2, 1] = xs[:, 0]
-    return np.eye(3) + a_[:, None, None] * k + b_[:, None, None] * (k @ k)
+        return _euler_to_rot_batch(xs)
+    return _rodrigues_batch(xs)  # AXIS_ANGLE3
 
 
 # ---------------------------------------------------------------------------
-# Backward maps for the plain chain-rule baseline
+# Backward maps for the plain chain-rule baseline.  All are closed forms
+# over the batch; none calls the forward map ``rotations_from_raw``.
+
+def _quat_hessians() -> np.ndarray:
+    """(9, 16) table: row ij is the Hessian of R_ij(q), a quadratic in q.
+
+    Read off the forward map by polarization, H_kl = R(e_k + e_l) - R(e_k)
+    - R(e_l) + R(0), which is exact for a quadratic with small integer
+    coefficients.
+    """
+    e = np.eye(4)
+    r_e = _quat_to_rot_batch(e)
+    r_pairs = _quat_to_rot_batch((e[:, None, :] + e[None, :, :]).reshape(16, 4)).reshape(4, 4, 3, 3)
+    h = r_pairs - r_e[:, None] - r_e[None, :] + _quat_to_rot_batch(np.zeros((1, 4)))
+    return h.reshape(16, 9).T.copy()
+
+
+_QUAT_HESSIANS = _quat_hessians()
+
+
+def _quat_vjp_batch(q: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """dL/dq of R(q) = quat_to_rot(q) given dL/dR, without normalization.
+
+    R is quadratic in q, so dL/dq = K q with K the dL/dR-weighted sum of
+    the Hessians of the entries of R.
+    """
+    k = (gs.reshape(-1, 9) @ _QUAT_HESSIANS).reshape(-1, 4, 4)
+    return (k @ q[:, :, None])[:, :, 0]
+
 
 def _quat_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(xs, axis=1)
-    q = xs / n[:, None]
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    z = np.zeros_like(q0)
-    dr = np.empty((xs.shape[0], 4, 3, 3))
-    dr[:, 0] = 2.0 * np.stack([
-        np.stack([2 * q0, -q3, q2], -1),
-        np.stack([q3, 2 * q0, -q1], -1),
-        np.stack([-q2, q1, 2 * q0], -1)], -2)
-    dr[:, 1] = 2.0 * np.stack([
-        np.stack([2 * q1, q2, q3], -1),
-        np.stack([q2, z, -q0], -1),
-        np.stack([q3, q0, z], -1)], -2)
-    dr[:, 2] = 2.0 * np.stack([
-        np.stack([z, q1, q0], -1),
-        np.stack([q1, 2 * q2, q3], -1),
-        np.stack([-q0, q3, z], -1)], -2)
-    dr[:, 3] = 2.0 * np.stack([
-        np.stack([z, -q0, q1], -1),
-        np.stack([q0, z, q2], -1),
-        np.stack([q1, q2, 2 * q3], -1)], -2)
-    gq = np.einsum('bij,bkij->bk', gs, dr)
+    q = _normalize_quat_batch(xs)
+    gq = _quat_vjp_batch(q, gs)
     # project through the normalization x -> x/|x|
+    n = np.linalg.norm(xs, axis=1)
     return (gq - np.einsum('bk,bk->b', gq, q)[:, None] * q) / n[:, None]
 
 
@@ -396,8 +431,54 @@ def _six_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.concatenate([gu, gv], axis=1)
 
 
+def _nine_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Derivative of SVD special orthogonalization R = U' Vt.
+
+    With M = U' diag(s') Vt, a perturbation turns R by U' W Vt with W skew,
+    W_ij = (C_ij - C_ji) / (s'_i + s'_j) and C = U'^T dM V.  The adjoint is
+    dL/dM = U' K Vt with K_ij = (B_ij - B_ji) / (s'_i + s'_j), B = U'^T G V.
+    """
+    u, s, vt = _special_svd_batch(xs)
+    # when det M < 0 the smallest pair sum is s2 - s3, which the forward
+    # guard on s2 + s3 does not see; the projection jumps where it vanishes
+    bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
+    if bad.any():
+        raise DegenerateInputError(
+            f"9d sigma2+det*sigma3 below {SIGMA_SUM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+    b = np.swapaxes(u, 1, 2) @ gs @ np.swapaxes(vt, 1, 2)
+    denom = s[:, :, None] + s[:, None, :]
+    denom[:, [0, 1, 2], [0, 1, 2]] = 1.0  # diagonal of B - B^T is zero
+    k = (b - np.swapaxes(b, 1, 2)) / denom
+    return (u @ k @ vt).reshape(-1, 9)
+
+
+# entry (i, j) of each of the ten parameters; a diagonal entry counts once
+# and an off-diagonal one twice, so (w_i q_j + w_j q_i) is halved on the
+# diagonal
+_SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
+_SYM4_HALF_MULT = np.where(_SYM4_ROWS == _SYM4_COLS, 0.5, 1.0)
+
+
+def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """Eigenvector perturbation dq = -(A - l0 I)^+ dA q.
+
+    The pseudo-inverse comes from the three remaining eigenpairs.  With
+    w = (A - l0 I)^+ dL/dq, dL/dA = -w q^T; symmetrizing it onto the ten
+    parameters is invariant under q -> -q, so the canonical sign of the
+    forward map needs no repeating here.
+    """
+    vals, vecs = _eigh_sym4_batch(xs)
+    q = vecs[:, :, 0]
+    gq = _quat_vjp_batch(q, gs)
+    rest = vecs[:, :, 1:]
+    coef = (gq[:, None, :] @ rest)[:, 0] / (vals[:, 1:] - vals[:, :1])
+    w = (rest @ coef[:, :, None])[:, :, 0]
+    i, j = _SYM4_ROWS, _SYM4_COLS
+    return -(w[:, i] * q[:, j] + w[:, j] * q[:, i]) * _SYM4_HALF_MULT
+
+
 def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    rs = rotations_from_raw(RepKind.EULER3, xs)
+    rs = _euler_to_rot_batch(xs)
     d = gs @ np.swapaxes(rs, 1, 2)
     vee = np.stack([d[:, 2, 1] - d[:, 1, 2],
                     d[:, 0, 2] - d[:, 2, 0],
@@ -413,7 +494,7 @@ def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 
 
 def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    rs = rotations_from_raw(RepKind.AXIS_ANGLE3, xs)
+    rs = _rodrigues_batch(xs)
     c = np.swapaxes(rs, 1, 2) @ gs
     t = np.stack([c[:, 2, 1] - c[:, 1, 2],
                   c[:, 0, 2] - c[:, 2, 0],
@@ -426,57 +507,42 @@ def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
                       (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
         f2 = np.where(small, 1.0 / 6.0 - theta2 / 120.0,
                       (theta - np.sin(theta)) / np.where(small, 1.0, theta2 * theta))
-    k = np.zeros((xs.shape[0], 3, 3))
-    k[:, 0, 1] = -xs[:, 2]
-    k[:, 0, 2] = xs[:, 1]
-    k[:, 1, 0] = xs[:, 2]
-    k[:, 1, 2] = -xs[:, 0]
-    k[:, 2, 0] = -xs[:, 1]
-    k[:, 2, 1] = xs[:, 0]
+    k = _hat_batch(xs)
     # right Jacobian of the exponential map
     jr = np.eye(3) - f1[:, None, None] * k + f2[:, None, None] * (k @ k)
     return np.einsum('bji,bj->bi', jr, t)
 
 
-def _fd_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of the forward map contracted with gs.
-
-    Used for the 9- and 10-dim projections, whose derivative would otherwise
-    require differentiating through SVD / eigenvector computations.
-    """
-    b, n = xs.shape
-    eye = np.eye(n)
-    pert = np.concatenate([xs[:, None, :] + h * eye[None], xs[:, None, :] - h * eye[None]], axis=1)
-    rs = rotations_from_raw(rep, pert.reshape(b * 2 * n, n)).reshape(b, 2, n, 3, 3)
-    jac = (rs[:, 0] - rs[:, 1]) / (2.0 * h)
-    return np.einsum('bij,bkij->bk', gs, jac)
+_BACKWARD = {
+    RepKind.QUAT4: _quat_backward_batch,
+    RepKind.SIX_D: _six_d_backward_batch,
+    RepKind.NINE_D: _nine_d_backward_batch,
+    RepKind.TEN_D: _ten_d_backward_batch,
+    RepKind.EULER3: _euler_backward_batch,
+    RepKind.AXIS_ANGLE3: _axis_angle_backward_batch,
+}
 
 
 def vanilla_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """Batched chain rule through rotation_map(manifold_map(x)).
 
     ``gs`` holds per-sample Euclidean loss gradients dL/dR of shape (B, 3, 3);
-    the result is dL/dx of shape (B, n).
+    the result is dL/dx of shape (B, n).  Every rep has a closed form: the
+    9d map is differentiated through its SVD, the 10d map by eigenvector
+    perturbation.  Inputs the forward map rejects raise the same
+    ``DegenerateInputError``, as do 9d inputs with det M < 0 and
+    sigma2 = sigma3, where the projection is discontinuous.
     """
     xs = np.asarray(xs, dtype=np.float64)
     gs = np.asarray(gs, dtype=np.float64)
-    if rep is RepKind.QUAT4:
-        return _quat_backward_batch(xs, gs)
-    if rep is RepKind.SIX_D:
-        return _six_d_backward_batch(xs, gs)
-    if rep is RepKind.EULER3:
-        return _euler_backward_batch(xs, gs)
-    if rep is RepKind.AXIS_ANGLE3:
-        return _axis_angle_backward_batch(xs, gs)
-    return _fd_backward_batch(rep, xs, gs)
+    return _BACKWARD[rep](xs, gs)
 
 
 def baseline_backward(rep: RepKind, x, dl_dr) -> np.ndarray:
     """Chain rule dL/dx for a single sample given dL/dR.
 
-    Analytic for the Euclidean, quaternion and 6-dim representations; the 9-
-    and 10-dim projections use central finite differences of the forward map
-    over all ambient coordinates (step 1e-5).
+    A B = 1 call of :func:`vanilla_backward_batch`: closed forms for every
+    rep, including the SVD (9d) and eigenvector (10d) projections.
     """
     x = _check_dim(rep, x)
     dl_dr = np.asarray(dl_dr, dtype=np.float64)

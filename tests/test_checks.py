@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rotgrad.representations as reps
 import rotgrad.rpmg as rpmg
 from rotgrad.checks import (
     CHECK_NAMES,
@@ -24,6 +25,7 @@ def test_registry_is_ordered_and_named():
         assert f"projection-membership-{rep.value}" in CHECK_NAMES
     assert "kkt-eigen-residual-10d" in CHECK_NAMES
     assert "tau-converge-s2" in CHECK_NAMES
+    assert "vanilla-backward-fd" in CHECK_NAMES
 
 
 def test_full_registry_passes():
@@ -72,6 +74,19 @@ def test_injected_sign_bug_fails_by_name(monkeypatch):
     }
     # the report carries the measured excess, not just the verdict
     assert all("excess" in r.detail for r in results)
+
+
+def test_injected_vanilla_backward_bug_fails_by_name(monkeypatch):
+    orig = reps.vanilla_backward_batch
+
+    def ten_d_bugged(rep, xs, gs):
+        out = orig(rep, xs, gs)
+        return -out if rep is RepKind.TEN_D else out
+
+    monkeypatch.setattr(reps, "vanilla_backward_batch", ten_d_bugged)
+    [result] = run_checks("vanilla-backward-fd")
+    assert not result.passed and not result.error
+    assert result.measured > 1.0
 
 
 def test_injected_exception_marks_error(monkeypatch):

@@ -253,6 +253,15 @@ def test_fit_rejects_bad_arguments():
         fit_single_rotation(RepKind.QUAT4, x_init=np.zeros(3))
 
 
+def test_fit_vanilla_nine_d_aborts_on_negative_det_sigma_tie():
+    # the forward map accepts det M < 0 with sigma2 = sigma3; its backward does not
+    fit = fit_single_rotation(RepKind.NINE_D, Method.VANILLA, seed=0, iters=10,
+                              x_init=np.diag([2.0, 1.0, -1.0]).ravel())
+    assert fit.aborted
+    assert fit.diagnostic.startswith("degenerate raw vector at step 0:")
+    assert len(fit.errors) == 1
+
+
 def test_fit_abort_on_degenerate_start():
     fit = fit_single_rotation(RepKind.QUAT4, Method.RPMG, seed=0, iters=10, x_init=np.zeros(4))
     assert fit.aborted

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotgrad import so3
+from rotgrad.checks import _forward_map_fd
 from rotgrad.representations import (
     MANIFOLD_REPS,
     DegenerateInputError,
@@ -247,3 +248,80 @@ def test_baseline_backward_matches_fd(rep):
             lm = float((w * baseline_rotation(rep, x - e)).sum())
             fd[k] = (lp - lm) / (2.0 * h)
         assert np.linalg.norm(got - fd) <= 1e-4 * max(1.0, np.linalg.norm(fd))
+
+
+# ---------------------------------------------------------------------------
+# closed-form 9d/10d backward
+
+@pytest.mark.parametrize("rep", [RepKind.NINE_D, RepKind.TEN_D], ids=lambda r: r.value)
+def test_closed_form_backward_matches_fd_batched(rep):
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        xs = rng.standard_normal((32, rep.ambient_dim))
+        if rep is RepKind.NINE_D:
+            xs[:16, :3] *= -np.sign(np.linalg.det(xs[:16].reshape(-1, 3, 3)))[:, None]
+            assert (np.linalg.det(xs[:16].reshape(-1, 3, 3)) < 0).all()
+        gs = rng.standard_normal((32, 3, 3))
+        got = vanilla_backward_batch(rep, xs, gs)
+        fd = _forward_map_fd(rep, xs, gs, 1e-6)
+        rel = np.linalg.norm(got - fd, axis=1) / np.maximum(1.0, np.linalg.norm(fd, axis=1))
+        assert rel.max() <= 1e-6
+
+
+def _quat_backward_explicit_jacobian(xs, gs):
+    """The quaternion chain rule through an explicit (B, 4, 3, 3) dR/dq."""
+    n = np.linalg.norm(xs, axis=1)
+    q = xs / n[:, None]
+    q0, q1, q2, q3 = q.T
+    z = np.zeros_like(q0)
+    dr = 2.0 * np.stack([
+        np.stack([np.stack([2 * q0, -q3, q2], -1), np.stack([q3, 2 * q0, -q1], -1),
+                  np.stack([-q2, q1, 2 * q0], -1)], -2),
+        np.stack([np.stack([2 * q1, q2, q3], -1), np.stack([q2, z, -q0], -1),
+                  np.stack([q3, q0, z], -1)], -2),
+        np.stack([np.stack([z, q1, q0], -1), np.stack([q1, 2 * q2, q3], -1),
+                  np.stack([-q0, q3, z], -1)], -2),
+        np.stack([np.stack([z, -q0, q1], -1), np.stack([q0, z, q2], -1),
+                  np.stack([q1, q2, 2 * q3], -1)], -2)], axis=1)
+    gq = np.einsum('bij,bkij->bk', gs, dr)
+    return (gq - np.einsum('bk,bk->b', gq, q)[:, None] * q) / n[:, None]
+
+
+def test_quat_backward_matches_explicit_jacobian():
+    rng = np.random.default_rng(14)
+    xs = rng.standard_normal((256, 4)) * rng.uniform(0.1, 10.0, (256, 1))
+    gs = rng.standard_normal((256, 3, 3))
+    got = vanilla_backward_batch(RepKind.QUAT4, xs, gs)
+    assert np.abs(got - _quat_backward_explicit_jacobian(xs, gs)).max() <= 1e-12
+
+
+def test_vanilla_backward_makes_no_forward_call(monkeypatch):
+    import rotgrad.representations as reps
+
+    rng = np.random.default_rng(15)
+    cases = {rep: np.stack([random_raw(rep, rng) for _ in range(8)]) for rep in ALL_REPS}
+
+    def forbidden(rep, xs):
+        raise AssertionError(f"forward map called from the {rep.value} backward")
+
+    monkeypatch.setattr(reps, "rotations_from_raw", forbidden)
+    for rep, xs in cases.items():
+        out = reps.vanilla_backward_batch(rep, xs, rng.standard_normal((8, 3, 3)))
+        assert out.shape == xs.shape and np.isfinite(out).all()
+
+
+def test_nine_d_backward_rejects_negative_det_sigma_tie():
+    # det M < 0 with sigma2 = sigma3: R = U diag(1, 1, -1) V^T jumps here
+    xs = np.stack([np.eye(3).ravel(), np.diag([2.0, 1.0, -1.0]).ravel()])
+    assert rotations_from_raw(RepKind.NINE_D, xs).shape == (2, 3, 3)
+    with pytest.raises(DegenerateInputError, match="9d sigma2\\+det\\*sigma3 .* sample 1"):
+        vanilla_backward_batch(RepKind.NINE_D, xs, np.ones((2, 3, 3)))
+
+
+def test_closed_form_backward_keeps_forward_guards():
+    xs9 = np.stack([np.eye(3).ravel(), np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()])
+    with pytest.raises(DegenerateInputError, match="9d sigma2\\+sigma3 .* sample 1"):
+        vanilla_backward_batch(RepKind.NINE_D, xs9, np.ones((2, 3, 3)))
+    xs10 = np.stack([params_from_sym4(np.diag([0.0, 1.0, 2.0, 3.0])), params_from_sym4(np.eye(4))])
+    with pytest.raises(DegenerateInputError, match="10d smallest-eigenvalue gap .* sample 1"):
+        vanilla_backward_batch(RepKind.TEN_D, xs10, np.ones((2, 3, 3)))
