@@ -1,10 +1,12 @@
-"""Experiment harness: synthetic data, training loops, and metrics.
+"""Experiment harness: synthetic data, training, and metrics.
 
 Two kinds of experiment are supported.  ``fit_single_rotation`` optimizes
 one raw representation vector directly and is the fastest way to watch a
 gradient rule converge.  ``train`` and ``train_s2`` fit a small MLP that
 regresses rotations (or unit vectors) from point-cloud inputs, which is
-where the different backward rules actually separate.
+where the different backward rules actually separate.  Both run the one
+training loop ``_train_network`` and supply only their targets, output-head
+norm, holdout error and gradient.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .representations import (
     MANIFOLD_REPS,
     DegenerateInputError,
     RepKind,
+    _quat_to_rot_batch,
     baseline_rotation,
     embed,
     representation_map,
@@ -34,6 +37,9 @@ from .riemannian import (
     L2Frobenius,
     NoAnalyticTauError,
     TauSchedule,
+    euclid_grad,
+    goal_rotation,
+    riemannian_grad,
     tau_at,
     tau_converge_for,
 )
@@ -44,7 +50,7 @@ from .rpmg import (
     rpmg_gradient,
     rpmg_gradient_batch,
 )
-from .sphere import TAU_CONVERGE_S2
+from .sphere import TAU_CONVERGE_S2, _s2_gradient_batch, _unit_rows
 
 # point-set losses have no closed-form converging step; these were picked
 # with tau_probe so that the goal rotation moves a few degrees per step
@@ -222,8 +228,6 @@ def make_dataset(n_points: int, n_rotations: int, rng: np.random.Generator) -> S
             break
     raw = rng.standard_normal((n_rotations, 4))
     quats = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    from .representations import _quat_to_rot_batch
-
     rotations = _quat_to_rot_batch(quats)
     rotated = np.einsum("nij,kj->nki", rotations, points)
     inputs = rotated.reshape(n_rotations, 3 * n_points)
@@ -243,32 +247,20 @@ def _make_loss(name: str, r_gt: np.ndarray, points: np.ndarray):
     raise ValueError(f"unknown loss {name!r}")
 
 
-def _resolve_tau(spec: TauSpec, loss_name: str) -> Callable[[int], float]:
+def _resolve_tau(spec: TauSpec, loss_name: Optional[str]) -> Callable[[int], float]:
     """Turn a tau spec into a per-iteration callable.
 
-    "auto" uses the converging step size of the loss and raises
-    NoAnalyticTauError when the loss has none.
+    "auto" uses the converging step size of the loss, or of the sphere
+    experiment when ``loss_name`` is None, and raises NoAnalyticTauError
+    when the loss has none.
     """
     if isinstance(spec, TauSchedule):
         return lambda it: tau_at(spec, it)
     if isinstance(spec, str):
         if spec != "auto":
             raise ValueError(f"unknown tau spec {spec!r}")
-        const = tau_converge_for(_LOSS_CLASSES[loss_name])
+        const = TAU_CONVERGE_S2 if loss_name is None else tau_converge_for(_LOSS_CLASSES[loss_name])
         return lambda it: const
-    const = float(spec)
-    if const <= 0.0:
-        raise ValueError(f"constant tau must be positive, got {const}")
-    return lambda it: const
-
-
-def _resolve_tau_s2(spec: TauSpec) -> Callable[[int], float]:
-    if isinstance(spec, TauSchedule):
-        return lambda it: tau_at(spec, it)
-    if isinstance(spec, str):
-        if spec != "auto":
-            raise ValueError(f"unknown tau spec {spec!r}")
-        return lambda it: TAU_CONVERGE_S2
     const = float(spec)
     if const <= 0.0:
         raise ValueError(f"constant tau must be positive, got {const}")
@@ -481,36 +473,33 @@ def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> nn.M
     return nn.Mlp(weights=weights, biases=list(mlp.biases))
 
 
-def train(config: ExperimentConfig) -> MetricsReport:
-    """Train an MLP to regress rotations from rotated point clouds.
+def _train_network(
+    config: ExperimentConfig,
+    out_dim: int,
+    targets_of: Callable[[np.ndarray], np.ndarray],
+    head_norm: Callable[[np.ndarray], Optional[float]],
+    eval_errors_deg: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    gradient: Callable[[np.ndarray, np.ndarray, int, np.ndarray], np.ndarray],
+) -> MetricsReport:
+    """The training loop of ``train`` and ``train_s2``.
 
-    Every loss takes the batched route: one ``rpmg_gradient_batch`` call
-    per step over the whole batch, with flow and chamfer built on the
-    dataset's point cloud. Adam's rate follows ``config.lr``, a float or an
-    ``LrSchedule``. Evaluates on the holdout split at iteration 0, every
-    ``eval_every`` iterations, and at the final iteration. Non-finite
-    gradients, degenerate raw outputs and geodesic cut-locus hits abort the
-    run with a diagnostic rather than raising, so sweeps can keep going.
+    The trainer supplies the MLP's output width and four functions: the
+    targets of the dataset's rotations; the norm the output head is
+    calibrated to, from the holdout targets (None leaves the head as
+    initialized); the holdout errors in degrees of raw outputs against
+    targets; and the raw-output gradient of a batch at an iteration, given
+    the dataset's point cloud.
     """
-    if not isinstance(config.method, Method):
-        raise ValueError(f"train expects a rotation method, got {config.method!r}")
-    if config.method is not Method.VANILLA and config.rep not in MANIFOLD_REPS:
-        raise ValueError(f"{config.rep.value} supports only the vanilla method")
     data_rng, init_rng, batch_rng = _spawn_rngs(config.seed, 3)
     dataset = make_dataset(config.n_points, config.n_rotations, data_rng)
-    x_tr, r_tr = dataset.train_slice
-    x_ev, r_ev = dataset.eval_slice
-    layer_sizes = [dataset.inputs.shape[1], *config.hidden, config.rep.ambient_dim]
-    mlp = nn.init_mlp(layer_sizes, init_rng)
-    if config.rep in MANIFOLD_REPS:
-        embeds = np.array([np.linalg.norm(embed(representation_map(r, config.rep))) for r in r_ev])
-        mlp = _calibrate_head(mlp, x_tr, float(embeds.mean()))
+    targets = targets_of(dataset.rotations)
+    x_tr, t_tr = dataset.inputs[: dataset.n_train], targets[: dataset.n_train]
+    x_ev, t_ev = dataset.inputs[dataset.n_train :], targets[dataset.n_train :]
+    mlp = nn.init_mlp([dataset.inputs.shape[1], *config.hidden, out_dim], init_rng)
+    norm = head_norm(t_ev)
+    if norm is not None:
+        mlp = _calibrate_head(mlp, x_tr, norm)
     adam = nn.adam_init(list(mlp.weights) + list(mlp.biases), lr=lr_at(config.lr, 0))
-    params = RpmgParams(method=config.method, lam=config.lam)
-    if config.method is Method.VANILLA:
-        tau_fn: Callable[[int], float] = lambda it: 0.0
-    else:
-        tau_fn = _resolve_tau(config.tau, config.loss)
 
     rows: List[MetricsRow] = []
     aborted = False
@@ -519,22 +508,19 @@ def train(config: ExperimentConfig) -> MetricsReport:
         if it % config.eval_every == 0 or it == config.iters:
             ys, _ = nn.forward(mlp, x_ev)
             try:
-                rs = rotations_from_raw(config.rep, ys)
+                errors_deg = eval_errors_deg(ys, t_ev)
             except DegenerateInputError as exc:
                 aborted = True
                 diagnostic = f"degenerate raw output in evaluation at iteration {it}: {exc}"
                 break
             mean_norm = float(np.linalg.norm(ys, axis=1).mean())
-            errors_deg = np.degrees(so3.geodesic_distance_batch(rs, r_ev))
             rows.append(_row_from_errors(errors_deg, it, mean_norm))
         if it == config.iters:
             break
         idx = batch_rng.integers(0, len(x_tr), size=config.batch)
         ys, cache = nn.forward(mlp, x_tr[idx])
         try:
-            rs = rotations_from_raw(config.rep, ys)
-            g = rpmg_gradient_batch(config.rep, ys, rs, r_tr[idx], tau_fn(it), params,
-                                    loss=config.loss, points=dataset.points)
+            g = gradient(ys, t_tr[idx], it, dataset.points)
         except (DegenerateInputError, DegenerateProjectionError) as exc:
             aborted = True
             diagnostic = f"degenerate sample at iteration {it}: {exc}"
@@ -553,38 +539,57 @@ def train(config: ExperimentConfig) -> MetricsReport:
     return MetricsReport(rows=tuple(rows), aborted=aborted, diagnostic=diagnostic)
 
 
+def train(config: ExperimentConfig) -> MetricsReport:
+    """Train an MLP to regress rotations from rotated point clouds.
+
+    Every loss takes the batched route: one ``rpmg_gradient_batch`` call
+    per step over the whole batch, with flow and chamfer built on the
+    dataset's point cloud.  Manifold reps start with raw outputs at the
+    mean norm of the embedded holdout rotations.  Adam's rate follows
+    ``config.lr``, a float or an ``LrSchedule``.  Evaluates on the holdout
+    split at iteration 0, every ``eval_every`` iterations, and at the final
+    iteration.  Non-finite gradients, degenerate raw outputs and geodesic
+    cut-locus hits abort the run with a diagnostic rather than raising, so
+    sweeps can keep going.
+    """
+    if not isinstance(config.method, Method):
+        raise ValueError(f"train expects a rotation method, got {config.method!r}")
+    rep = config.rep
+    if config.method is not Method.VANILLA and rep not in MANIFOLD_REPS:
+        raise ValueError(f"{rep.value} supports only the vanilla method")
+    params = RpmgParams(method=config.method, lam=config.lam)
+    if config.method is Method.VANILLA:
+        tau_fn: Callable[[int], float] = lambda it: 0.0
+    else:
+        tau_fn = _resolve_tau(config.tau, config.loss)
+
+    def head_norm(r_ev: np.ndarray) -> Optional[float]:
+        if rep not in MANIFOLD_REPS:
+            return None
+        return float(np.array([np.linalg.norm(embed(representation_map(r, rep))) for r in r_ev]).mean())
+
+    def eval_errors_deg(ys: np.ndarray, r_ev: np.ndarray) -> np.ndarray:
+        return np.degrees(so3.geodesic_distance_batch(rotations_from_raw(rep, ys), r_ev))
+
+    def gradient(ys: np.ndarray, r_gts: np.ndarray, it: int, points: np.ndarray) -> np.ndarray:
+        rs = rotations_from_raw(rep, ys)
+        return rpmg_gradient_batch(rep, ys, rs, r_gts, tau_fn(it), params,
+                                   loss=config.loss, points=points)
+
+    return _train_network(config, rep.ambient_dim, lambda rotations: rotations,
+                          head_norm, eval_errors_deg, gradient)
+
+
 # ---------------------------------------------------------------------------
 # network training on the unit sphere
-
-
-def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: float) -> np.ndarray:
-    """Vectorized twin of s2_rpmg_gradient for training batches."""
-    norms = np.linalg.norm(ys, axis=1)
-    if np.any(norms <= 1e-8):
-        raise DegenerateInputError("raw output too close to the origin to normalize")
-    x_hat = ys / norms[:, None]
-    dots = np.sum(x_hat * targets, axis=1)
-    grads = 2.0 * (dots[:, None] * x_hat - targets)
-    v = -tau * grads
-    theta = np.linalg.norm(v, axis=1)
-    small = theta < 1e-6
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinc = np.where(small, 1.0 - theta**2 / 6.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
-    x_hat_g = np.cos(theta)[:, None] * x_hat + sinc[:, None] * v
-    if lam == 1.0:
-        return ys - x_hat_g
-    proj = np.sum(ys * x_hat_g, axis=1)
-    x_gp = proj[:, None] * x_hat_g
-    if lam == 0.0:
-        return ys - x_gp
-    return ys - x_gp + lam * (x_gp - x_hat_g)
 
 
 def train_s2(config: ExperimentConfig) -> MetricsReport:
     """Train an MLP to regress the unit vector each rotation sends e3 to.
 
     The method field selects one of two baselines or one of the three
-    manifold-gradient rules; everything else mirrors ``train``.
+    manifold-gradient rules; raw outputs start at unit mean norm, and
+    everything else mirrors ``train``.
 
     - ``l2-with-norm`` regresses the raw output x itself onto the unit
       target t, g = 2 (x - t), so the loss also pulls the norm of x to 1.
@@ -599,68 +604,27 @@ def train_s2(config: ExperimentConfig) -> MetricsReport:
     """
     if not isinstance(config.method, S2Method):
         raise ValueError(f"train_s2 expects an S2Method, got {config.method!r}")
-    data_rng, init_rng, batch_rng = _spawn_rngs(config.seed, 3)
-    dataset = make_dataset(config.n_points, config.n_rotations, data_rng)
-    targets = dataset.rotations[:, :, 2]
-    x_tr, t_tr = dataset.inputs[: dataset.n_train], targets[: dataset.n_train]
-    x_ev, t_ev = dataset.inputs[dataset.n_train :], targets[dataset.n_train :]
-    layer_sizes = [dataset.inputs.shape[1], *config.hidden, 3]
-    mlp = nn.init_mlp(layer_sizes, init_rng)
-    mlp = _calibrate_head(mlp, x_tr, 1.0)
-    adam = nn.adam_init(list(mlp.weights) + list(mlp.biases), lr=lr_at(config.lr, 0))
     method = config.method
-    if method in (S2Method.MG, S2Method.PMG, S2Method.RPMG):
-        tau_fn = _resolve_tau_s2(config.tau)
-        lam = {S2Method.MG: 1.0, S2Method.PMG: 0.0, S2Method.RPMG: config.lam}[method]
-    else:
-        tau_fn = lambda it: 0.0
-        lam = float("nan")
+    tau_fn = _resolve_tau(config.tau, None)
+    lam = {S2Method.MG: 1.0, S2Method.PMG: 0.0}.get(method, config.lam)
 
-    rows: List[MetricsRow] = []
-    aborted = False
-    diagnostic = ""
-    for it in range(config.iters + 1):
-        if it % config.eval_every == 0 or it == config.iters:
-            ys, _ = nn.forward(mlp, x_ev)
-            norms = np.linalg.norm(ys, axis=1)
-            if np.any(norms <= 1e-8):
-                aborted = True
-                diagnostic = f"degenerate raw output in evaluation at iteration {it}"
-                break
-            x_hat = ys / norms[:, None]
-            cross = np.linalg.norm(np.cross(x_hat, t_ev), axis=1)
-            dot = np.sum(x_hat * t_ev, axis=1)
-            errors_deg = np.degrees(np.arctan2(cross, dot))
-            rows.append(_row_from_errors(errors_deg, it, float(norms.mean())))
-        if it == config.iters:
-            break
-        idx = batch_rng.integers(0, len(x_tr), size=config.batch)
-        ys, cache = nn.forward(mlp, x_tr[idx])
-        try:
-            if method is S2Method.L2_WITH_NORM:
-                g = 2.0 * (ys - t_tr[idx])
-            elif method is S2Method.L2_WITHOUT_NORM:
-                norms = np.linalg.norm(ys, axis=1)
-                if np.any(norms <= 1e-8):
-                    raise DegenerateInputError("raw output too close to the origin to normalize")
-                x_hat = ys / norms[:, None]
-                t = t_tr[idx]
-                dots = np.sum(x_hat * t, axis=1)
-                g = 2.0 * (dots[:, None] * x_hat - t) / norms[:, None]
-            else:
-                g = _s2_gradient_batch(ys, t_tr[idx], tau_fn(it), lam)
-        except DegenerateInputError as exc:
-            aborted = True
-            diagnostic = f"degenerate sample at iteration {it}: {exc}"
-            break
-        if not np.all(np.isfinite(g)):
-            aborted = True
-            diagnostic = f"non-finite gradient at iteration {it}"
-            break
-        dws, dbs = nn.backward(mlp, cache, g / config.batch)
-        adam.lr = lr_at(config.lr, it)
-        mlp = _apply_adam(mlp, adam, dws, dbs)
-    return MetricsReport(rows=tuple(rows), aborted=aborted, diagnostic=diagnostic)
+    def eval_errors_deg(ys: np.ndarray, t_ev: np.ndarray) -> np.ndarray:
+        x_hat, _ = _unit_rows(ys)
+        cross = np.linalg.norm(np.cross(x_hat, t_ev), axis=1)
+        dot = np.sum(x_hat * t_ev, axis=1)
+        return np.degrees(np.arctan2(cross, dot))
+
+    def gradient(ys: np.ndarray, t: np.ndarray, it: int, points: np.ndarray) -> np.ndarray:
+        if method is S2Method.L2_WITH_NORM:
+            return 2.0 * (ys - t)
+        if method is S2Method.L2_WITHOUT_NORM:
+            x_hat, norms = _unit_rows(ys)
+            dots = np.sum(x_hat * t, axis=1)
+            return 2.0 * (dots[:, None] * x_hat - t) / norms[:, None]
+        return _s2_gradient_batch(ys, t, tau_fn(it), lam)
+
+    return _train_network(config, 3, lambda rotations: rotations[:, :, 2],
+                          lambda t_ev: 1.0, eval_errors_deg, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +663,6 @@ def tau_probe(
         x = x + 0.05 * rng.standard_normal(x.shape)
         r = baseline_rotation(rep, x)
         cases.append((r, loss_inst))
-    from .riemannian import euclid_grad, goal_rotation, riemannian_grad
-
     results = []
     for tau in taus:
         total = 0.0

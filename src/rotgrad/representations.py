@@ -321,29 +321,6 @@ def _euler_to_rot_batch(xs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _hat_batch(xs: np.ndarray) -> np.ndarray:
-    k = np.zeros((xs.shape[0], 3, 3))
-    k[:, 0, 1] = -xs[:, 2]
-    k[:, 0, 2] = xs[:, 1]
-    k[:, 1, 0] = xs[:, 2]
-    k[:, 1, 2] = -xs[:, 0]
-    k[:, 2, 0] = -xs[:, 1]
-    k[:, 2, 1] = xs[:, 0]
-    return k
-
-
-def _rodrigues_batch(xs: np.ndarray) -> np.ndarray:
-    """Vectorized Rodrigues formula, with a series below 1e-6 rad."""
-    theta2 = np.einsum('bi,bi->b', xs, xs)
-    theta = np.sqrt(theta2)
-    small = theta < 1e-6
-    with np.errstate(invalid='ignore', divide='ignore'):
-        a_ = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        b_ = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
-    k = _hat_batch(xs)
-    return np.eye(3) + a_[:, None, None] * k + b_[:, None, None] * (k @ k)
-
-
 def rotations_from_raw(rep: RepKind, xs: np.ndarray) -> np.ndarray:
     """Batched ``baseline_rotation``: (B, n) raw vectors -> (B, 3, 3)."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -366,7 +343,7 @@ def rotations_from_raw(rep: RepKind, xs: np.ndarray) -> np.ndarray:
 
     if rep is RepKind.EULER3:
         return _euler_to_rot_batch(xs)
-    return _rodrigues_batch(xs)  # AXIS_ANGLE3
+    return so3._rodrigues_batch(xs)  # AXIS_ANGLE3
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +471,7 @@ def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 
 
 def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    rs = _rodrigues_batch(xs)
+    rs = so3._rodrigues_batch(xs)
     c = np.swapaxes(rs, 1, 2) @ gs
     t = np.stack([c[:, 2, 1] - c[:, 1, 2],
                   c[:, 0, 2] - c[:, 2, 0],
@@ -507,7 +484,7 @@ def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
                       (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2))
         f2 = np.where(small, 1.0 / 6.0 - theta2 / 120.0,
                       (theta - np.sin(theta)) / np.where(small, 1.0, theta2 * theta))
-    k = _hat_batch(xs)
+    k = so3._hat_batch(xs)
     # right Jacobian of the exponential map
     jr = np.eye(3) - f1[:, None, None] * k + f2[:, None, None] * (k @ k)
     return np.einsum('bji,bj->bi', jr, t)

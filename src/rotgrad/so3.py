@@ -136,6 +136,18 @@ def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
             return quat_to_rot(g / math.sqrt(n2))
 
 
+def _hat_batch(phis: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`hat` over rows of a (B, 3) array."""
+    k = np.zeros((phis.shape[0], 3, 3))
+    k[:, 0, 1] = -phis[:, 2]
+    k[:, 0, 2] = phis[:, 1]
+    k[:, 1, 0] = phis[:, 2]
+    k[:, 1, 2] = -phis[:, 0]
+    k[:, 2, 0] = -phis[:, 1]
+    k[:, 2, 1] = phis[:, 0]
+    return k
+
+
 def _rodrigues_batch(phis: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_rodrigues` over rows of a (B, 3) array."""
     phis = np.asarray(phis, dtype=np.float64)
@@ -145,22 +157,14 @@ def _rodrigues_batch(phis: np.ndarray) -> np.ndarray:
     safe = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / safe)
     b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / safe ** 2)
-    k = np.zeros((phis.shape[0], 3, 3))
-    k[:, 0, 1] = -phis[:, 2]
-    k[:, 0, 2] = phis[:, 1]
-    k[:, 1, 0] = phis[:, 2]
-    k[:, 1, 2] = -phis[:, 0]
-    k[:, 2, 0] = -phis[:, 1]
-    k[:, 2, 1] = phis[:, 0]
+    k = _hat_batch(phis)
     return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _rot_to_quat_batch(rs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rot_to_quat` over a (B, 3, 3) array.
-
-    Sign is fixed to q0 >= 0; the exact-zero tie-break is skipped (batched
-    callers stay off the 180-degree set almost surely).
-    """
+    """Vectorized :func:`rot_to_quat` over a (B, 3, 3) array, with the same
+    sign convention: q0 >= 0, ties at q0 == 0 broken as in
+    :func:`canonical_quat`."""
     r = np.asarray(rs, dtype=np.float64)
     n = r.shape[0]
     t = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
@@ -197,6 +201,8 @@ def _rot_to_quat_batch(rs: np.ndarray) -> np.ndarray:
     q = cand[np.arange(n), pick]
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     q[q[:, 0] < 0.0] *= -1.0
+    for i in np.nonzero(q[:, 0] == 0.0)[0]:
+        q[i] = canonical_quat(q[i])
     return q
 
 

@@ -5,6 +5,10 @@ is a normalization, the exponential map is a plane rotation, and the inverse
 image of a unit vector is the ray through it.  The emitted gradient mirrors
 the rotation case: step along the sphere toward the target, project the raw
 output onto the goal's ray, blend with weight ``lam``.
+
+``s2_rpmg_gradient`` computes that gradient for one raw vector and is the
+reference; ``_s2_gradient_batch`` is its vectorized twin over a training
+batch, with the same antipodal handling.
 """
 
 from __future__ import annotations
@@ -103,6 +107,41 @@ def s2_rpmg_gradient(x, x_hat_gt, tau: float, lam: float) -> np.ndarray:
     if lam == 0.0:
         return x - x_gp
     return x - x_gp + lam * (x_gp - x_hat_g)
+
+
+def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a (B, 3) array normalized, and their norms."""
+    norms = np.linalg.norm(ys, axis=1)
+    if np.any(norms <= _NORM_MIN):
+        raise DegenerateInputError("raw output too close to the origin to normalize")
+    return ys / norms[:, None], norms
+
+
+def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: float) -> np.ndarray:
+    """Vectorized :func:`s2_rpmg_gradient` over rows of (B, 3) arrays.
+
+    Antipodal rows get the zero tangent gradient and bump the event counter
+    once each, as in :func:`s2_riemannian_grad`.
+    """
+    global _antipodal_events
+    x_hat, _ = _unit_rows(ys)
+    dots = np.sum(x_hat * targets, axis=1)
+    antipodal = dots <= -1.0 + _ANTIPODAL_TOL
+    _antipodal_events += int(np.count_nonzero(antipodal))
+    grads = np.where(antipodal[:, None], 0.0, 2.0 * (dots[:, None] * x_hat - targets))
+    v = -tau * grads
+    theta = np.linalg.norm(v, axis=1)
+    small = theta < _SMALL_STEP
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.where(small, 1.0 - theta**2 / 6.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
+    x_hat_g = np.cos(theta)[:, None] * x_hat + sinc[:, None] * v
+    if lam == 1.0:
+        return ys - x_hat_g
+    proj = np.sum(ys * x_hat_g, axis=1)
+    x_gp = proj[:, None] * x_hat_g
+    if lam == 0.0:
+        return ys - x_gp
+    return ys - x_gp + lam * (x_gp - x_hat_g)
 
 
 def angle_between(u, v) -> float:

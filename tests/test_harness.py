@@ -11,7 +11,6 @@ from rotgrad.harness import (
     LrSchedule,
     Method,
     S2Method,
-    _s2_gradient_batch,
     _spawn_rngs,
     compute_metrics,
     fit_single_rotation,
@@ -29,7 +28,6 @@ from rotgrad.representations import (
 )
 from rotgrad.riemannian import CutLocusError, tau_gt_l2
 from rotgrad.rpmg import RpmgParams, rpmg_gradient
-from rotgrad.sphere import s2_rpmg_gradient
 
 
 def rot_xyz(rng):
@@ -431,18 +429,6 @@ def test_lr_schedule_default_is_constant_and_steps_at_milestones(monkeypatch, tr
 
 # ---------------------------------------------------------------------------
 # sphere training
-
-
-def test_s2_gradient_batch_matches_per_sample():
-    rng = np.random.default_rng(13)
-    for lam in (0.0, 0.01, 0.3, 1.0):
-        ys = rng.standard_normal((40, 3)) * rng.uniform(0.2, 3.0, size=(40, 1))
-        ts = rng.standard_normal((40, 3))
-        ts /= np.linalg.norm(ts, axis=1, keepdims=True)
-        batch = _s2_gradient_batch(ys, ts, 0.3, lam)
-        for i in range(40):
-            single = s2_rpmg_gradient(ys[i], ts[i], 0.3, lam)
-            np.testing.assert_allclose(batch[i], single, atol=1e-9)
 
 
 def test_s2_without_norm_gradient_matches_fd():

@@ -36,6 +36,15 @@ def random_raw(rep, rng, scale=1.0):
     return x
 
 
+# axis-angle rows at the Rodrigues branch edges: theta = 0, 5e-7 (forward
+# series), 5e-5 (backward series), 1 and pi - 1e-6
+AXIS_ANGLE_EDGES = np.outer([0.0, 5e-7, 5e-5, 1.0, math.pi - 1e-6], [2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0])
+
+
+def with_edges(rep, xs):
+    return np.concatenate([xs, AXIS_ANGLE_EDGES]) if rep is RepKind.AXIS_ANGLE3 else xs
+
+
 def assert_rotation(r, tol=1e-9):
     assert np.linalg.norm(r.T @ r - np.eye(3)) <= tol
     assert np.linalg.det(r) == pytest.approx(1.0, abs=tol)
@@ -205,10 +214,12 @@ def test_axis_angle_forward():
 @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.value)
 def test_batched_forward_matches_single(rep):
     rng = np.random.default_rng(10)
-    xs = np.stack([random_raw(rep, rng) for _ in range(64)])
+    xs = with_edges(rep, np.stack([random_raw(rep, rng) for _ in range(64)]))
     rs = rotations_from_raw(rep, xs)
-    for i in range(64):
+    for i in range(len(xs)):
         assert so3.geodesic_distance(rs[i], baseline_rotation(rep, xs[i])) <= 1e-9
+        if rep is RepKind.AXIS_ANGLE3:
+            assert np.max(np.abs(rs[i] - so3.exp_so3(np.eye(3), xs[i]))) <= 1e-12
 
 
 def test_batched_forward_rejects_degenerate():
@@ -221,10 +232,10 @@ def test_batched_forward_rejects_degenerate():
 @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.value)
 def test_batched_backward_matches_single(rep):
     rng = np.random.default_rng(11)
-    xs = np.stack([random_raw(rep, rng) for _ in range(16)])
-    gs = rng.standard_normal((16, 3, 3))
+    xs = with_edges(rep, np.stack([random_raw(rep, rng) for _ in range(16)]))
+    gs = rng.standard_normal((len(xs), 3, 3))
     out = vanilla_backward_batch(rep, xs, gs)
-    for i in range(16):
+    for i in range(len(xs)):
         assert np.allclose(out[i], baseline_backward(rep, xs[i], gs[i]), atol=1e-9)
 
 

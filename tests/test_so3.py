@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rotgrad.so3 import (
+    _rot_to_quat_batch,
     canonical_quat,
     exp_so3,
     geodesic_distance,
@@ -146,15 +147,18 @@ def test_rot_to_quat_near_pi():
 
 def test_rot_to_quat_exact_pi_ties():
     # for R = 2 n n^T - I with n3 == 0, q0 computes to exactly zero and the
-    # tie-break must leave the first nonzero component positive
-    for n in (np.array([-0.6, 0.8, 0.0]), np.array([0.8, -0.6, 0.0]),
-              np.array([0.0, -1.0, 0.0]), np.array([1.0, 0.0, 0.0])):
-        r = 2.0 * np.outer(n, n) - np.eye(3)
+    # tie-break must leave the first nonzero component positive, on the
+    # batched route too
+    ns = np.array([[-0.6, 0.8, 0.0], [0.8, -0.6, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+    rs = 2.0 * np.einsum("bi,bj->bij", ns, ns) - np.eye(3)
+    qs = _rot_to_quat_batch(rs)
+    for r, q_batch in zip(rs, qs):
         q = rot_to_quat(r)
         assert q[0] == 0.0
         nz = q[1:][q[1:] != 0.0]
         assert nz[0] > 0.0
         assert np.linalg.norm(quat_to_rot(q) - r) <= 1e-9
+        np.testing.assert_allclose(q_batch, q, atol=1e-15)
 
 
 def test_rot_to_quat_agrees_with_trace_formula():

@@ -5,6 +5,7 @@ import pytest
 
 from rotgrad.representations import DegenerateInputError
 from rotgrad.sphere import (
+    _s2_gradient_batch,
     angle_between,
     antipodal_event_count,
     reset_antipodal_event_count,
@@ -114,6 +115,34 @@ def test_s2_antipodal_counted():
     assert antipodal_event_count() == 1
     reset_antipodal_event_count()
     assert antipodal_event_count() == 0
+
+
+def test_s2_gradient_batch_matches_per_sample():
+    rng = np.random.default_rng(13)
+    for lam in (0.0, 0.01, 0.3, 1.0):
+        ys = rng.standard_normal((40, 3)) * rng.uniform(0.2, 3.0, size=(40, 1))
+        ts = rng.standard_normal((40, 3))
+        ts /= np.linalg.norm(ts, axis=1, keepdims=True)
+        batch = _s2_gradient_batch(ys, ts, 0.3, lam)
+        for i in range(40):
+            single = s2_rpmg_gradient(ys[i], ts[i], 0.3, lam)
+            np.testing.assert_allclose(batch[i], single, atol=1e-9)
+
+
+def test_s2_gradient_batch_counts_antipodal_rows():
+    # one row exactly antipodal, one at x_hat . t = -1 + 1e-13, one regular
+    t = np.array([0.0, 0.0, 1.0])
+    delta = math.sqrt(2e-13)
+    ys = np.array([[0.0, 0.0, -2.0], [0.7 * math.sin(delta), 0.0, -0.7 * math.cos(delta)], [1.0, 0.5, 0.2]])
+    ts = np.stack([t, t, t])
+    assert np.sum(ys[1] / np.linalg.norm(ys[1]) * t) <= -1.0 + 1e-12
+    for lam in (0.0, 0.01, 1.0):
+        reset_antipodal_event_count()
+        batch = _s2_gradient_batch(ys, ts, 0.3, lam)
+        assert antipodal_event_count() == 2
+        for i in range(3):
+            np.testing.assert_allclose(batch[i], s2_rpmg_gradient(ys[i], ts[i], 0.3, lam), atol=1e-12)
+    reset_antipodal_event_count()
 
 
 def test_s2_rpmg_converged_is_zero():
