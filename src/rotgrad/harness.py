@@ -448,16 +448,8 @@ def fit_single_rotation(
 # network training on SO(3)
 
 
-def _apply_adam(mlp: nn.Mlp, state: nn.AdamState, dws: List[np.ndarray], dbs: List[np.ndarray]) -> nn.Mlp:
-    params = list(mlp.weights) + list(mlp.biases)
-    grads = list(dws) + list(dbs)
-    updated = nn.adam_step(state, params, grads)
-    k = len(mlp.weights)
-    return nn.Mlp(weights=updated[:k], biases=updated[k:])
-
-
-def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> nn.Mlp:
-    """Rescale the output layer so raw outputs start at the target norm.
+def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> None:
+    """Rescale the output layer in place so raw outputs start at the target norm.
 
     Raw-norm dynamics are measured relative to the initial norm, so the
     start should sit at the representation's natural scale rather than at
@@ -468,9 +460,7 @@ def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> nn.M
     current = float(np.linalg.norm(ys, axis=1).mean())
     if current <= 0.0 or not np.isfinite(current):
         raise RuntimeError("initial network outputs have no usable scale")
-    weights = list(mlp.weights)
-    weights[-1] = weights[-1] * (target_norm / current)
-    return nn.Mlp(weights=weights, biases=list(mlp.biases))
+    mlp.weights[-1] *= target_norm / current
 
 
 def _train_network(
@@ -498,8 +488,8 @@ def _train_network(
     mlp = nn.init_mlp([dataset.inputs.shape[1], *config.hidden, out_dim], init_rng)
     norm = head_norm(t_ev)
     if norm is not None:
-        mlp = _calibrate_head(mlp, x_tr, norm)
-    adam = nn.adam_init(list(mlp.weights) + list(mlp.biases), lr=lr_at(config.lr, 0))
+        _calibrate_head(mlp, x_tr, norm)
+    adam = nn.adam_init(mlp.params, lr=lr_at(config.lr, 0))
 
     rows: List[MetricsRow] = []
     aborted = False
@@ -533,9 +523,9 @@ def _train_network(
             aborted = True
             diagnostic = f"non-finite gradient at iteration {it}"
             break
-        dws, dbs = nn.backward(mlp, cache, g / config.batch)
+        nn.backward(mlp, cache, g / config.batch)
         adam.lr = lr_at(config.lr, it)
-        mlp = _apply_adam(mlp, adam, dws, dbs)
+        nn.adam_step(adam, mlp.params, mlp.grad)
     return MetricsReport(rows=tuple(rows), aborted=aborted, diagnostic=diagnostic)
 
 

@@ -5,25 +5,55 @@ leaky rectifier (slope 0.01) on the hidden ones, a linear output, explicit
 gradient propagation from an injected output gradient, and a standard Adam
 update.  Parameter gradients are plain sums over the batch rows; callers
 that want mean-over-batch semantics scale the output gradient by 1/B.
+
+Every weight and bias lives in one float64 parameter vector
+(``Mlp.params``); ``weights[i]`` and ``biases[i]`` are views of it.
+``backward`` writes into a gradient vector of the same layout
+(``Mlp.grad``), and ``adam_step`` updates the parameter vector in place
+with two preallocated scratch vectors, so a training step allocates no
+parameter-sized array.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 LEAKY_SLOPE = 0.01
-CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of ``flat`` with the given shapes."""
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
+
+
 class Mlp:
-    """Affine layers; weights[i] is (fan_in, fan_out), biases[i] is (fan_out,)."""
-    weights: list
-    biases: list
+    """Affine layers; weights[i] is (fan_in, fan_out), biases[i] is (fan_out,).
+
+    The arrays passed in are copied into one parameter vector ``params``,
+    laid out as every weight (row-major) followed by every bias, and
+    ``weights``/``biases`` become views of it.  ``grad``, with
+    ``grad_weights``/``grad_biases``, is the matching gradient vector that
+    ``backward`` fills.
+    """
+
+    def __init__(self, weights, biases) -> None:
+        arrays = [np.asarray(a, dtype=np.float64) for a in (*weights, *biases)]
+        shapes = [a.shape for a in arrays]
+        k = len(weights)
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.zeros_like(self.params)
+        views = _views(self.params, shapes)
+        self.weights, self.biases = views[:k], views[k:]
+        grad_views = _views(self.grad, shapes)
+        self.grad_weights, self.grad_biases = grad_views[:k], grad_views[k:]
 
     @property
     def layer_sizes(self) -> list:
@@ -47,6 +77,16 @@ def init_mlp(layer_sizes, rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases)
 
 
+def _leaky_relu(z: np.ndarray) -> np.ndarray:
+    """z where z > 0, LEAKY_SLOPE * z elsewhere, as a new array.
+
+    max(z, slope * z) gives the same bits as selecting on z > 0, signed
+    zeros, infinities, NaN and subnormals included.
+    """
+    h = np.multiply(z, LEAKY_SLOPE)
+    return np.maximum(z, h, out=h)
+
+
 def forward(mlp: Mlp, x) -> tuple:
     """Batch forward pass; returns (output, cache for backward)."""
     x = np.asarray(x, dtype=np.float64)
@@ -56,9 +96,10 @@ def forward(mlp: Mlp, x) -> tuple:
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w + b
+        z = np.matmul(h, w)
+        z += b
         pre.append(z)
-        h = z if i == last else np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        h = z if i == last else _leaky_relu(z)
         activations.append(h)
     return h, ForwardCache(activations, pre)
 
@@ -67,28 +108,32 @@ def backward(mlp: Mlp, cache: ForwardCache, output_gradient) -> tuple:
     """Propagate an output-space gradient to (weight grads, bias grads).
 
     Gradients are summed over the batch: for a single linear layer the
-    weight gradient is exactly input^T @ output_gradient.
+    weight gradient is exactly input^T @ output_gradient.  They are
+    written into ``mlp.grad``, and the returned lists are views of it
+    (``mlp.grad_weights``, ``mlp.grad_biases``): they stay valid until the
+    next ``backward`` call on the same network overwrites them.  Copy them
+    to keep them longer.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != cache.activations[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape "
                          f"{cache.activations[-1].shape}")
-    n = len(mlp.weights)
-    dws, dbs = [None] * n, [None] * n
-    for i in range(n - 1, -1, -1):
-        dws[i] = cache.activations[i].T @ g
-        dbs[i] = g.sum(axis=0)
+    dws, dbs = mlp.grad_weights, mlp.grad_biases
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        np.matmul(cache.activations[i].T, g, out=dws[i])
+        np.add.reduce(g, axis=0, out=dbs[i])
         if i > 0:
             g = g @ mlp.weights[i].T
-            z = cache.pre[i - 1]
-            g = np.where(z > 0.0, g, LEAKY_SLOPE * g)
+            g *= np.where(cache.pre[i - 1] > 0.0, 1.0, LEAKY_SLOPE)
     return dws, dbs
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Moments and two scratch vectors, each shaped like the parameters."""
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -96,49 +141,38 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params, lr: float = 1e-3) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params], lr=lr)
+def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params),
+                     scratch=(np.empty_like(params), np.empty_like(params)), lr=lr)
 
 
-def adam_step(state: AdamState, params, grads) -> list:
-    """One bias-corrected Adam update; mutates the moment accumulators."""
-    if not (len(params) == len(grads) == len(state.m)):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One bias-corrected Adam update of ``params``, in place; returns it.
+
+    Mutates the moment accumulators and overwrites the scratch vectors.
+    The arithmetic is, operation for operation,
+    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment updates.
+    """
+    if not (params.shape == grads.shape == state.m.shape):
         raise ValueError("params, grads and optimizer state must align")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    out = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        out.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return out
-
-
-def save_checkpoint(path, mlp: Mlp) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": [int(n) for n in mlp.layer_sizes],
-        "weights": [w.tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path) -> Mlp:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    sizes = payload["layer_sizes"]
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    expected = list(zip(sizes[:-1], sizes[1:]))
-    if [w.shape for w in weights] != expected or [b.shape for b in biases] != [(n,) for _, n in expected]:
-        raise ValueError("checkpoint arrays do not match the declared layer sizes")
-    return Mlp(weights, biases)
+    m, v = state.m, state.v
+    s1, s2 = state.scratch
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=s1)
+    m += s1
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=s1)
+    s1 *= grads
+    v += s1
+    np.divide(m, c1, out=s1)
+    s1 *= state.lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 /= s2
+    params -= s1
+    return params

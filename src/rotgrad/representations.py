@@ -56,11 +56,6 @@ class RepKind(enum.Enum):
     def ambient_dim(self) -> int:
         return {"euler": 3, "axis-angle": 3, "quat": 4, "6d": 6, "9d": 9, "10d": 10}[self.value]
 
-    @property
-    def has_manifold(self) -> bool:
-        """True for representations with a nontrivial projection."""
-        return self in (RepKind.QUAT4, RepKind.SIX_D, RepKind.NINE_D, RepKind.TEN_D)
-
 
 REP_BY_NAME = {k.value: k for k in RepKind}
 

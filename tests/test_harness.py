@@ -427,6 +427,33 @@ def test_lr_schedule_default_is_constant_and_steps_at_milestones(monkeypatch, tr
     assert decayed.final != constant.final
 
 
+@pytest.mark.parametrize("trainer, method", [(train, Method.RPMG), (train_s2, S2Method.RPMG)])
+def test_trainer_updates_one_network_in_place(monkeypatch, trainer, method):
+    built, forwarded, stepped = [], [], []
+    mlp_init, forward, adam_step = nn.Mlp.__init__, nn.forward, nn.adam_step
+
+    def counting_init(self, weights, biases):
+        built.append(self)
+        mlp_init(self, weights, biases)
+
+    def recording_forward(mlp, x):
+        forwarded.append((mlp, mlp.params))
+        return forward(mlp, x)
+
+    def recording_step(state, params, grads):
+        stepped.append(params)
+        return adam_step(state, params, grads)
+
+    monkeypatch.setattr(nn.Mlp, "__init__", counting_init)
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "adam_step", recording_step)
+    trainer(ExperimentConfig(method=method, iters=6, n_rotations=64, eval_every=3))
+    assert len(built) == 1 and len(stepped) == 6
+    mlp = built[0]
+    assert all(m is mlp and p is mlp.params for m, p in forwarded)
+    assert all(p is mlp.params for p in stepped)
+
+
 # ---------------------------------------------------------------------------
 # sphere training
 

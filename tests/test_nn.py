@@ -3,15 +3,15 @@ import pytest
 
 from rotgrad import so3
 from rotgrad.nn import (
-    AdamState,
+    LEAKY_SLOPE,
+    ForwardCache,
     Mlp,
+    _leaky_relu,
     adam_init,
     adam_step,
     backward,
     forward,
     init_mlp,
-    load_checkpoint,
-    save_checkpoint,
 )
 from rotgrad.representations import RepKind, baseline_backward, baseline_rotation
 from rotgrad.riemannian import L2Frobenius, euclid_grad, loss_value
@@ -129,24 +129,26 @@ def test_end_to_end_fd_through_pipeline(rep):
 
 
 def test_adam_zero_grad_is_noop():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     st = adam_init(p)
-    out = adam_step(st, p, [np.zeros(2)])
-    assert np.array_equal(out[0], p[0])
+    out = adam_step(st, p.copy(), np.zeros(2))
+    assert np.array_equal(out, p)
     assert st.step == 1
 
 
 def test_adam_constant_grad_limit():
-    p = [np.array([0.0])]
-    g = [np.array([0.5])]
+    p = np.array([0.0])
+    g = np.array([0.5])
     st = adam_init(p, lr=1e-3)
     prev = p
     for _ in range(5000):
         nxt = adam_step(st, prev, g)
         prev = nxt
-    # steady state steps approach lr * sign(g)
-    last = adam_step(st, prev, g)
-    assert abs((prev[0] - last[0])[0] - 1e-3) <= 1e-6
+    # steady state steps approach lr * sign(g); the update is in place, so
+    # keep the value before the last step
+    prev = prev.copy()
+    last = adam_step(st, nxt, g)
+    assert abs((prev - last)[0] - 1e-3) <= 1e-6
 
 
 def test_adam_two_step_manual_trace():
@@ -162,37 +164,163 @@ def test_adam_two_step_manual_trace():
     v = b2 * v + (1 - b2) * g * g
     p2 = p1 - lr * (m / (1 - b1 ** 2)) / (np.sqrt(v / (1 - b2 ** 2)) + eps)
 
-    st = adam_init([np.array([p])], lr=lr)
-    got1 = adam_step(st, [np.array([p])], [np.array([g])])
-    got2 = adam_step(st, got1, [np.array([g])])
-    assert abs(got1[0][0] - p1) <= 1e-15
-    assert abs(got2[0][0] - p2) <= 1e-15
+    params = np.array([p])
+    st = adam_init(params, lr=lr)
+    got1 = adam_step(st, params, np.array([g])).copy()
+    got2 = adam_step(st, params, np.array([g]))
+    assert abs(got1[0] - p1) <= 1e-15
+    assert abs(got2[0] - p2) <= 1e-15
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    mlp = init_mlp([4, 6, 3], rng)
-    path = tmp_path / "model.json"
-    save_checkpoint(path, mlp)
-    back = load_checkpoint(path)
-    assert back.layer_sizes == mlp.layer_sizes
-    for a, b in zip(mlp.weights + mlp.biases, back.weights + back.biases):
-        assert np.array_equal(a, b)
+def test_adam_rejects_misaligned_state():
+    st = adam_init(np.zeros(3))
+    with pytest.raises(ValueError, match="align"):
+        adam_step(st, np.zeros(3), np.zeros(4))
 
 
-def test_checkpoint_rejects_bad_version(tmp_path):
-    rng = np.random.default_rng(6)
-    mlp = init_mlp([4, 3], rng)
-    path = tmp_path / "model.json"
-    save_checkpoint(path, mlp)
-    import json
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
-    payload["version"] = 1
-    payload["layer_sizes"] = [4, 7]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="layer sizes"):
-        load_checkpoint(path)
+# ---------------------------------------------------------------------------
+# the parameter vector against a list-of-arrays reference
+
+
+def _ref_forward(weights, biases, x):
+    """List-based forward pass: ``h @ w + b`` and a rectifier selected by np.where."""
+    activations, pre = [x], []
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = z if i == len(weights) - 1 else np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        activations.append(h)
+    return h, activations, pre
+
+
+def _ref_backward(weights, activations, pre, g):
+    n = len(weights)
+    dws, dbs = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        dws[i] = activations[i].T @ g
+        dbs[i] = g.sum(axis=0)
+        if i > 0:
+            g = g @ weights[i].T
+            z = pre[i - 1]
+            g = np.where(z > 0.0, g, LEAKY_SLOPE * g)
+    return dws, dbs
+
+
+def _ref_adam(state, params, grads):
+    """Adam over a list of arrays, returning new arrays."""
+    state["step"] += 1
+    t = state["step"]
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    out = []
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        out.append(p - state["lr"] * (m / c1) / (np.sqrt(v / c2) + 1e-8))
+    return out
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def test_parameter_vector_matches_list_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    mlp = init_mlp([48, 128, 128, 10], rng)
+    weights = [w.copy() for w in mlp.weights]
+    biases = [b.copy() for b in mlp.biases]
+    ref = {"step": 0, "lr": 1e-3,
+           "m": [np.zeros_like(a) for a in weights + biases],
+           "v": [np.zeros_like(a) for a in weights + biases]}
+    st = adam_init(mlp.params, lr=1e-3)
+    for step in range(50):
+        x = rng.standard_normal((32, 48))
+        target = rng.standard_normal((32, 10))
+        y_ref, acts, pre = _ref_forward(weights, biases, x)
+        y, cache = forward(mlp, x)
+        assert np.array_equal(y, y_ref)
+        for a, b in zip(cache.activations + cache.pre, acts + pre):
+            assert np.array_equal(a, b)
+        gout = 2.0 * (y_ref - target) / 32
+        dws_ref, dbs_ref = _ref_backward(weights, acts, pre, gout)
+        dws, dbs = backward(mlp, cache, gout)
+        for a, b in zip(dws + dbs, dws_ref + dbs_ref):
+            assert np.array_equal(a, b)
+        updated = _ref_adam(ref, weights + biases, dws_ref + dbs_ref)
+        weights, biases = updated[:3], updated[3:]
+        adam_step(st, mlp.params, mlp.grad)
+        assert st.step == step + 1
+        for a, b in zip(mlp.weights + mlp.biases, weights + biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(st.m, _flat(ref["m"]))
+        assert np.array_equal(st.v, _flat(ref["v"]))
+
+
+# rectifier edge inputs: signed zeros, infinities, NaN, subnormals
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _unit_chain():
+    # 1-1-1 net: unit weights and biases of -0.0 pass every edge value
+    # except -0.0 through the matrix products unchanged
+    return Mlp([np.ones((1, 1)), np.ones((1, 1))], [np.array([-0.0]), np.array([-0.0])])
+
+
+def test_rectifier_edge_inputs_forward():
+    z = np.array(_EDGES)
+    assert _bits_equal(_leaky_relu(z), np.where(z > 0.0, z, LEAKY_SLOPE * z))
+
+    mlp = _unit_chain()
+    x = z[:, None]
+    _, cache = forward(mlp, x)
+    _, acts, pre = _ref_forward(mlp.weights, mlp.biases, x)
+    for a, b in zip(cache.activations + cache.pre, acts + pre):
+        assert _bits_equal(a, b)
+
+
+@pytest.mark.parametrize("zval", _EDGES, ids=repr)
+def test_rectifier_edge_inputs_backward(zval):
+    # the cache is built by hand, so the hidden pre-activation can be -0.0;
+    # at a batch of one row the hidden bias gradient is the rectified
+    # hidden gradient itself
+    mlp = _unit_chain()
+    z = np.array([[zval]])
+    acts = [np.ones((1, 1)), np.where(z > 0.0, z, LEAKY_SLOPE * z), np.zeros((1, 1))]
+    pre = [z, np.zeros((1, 1))]
+    for gval in _EDGES:
+        g = np.array([[gval]])
+        with np.errstate(invalid="ignore"):  # inf * 0 in the weight gradients
+            dws, dbs = backward(mlp, ForwardCache(acts, pre), g)
+            dws_ref, dbs_ref = _ref_backward(mlp.weights, acts, pre, g)
+        for a, b in zip(dws + dbs, dws_ref + dbs_ref):
+            assert _bits_equal(a, b), (zval, gval)
+
+
+def test_weights_and_biases_are_views_of_one_parameter_vector():
+    mlp = init_mlp([5, 8, 3], np.random.default_rng(8))
+    assert mlp.params.shape == (5 * 8 + 8 * 3 + 8 + 3,)
+    for a in mlp.weights + mlp.biases:
+        assert np.shares_memory(a, mlp.params)
+    for a in mlp.grad_weights + mlp.grad_biases:
+        assert np.shares_memory(a, mlp.grad)
+    assert not np.shares_memory(mlp.params, mlp.grad)
+
+    x = np.random.default_rng(9).standard_normal((4, 5))
+    y, cache = forward(mlp, x)
+    dws, dbs = backward(mlp, cache, np.ones_like(y))
+    assert all(a is b for a, b in zip(dws + dbs, mlp.grad_weights + mlp.grad_biases))
+
+    params = mlp.params
+    before = params.copy()
+    st = adam_init(params)
+    out = adam_step(st, mlp.params, mlp.grad)
+    assert out is params and mlp.params is params
+    assert not np.array_equal(params, before)
+    assert np.array_equal(_flat(mlp.weights + mlp.biases), params)
