@@ -4,16 +4,17 @@ Run it from the root of a checkout (the library is imported from ./src),
 or point ``--src`` at another checkout's ``src`` directory:
 
     python3 tools/report_digest.py
-    python3 tools/report_digest.py --src ../parent/src --verbose
+    python3 tools/report_digest.py --src ../parent/src
 
 It trains every ``train`` config over rep x method x loss (vanilla under l2
 only; flow and chamfer at their shipped tau presets), the five ``train_s2``
 rules, one run with an explicit tau, one with a ``TauSchedule`` and one with
 an ``LrSchedule``, all at 150 iterations.  It hashes the ``repr`` of
-every report in that order and prints the hex digest on the last line.  Two
-checkouts whose training arithmetic is the same bit for bit print the same
-digest; ``--verbose`` also prints one digest per config, to find the first
-one that differs.  Runs use one BLAS thread.
+every report in that order.  It prints one short digest per config, to
+find the first one that differs, and the total hex digest on the last line.
+Two checkouts whose training arithmetic is the same bit for bit print the
+same digest.  Runs use one BLAS thread.  Only training reports are covered:
+``fit_single_rotation``, ``tau_probe`` and the checks are not.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ def configs() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default="src", help="directory that holds the rotgrad package")
-    parser.add_argument("--verbose", action="store_true", help="print a digest per config")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "rotgrad").is_dir():
@@ -67,9 +67,8 @@ def main(argv=None) -> int:
     for trainer, config in configs():
         text = repr(trainer(config)).encode()
         total.update(text)
-        if args.verbose:
-            print(hashlib.sha256(text).hexdigest()[:16], trainer.__name__, config.rep.value,
-                  config.method.value, config.loss, config.tau, config.lr)
+        print(hashlib.sha256(text).hexdigest()[:16], trainer.__name__, config.rep.value,
+              config.method.value, config.loss, config.tau, config.lr)
     print(total.hexdigest())
     return 0
 
