@@ -478,7 +478,8 @@ def _train_network(
     calibrated to, from the holdout targets (None leaves the head as
     initialized); the holdout errors in degrees of raw outputs against
     targets; and the raw-output gradient of a batch at an iteration, given
-    the dataset's point cloud.
+    the dataset's point cloud, as a new array, which the loop scales by
+    1/batch in place.
     """
     data_rng, init_rng, batch_rng = _spawn_rngs(config.seed, 3)
     dataset = make_dataset(config.n_points, config.n_rotations, data_rng)
@@ -523,7 +524,8 @@ def _train_network(
             aborted = True
             diagnostic = f"non-finite gradient at iteration {it}"
             break
-        nn.backward(mlp, cache, g / config.batch)
+        g /= config.batch
+        nn.backward(mlp, cache, g)
         adam.lr = lr_at(config.lr, it)
         nn.adam_step(adam, mlp.params, mlp.grad)
     return MetricsReport(rows=tuple(rows), aborted=aborted, diagnostic=diagnostic)
@@ -562,9 +564,9 @@ def train(config: ExperimentConfig) -> MetricsReport:
         return np.degrees(so3.geodesic_distance_batch(rotations_from_raw(rep, ys), r_ev))
 
     def gradient(ys: np.ndarray, r_gts: np.ndarray, it: int, points: np.ndarray) -> np.ndarray:
-        rs = rotations_from_raw(rep, ys)
+        rs, factors = rotations_from_raw(rep, ys, return_factors=True)
         return rpmg_gradient_batch(rep, ys, rs, r_gts, tau_fn(it), params,
-                                   loss=config.loss, points=points)
+                                   loss=config.loss, points=points, factors=factors)
 
     return _train_network(config, rep.ambient_dim, lambda rotations: rotations,
                           head_norm, eval_errors_deg, gradient)

@@ -15,6 +15,13 @@ Per-sample projections run on the deterministic fixed-size solvers from
 ``lin_core``; the ``*_batch`` helpers implement the same maps over a leading
 batch axis with numpy's batched linear algebra, which the training loops need
 for throughput.  Tests pin the two routes against each other.
+
+The batched route is a forward/backward pair, like ``nn.forward`` and
+``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)`` returns
+the rotations with the factorization that produced them (normalized
+quaternion, Gram-Schmidt frame, signed SVD, eigen-decomposition), and
+``vanilla_backward_batch`` reads those factors instead of factorizing the
+batch a second time.
 """
 
 from __future__ import annotations
@@ -227,16 +234,28 @@ def _quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
     return r
 
 
-def _normalize_quat_batch(xs: np.ndarray) -> np.ndarray:
+def _quat_forward_batch(xs: np.ndarray):
     n = np.linalg.norm(xs, axis=1)
     bad = n <= QUAT_NORM_MIN
     if bad.any():
         raise DegenerateInputError(
             f"quat norm below {QUAT_NORM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    return xs / n[:, None]
+    q = xs / n[:, None]
+    return _quat_to_rot_batch(q), (q, n)
 
 
-def _six_d_frames_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (B, 3) arrays.
+
+    The same multiply, multiply, subtract per component as ``np.cross``,
+    so the bits match it, without its axis and dtype handling.
+    """
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+def _six_d_forward_batch(xs: np.ndarray):
     u, v = xs[:, :3], xs[:, 3:]
     nu = np.linalg.norm(u, axis=1)
     bad = nu <= GRAM_RESIDUAL_MIN
@@ -244,13 +263,16 @@ def _six_d_frames_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateInputError(
             f"6d first-column norm below {GRAM_RESIDUAL_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
     u_hat = u / nu[:, None]
-    w = v - np.einsum('bi,bi->b', v, u_hat)[:, None] * u_hat
+    vu = np.einsum('bi,bi->b', v, u_hat)
+    w = v - vu[:, None] * u_hat
     nw = np.linalg.norm(w, axis=1)
     bad = nw <= GRAM_RESIDUAL_MIN
     if bad.any():
         raise DegenerateInputError(
             f"6d Gram-Schmidt residual below {GRAM_RESIDUAL_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    return u_hat, w / nw[:, None]
+    v_hat = w / nw[:, None]
+    r = np.stack([u_hat, v_hat, _cross_batch(u_hat, v_hat)], axis=2)
+    return r, (u_hat, v_hat, nu, nw, vu)
 
 
 def _sym4_batch(xs: np.ndarray) -> np.ndarray:
@@ -261,32 +283,31 @@ def _sym4_batch(xs: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eigh_sym4_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of A(x), gap-guarded."""
+def _ten_d_forward_batch(xs: np.ndarray):
+    """Rotation of the smallest eigenvector of A(x), gap-guarded.
+
+    The eigenvector takes its canonical sign; the factors are A's ascending
+    eigenvalues and its eigenvector columns, as ``eigh`` returns them.
+    """
     vals, vecs = np.linalg.eigh(_sym4_batch(xs))
     gap = vals[:, 1] - vals[:, 0]
     bad = gap <= EIGENGAP_MIN
     if bad.any():
         raise DegenerateInputError(
             f"10d smallest-eigenvalue gap below {EIGENGAP_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    return vals, vecs
-
-
-def smallest_eigvec_batch(xs: np.ndarray) -> np.ndarray:
-    """Unit eigenvector (canonical sign) of the smallest eigenvalue of A(x)."""
-    _, vecs = _eigh_sym4_batch(xs)
     q = vecs[:, :, 0].copy()
     q[q[:, 0] < 0.0] *= -1.0
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = so3.canonical_quat(q[i])
-    return q
+    return _quat_to_rot_batch(q), (vals, vecs)
 
 
-def _special_svd_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of M = x.reshape(3, 3) signed for SO(3): (U', s', Vt).
+def _nine_d_forward_batch(xs: np.ndarray):
+    """Special orthogonalization through the SVD of M = x.reshape(3, 3).
 
-    U' is U with its third column scaled by d = det(U Vt), and s' is
-    (s1, s2, d s3), so M = U' diag(s') Vt and the projection is U' Vt.
+    The factors are (U', s', Vt): U' is U with its third column scaled by
+    d = det(U Vt), and s' is (s1, s2, d s3), so M = U' diag(s') Vt and
+    the projection is U' Vt.
     """
     u, s, vt = np.linalg.svd(xs.reshape(-1, 3, 3))
     bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
@@ -297,7 +318,7 @@ def _special_svd_batch(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u = u.copy()
     u[:, :, 2] *= d[:, None]
     s[:, 2] *= d
-    return u, s, vt
+    return u @ vt, (u, s, vt)
 
 
 def _euler_to_rot_batch(xs: np.ndarray) -> np.ndarray:
@@ -316,34 +337,54 @@ def _euler_to_rot_batch(xs: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotations_from_raw(rep: RepKind, xs: np.ndarray) -> np.ndarray:
-    """Batched ``baseline_rotation``: (B, n) raw vectors -> (B, 3, 3)."""
+def _euler_forward_batch(xs: np.ndarray):
+    r = _euler_to_rot_batch(xs)
+    return r, (r,)
+
+
+def _axis_angle_forward_batch(xs: np.ndarray):
+    r = so3._rodrigues_batch(xs)
+    return r, (r,)
+
+
+# Each forward map returns the (B, 3, 3) rotations and the factors that the
+# rep's backward map reads, so one training step factorizes its batch once:
+#   quat               (q, |x|)
+#   6d                 (u_hat, v_hat, |u|, |w|, v . u_hat)
+#   9d                 (U', s', Vt)
+#   10d                (ascending eigenvalues, eigenvector columns) of A(x)
+#   euler, axis-angle  (R,)
+_FORWARD = {
+    RepKind.QUAT4: _quat_forward_batch,
+    RepKind.SIX_D: _six_d_forward_batch,
+    RepKind.NINE_D: _nine_d_forward_batch,
+    RepKind.TEN_D: _ten_d_forward_batch,
+    RepKind.EULER3: _euler_forward_batch,
+    RepKind.AXIS_ANGLE3: _axis_angle_forward_batch,
+}
+
+
+def rotations_from_raw(rep: RepKind, xs: np.ndarray, return_factors: bool = False):
+    """Batched ``baseline_rotation``: (B, n) raw vectors -> (B, 3, 3).
+
+    With ``return_factors`` it returns ``(rotations, factors)``, where
+    ``factors`` is the rep's factorization of the batch (the normalized
+    quaternion, the 6d frame, the signed SVD, the eigen-decomposition).
+    Pass them to :func:`vanilla_backward_batch` or
+    ``rpmg_gradient_batch`` to differentiate the same batch without
+    factorizing it again.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != rep.ambient_dim:
         raise ValueError(f"{rep.value}: expected (B, {rep.ambient_dim}), got {xs.shape}")
-
-    if rep is RepKind.QUAT4:
-        return _quat_to_rot_batch(_normalize_quat_batch(xs))
-
-    if rep is RepKind.SIX_D:
-        u_hat, v_hat = _six_d_frames_batch(xs)
-        return np.stack([u_hat, v_hat, np.cross(u_hat, v_hat)], axis=2)
-
-    if rep is RepKind.NINE_D:
-        u, _, vt = _special_svd_batch(xs)
-        return u @ vt
-
-    if rep is RepKind.TEN_D:
-        return _quat_to_rot_batch(smallest_eigvec_batch(xs))
-
-    if rep is RepKind.EULER3:
-        return _euler_to_rot_batch(xs)
-    return so3._rodrigues_batch(xs)  # AXIS_ANGLE3
+    rs, factors = _FORWARD[rep](xs)
+    return (rs, factors) if return_factors else rs
 
 
 # ---------------------------------------------------------------------------
 # Backward maps for the plain chain-rule baseline.  All are closed forms
-# over the batch; none calls the forward map ``rotations_from_raw``.
+# over the batch, and each reads the factors its rep's forward map returns
+# instead of factorizing the batch again.
 
 def _quat_hessians() -> np.ndarray:
     """(9, 16) table: row ij is the Hessian of R_ij(q), a quadratic in q.
@@ -372,27 +413,20 @@ def _quat_vjp_batch(q: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return (k @ q[:, :, None])[:, :, 0]
 
 
-def _quat_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    q = _normalize_quat_batch(xs)
+def _quat_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
+    q, n = factors
     gq = _quat_vjp_batch(q, gs)
     # project through the normalization x -> x/|x|
-    n = np.linalg.norm(xs, axis=1)
     return (gq - np.einsum('bk,bk->b', gq, q)[:, None] * q) / n[:, None]
 
 
-def _six_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    u, v = xs[:, :3], xs[:, 3:]
-    nu = np.linalg.norm(u, axis=1)
-    u_hat = u / nu[:, None]
-    vu = np.einsum('bi,bi->b', v, u_hat)
-    w = v - vu[:, None] * u_hat
-    nw = np.linalg.norm(w, axis=1)
-    v_hat = w / nw[:, None]
-
+def _six_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
+    u_hat, v_hat, nu, nw, vu = factors
+    v = xs[:, 3:]
     g1, g2, g3 = gs[:, :, 0], gs[:, :, 1], gs[:, :, 2]
     # adjoint of the cross product c3 = u_hat x v_hat
-    gu_hat = g1 + np.cross(v_hat, g3)
-    gv_hat = g2 + np.cross(g3, u_hat)
+    gu_hat = g1 + _cross_batch(v_hat, g3)
+    gv_hat = g2 + _cross_batch(g3, u_hat)
     # through v_hat = w / |w|
     gw = (gv_hat - np.einsum('bi,bi->b', gv_hat, v_hat)[:, None] * v_hat) / nw[:, None]
     # through w = v - (v.u_hat) u_hat
@@ -403,14 +437,14 @@ def _six_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.concatenate([gu, gv], axis=1)
 
 
-def _nine_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+def _nine_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
     """Derivative of SVD special orthogonalization R = U' Vt.
 
     With M = U' diag(s') Vt, a perturbation turns R by U' W Vt with W skew,
     W_ij = (C_ij - C_ji) / (s'_i + s'_j) and C = U'^T dM V.  The adjoint is
     dL/dM = U' K Vt with K_ij = (B_ij - B_ji) / (s'_i + s'_j), B = U'^T G V.
     """
-    u, s, vt = _special_svd_batch(xs)
+    u, s, vt = factors
     # when det M < 0 the smallest pair sum is s2 - s3, which the forward
     # guard on s2 + s3 does not see; the projection jumps where it vanishes
     bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
@@ -431,7 +465,7 @@ _SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
 _SYM4_HALF_MULT = np.where(_SYM4_ROWS == _SYM4_COLS, 0.5, 1.0)
 
 
-def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
     """Eigenvector perturbation dq = -(A - l0 I)^+ dA q.
 
     The pseudo-inverse comes from the three remaining eigenpairs.  With
@@ -439,7 +473,7 @@ def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     parameters is invariant under q -> -q, so the canonical sign of the
     forward map needs no repeating here.
     """
-    vals, vecs = _eigh_sym4_batch(xs)
+    vals, vecs = factors
     q = vecs[:, :, 0]
     gq = _quat_vjp_batch(q, gs)
     rest = vecs[:, :, 1:]
@@ -449,8 +483,8 @@ def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return -(w[:, i] * q[:, j] + w[:, j] * q[:, i]) * _SYM4_HALF_MULT
 
 
-def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    rs = _euler_to_rot_batch(xs)
+def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
+    (rs,) = factors
     d = gs @ np.swapaxes(rs, 1, 2)
     vee = np.stack([d[:, 2, 1] - d[:, 1, 2],
                     d[:, 0, 2] - d[:, 2, 0],
@@ -465,8 +499,8 @@ def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return np.stack([np.einsum('bi,bi->b', w, vee) for w in (w1, w2, w3)], axis=1)
 
 
-def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    rs = so3._rodrigues_batch(xs)
+def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
+    (rs,) = factors
     c = np.swapaxes(rs, 1, 2) @ gs
     t = np.stack([c[:, 2, 1] - c[:, 1, 2],
                   c[:, 0, 2] - c[:, 2, 0],
@@ -495,19 +529,26 @@ _BACKWARD = {
 }
 
 
-def vanilla_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+def vanilla_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray,
+                           factors=None) -> np.ndarray:
     """Batched chain rule through rotation_map(manifold_map(x)).
 
     ``gs`` holds per-sample Euclidean loss gradients dL/dR of shape (B, 3, 3);
     the result is dL/dx of shape (B, n).  Every rep has a closed form: the
     9d map is differentiated through its SVD, the 10d map by eigenvector
-    perturbation.  Inputs the forward map rejects raise the same
-    ``DegenerateInputError``, as do 9d inputs with det M < 0 and
-    sigma2 = sigma3, where the projection is discontinuous.
+    perturbation.  ``factors`` are those that
+    ``rotations_from_raw(rep, xs, return_factors=True)`` returned for the
+    same ``xs``; without them the backward factorizes ``xs`` through the
+    same forward map, with the same result bit for bit.  Inputs the forward
+    map rejects raise the same ``DegenerateInputError``, as do 9d inputs
+    with det M < 0 and sigma2 = sigma3, where the projection is
+    discontinuous; that check runs on the factors too.
     """
     xs = np.asarray(xs, dtype=np.float64)
     gs = np.asarray(gs, dtype=np.float64)
-    return _BACKWARD[rep](xs, gs)
+    if factors is None:
+        _, factors = _FORWARD[rep](xs)
+    return _BACKWARD[rep](xs, gs, factors)
 
 
 def baseline_backward(rep: RepKind, x, dl_dr) -> np.ndarray:

@@ -272,12 +272,15 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
 
 def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
                         params: RpmgParams, loss: str = "l2",
-                        points=None) -> np.ndarray:
+                        points=None, factors=None) -> np.ndarray:
     """Batched :func:`rpmg_gradient` under any loss of ``LOSS_NAMES``.
 
     rs must be the forward rotations of xs; r_gts are per-sample targets.
     ``loss`` defaults to the squared-Frobenius loss; flow and chamfer need
     the shared (K, 3) point set ``points`` (see :func:`euclid_grad_batch`).
+    ``factors``, from ``rotations_from_raw(rep, xs, return_factors=True)``,
+    spare the vanilla method a second factorization of ``xs`` (see
+    :func:`vanilla_backward_batch`); the manifold methods need only ``rs``.
     Row i equals :func:`rpmg_gradient` under the per-sample loss for
     ``r_gts[i]``.
     """
@@ -285,7 +288,7 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
     rs = np.asarray(rs, dtype=np.float64)
     dl = euclid_grad_batch(loss, rs, r_gts, points)
     if params.method is Method.VANILLA:
-        return vanilla_backward_batch(rep, xs, dl)
+        return vanilla_backward_batch(rep, xs, dl, factors)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} supports only the vanilla method")
 

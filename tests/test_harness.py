@@ -320,6 +320,25 @@ def test_train_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("rep, routine", [(RepKind.NINE_D, "svd"), (RepKind.TEN_D, "eigh")],
+                         ids=["9d", "10d"])
+def test_vanilla_train_factorizes_once_per_step(monkeypatch, rep, routine):
+    calls = []
+    original = getattr(np.linalg, routine)
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:  # make_dataset's rank check factorizes one (n_points, 3) cloud
+            calls.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, counted)
+    cfg = ExperimentConfig(rep=rep, method=Method.VANILLA, iters=7, eval_every=3, n_rotations=64)
+    report = train(cfg)
+    assert not report.aborted and len(report.rows) == 4  # iterations 0, 3, 6, 7
+    assert calls.count(cfg.batch) == cfg.iters
+    assert len(calls) == cfg.iters + len(report.rows)
+
+
 def test_train_improves_over_initial():
     cfg = ExperimentConfig(rep=RepKind.SIX_D, method=Method.RPMG, iters=400, n_rotations=256, eval_every=200)
     report = train(cfg)

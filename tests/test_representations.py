@@ -336,3 +336,76 @@ def test_closed_form_backward_keeps_forward_guards():
     xs10 = np.stack([params_from_sym4(np.diag([0.0, 1.0, 2.0, 3.0])), params_from_sym4(np.eye(4))])
     with pytest.raises(DegenerateInputError, match="10d smallest-eigenvalue gap .* sample 1"):
         vanilla_backward_batch(RepKind.TEN_D, xs10, np.ones((2, 3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the backward reads the forward's factors
+
+def _factor_cases(rep, rng):
+    """B = 32 raw rows; 9d rows 0-15 have det M < 0, 10d rows 0-7 an
+    eigengap of 1e-8, a hundred times the guard."""
+    xs = np.stack([random_raw(rep, rng) for _ in range(32)])
+    if rep is RepKind.NINE_D:
+        xs[:16, :3] *= -np.sign(np.linalg.det(xs[:16].reshape(-1, 3, 3)))[:, None]
+        assert (np.linalg.det(xs[:16].reshape(-1, 3, 3)) < 0).all()
+    if rep is RepKind.TEN_D:
+        for i in range(8):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            xs[i] = params_from_sym4(q @ np.diag([0.5, 0.5 + 1e-8, 1.5, 2.0]) @ q.T)
+        gaps = np.diff(np.linalg.eigvalsh(np.stack([sym4_from_params(x) for x in xs[:8]]))[:, :2])
+        assert (gaps > 1e-10).all() and (gaps < 1e-7).all()
+    return xs
+
+
+@pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.value)
+def test_backward_given_forward_factors_is_bit_identical(rep):
+    rng = np.random.default_rng(16)
+    xs = _factor_cases(rep, rng)
+    gs = rng.standard_normal((32, 3, 3))
+    rs, factors = rotations_from_raw(rep, xs, return_factors=True)
+    assert np.array_equal(rs, rotations_from_raw(rep, xs))
+    got = vanilla_backward_batch(rep, xs, gs, factors)
+    assert np.array_equal(got, vanilla_backward_batch(rep, xs, gs))
+    assert np.isfinite(got).all()
+
+
+def _message(fn):
+    with pytest.raises(DegenerateInputError) as info:
+        fn()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("rep, bad", [
+    (RepKind.QUAT4, np.zeros(4)),
+    (RepKind.SIX_D, np.array([0.0, 0, 0, 1, 0, 0])),
+    (RepKind.SIX_D, np.array([1.0, 0, 0, 2, 0, 0])),
+    (RepKind.NINE_D, np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()),
+    (RepKind.TEN_D, params_from_sym4(np.eye(4))),
+], ids=["quat-norm", "6d-first-column", "6d-gram-schmidt", "9d-sigma-sum", "10d-eigengap"])
+def test_factors_raise_every_forward_guard_with_the_same_text(rep, bad):
+    xs = np.stack([embed(representation_map(np.eye(3), rep)), bad])
+    gs = np.ones((2, 3, 3))
+    text = _message(lambda: vanilla_backward_batch(rep, xs, gs))
+    assert "sample 1" in text
+    assert _message(lambda: rotations_from_raw(rep, xs, return_factors=True)) == text
+
+
+def test_factors_keep_the_nine_d_negative_det_sigma_tie_guard():
+    xs = np.stack([np.eye(3).ravel(), np.diag([2.0, 1.0, -1.0]).ravel()])
+    gs = np.ones((2, 3, 3))
+    _, factors = rotations_from_raw(RepKind.NINE_D, xs, return_factors=True)
+    text = _message(lambda: vanilla_backward_batch(RepKind.NINE_D, xs, gs, factors))
+    assert text.startswith("9d sigma2+det*sigma3") and text.endswith("sample 1")
+    assert _message(lambda: vanilla_backward_batch(RepKind.NINE_D, xs, gs)) == text
+
+
+def test_inline_cross_matches_numpy_cross_byte_for_byte():
+    from rotgrad.representations import _cross_batch
+
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.5])
+    rng = np.random.default_rng(17)
+    a = rng.choice(edges, size=(4096, 3))
+    b = rng.choice(edges, size=(4096, 3))
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        got, ref = _cross_batch(a, b), np.cross(a, b)
+    assert got.tobytes() == ref.tobytes()

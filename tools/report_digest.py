@@ -1,4 +1,4 @@
-"""One sha256 over the reports of a fixed set of short training runs.
+"""One sha256 over the results of a fixed set of short runs of both routes.
 
 Run it from the root of a checkout (the library is imported from ./src),
 or point ``--src`` at another checkout's ``src`` directory:
@@ -6,15 +6,19 @@ or point ``--src`` at another checkout's ``src`` directory:
     python3 tools/report_digest.py
     python3 tools/report_digest.py --src ../parent/src
 
-It trains every ``train`` config over rep x method x loss (vanilla under l2
-only; flow and chamfer at their shipped tau presets), the five ``train_s2``
-rules, one run with an explicit tau, one with a ``TauSchedule`` and one with
-an ``LrSchedule``, all at 150 iterations.  It hashes the ``repr`` of
-every report in that order.  It prints one short digest per config, to
-find the first one that differs, and the total hex digest on the last line.
-Two checkouts whose training arithmetic is the same bit for bit print the
-same digest.  Runs use one BLAS thread.  Only training reports are covered:
-``fit_single_rotation``, ``tau_probe`` and the checks are not.
+Batched route: it trains every ``train`` config over rep x method x loss
+(vanilla under l2 only; flow and chamfer at their shipped tau presets), the
+five ``train_s2`` rules, one run with an explicit tau, one with a
+``TauSchedule`` and one with an ``LrSchedule``, all at 150 iterations; then
+vanilla ``train`` under geodesic, flow and chamfer for every rep.
+Per-sample route: ``fit_single_rotation`` for every manifold rep x
+{vanilla, mg, pmg, rpmg} x {l2, geodesic} at seed 1 (the vanilla fits reach
+the batched vanilla backward at B = 1), one ``tau_probe``, and every
+``run_checks()`` result.  It hashes the ``repr`` of every result in that
+order, a fit's arrays byte for byte (numpy's repr rounds them).  It prints
+one short digest per run, to find the first one that differs, and the total
+hex digest on the last line.  Two checkouts whose arithmetic is the same
+bit for bit print the same digest.  Runs use one BLAS thread.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import sys
 from pathlib import Path
 
 ITERS = 150
+FIT_SEED = 1
 
 
 def configs() -> list:
-    """(trainer, config) pairs, in the order they are hashed."""
+    """(trainer, config) pairs of the training runs, in the order they are hashed."""
     from rotgrad import ExperimentConfig, LrSchedule, Method, RepKind, TauSchedule
     from rotgrad.harness import DEFAULT_TAU_BY_LOSS, S2Method, train, train_s2
     from rotgrad.representations import MANIFOLD_REPS
@@ -48,6 +53,39 @@ def configs() -> list:
     out.append((train, cfg(rep=RepKind.SIX_D, tau=0.1)))
     out.append((train, cfg(rep=RepKind.TEN_D, tau=TauSchedule(0.05, 0.5, ITERS))))
     out.append((train, cfg(rep=RepKind.QUAT4, lr=LrSchedule(1e-3, (ITERS // 3, 2 * ITERS // 3)))))
+    for rep in RepKind:
+        for loss in LOSS_NAMES[1:]:
+            out.append((train, cfg(rep=rep, method=Method.VANILLA, loss=loss,
+                                   tau=DEFAULT_TAU_BY_LOSS.get(loss, "auto"))))
+    return out
+
+
+def _fit_text(result) -> str:
+    arrays = (result.errors, result.norms, result.r_gt, result.x_final)
+    return (repr((result.rep, result.method, result.aborted, result.diagnostic))
+            + "".join(a.tobytes().hex() for a in arrays))
+
+
+def runs() -> list:
+    """(label, thunk) pairs; each thunk returns the text that is hashed."""
+    from rotgrad import Method
+    from rotgrad.checks import run_checks
+    from rotgrad.harness import fit_single_rotation, tau_probe
+    from rotgrad.representations import MANIFOLD_REPS, RepKind
+
+    out = [(f"{trainer.__name__} {c.rep.value} {c.method.value} {c.loss} {c.tau} {c.lr}",
+            lambda trainer=trainer, c=c: repr(trainer(c)))
+           for trainer, c in configs()]
+    for rep in MANIFOLD_REPS:
+        for method in Method:
+            for loss in ("l2", "geodesic"):
+                out.append((f"fit_single_rotation {rep.value} {method.value} {loss} seed {FIT_SEED}",
+                            lambda rep=rep, method=method, loss=loss: _fit_text(
+                                fit_single_rotation(rep, method, loss=loss, seed=FIT_SEED))))
+    taus = (0.05, 0.5, 5.0, 50.0)
+    out.append((f"tau_probe 6d flow {taus}",
+                lambda: repr(tau_probe(RepKind.SIX_D, "flow", taus))))
+    out.append(("run_checks", lambda: repr(run_checks())))
     return out
 
 
@@ -64,11 +102,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
 
     total = hashlib.sha256()
-    for trainer, config in configs():
-        text = repr(trainer(config)).encode()
+    for label, thunk in runs():
+        text = thunk().encode()
         total.update(text)
-        print(hashlib.sha256(text).hexdigest()[:16], trainer.__name__, config.rep.value,
-              config.method.value, config.loss, config.tau, config.lr)
+        print(hashlib.sha256(text).hexdigest()[:16], label)
     print(total.hexdigest())
     return 0
 
