@@ -88,7 +88,7 @@ def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
     if rep is RepKind.NINE_D:
         m = xs.reshape(n, 3, 3)
         s = np.tile(np.eye(3), (n, 1, 1))
-        r_t = r_gs.transpose(0, 2, 1)
+        r_t = np.ascontiguousarray(r_gs.transpose(0, 2, 1))
         for _ in range(steps):
             grad = 2.0 * (s @ r_gs - m) @ r_t
             s = s - step * grad

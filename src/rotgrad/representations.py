@@ -45,6 +45,10 @@ EIGENGAP_MIN = 1e-10
 # row-major upper-triangle order used to pack a symmetric 4x4 matrix into
 # the ten free parameters of the 10-dim representation
 _SYM4_INDEX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+_SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
+# _SYM4_GATHER[i, j] is the parameter at entry (i, j) of the symmetric form
+_SYM4_GATHER = np.empty((4, 4), dtype=np.intp)
+_SYM4_GATHER[_SYM4_ROWS, _SYM4_COLS] = _SYM4_GATHER[_SYM4_COLS, _SYM4_ROWS] = np.arange(10)
 
 
 class DegenerateInputError(ValueError):
@@ -153,8 +157,11 @@ def rotation_map(point: ManifoldPoint) -> np.ndarray:
     if rep in (RepKind.QUAT4, RepKind.TEN_D):
         return so3.quat_to_rot(val)
     if rep is RepKind.SIX_D:
-        u_hat, v_hat = val[0], val[1]
-        return np.stack([u_hat, v_hat, np.cross(u_hat, v_hat)], axis=1)
+        (u0, u1, u2), (v0, v1, v2) = val
+        # np.cross's multiply, multiply, subtract per component
+        return np.array([[u0, v0, u1 * v2 - u2 * v1],
+                         [u1, v1, u2 * v0 - u0 * v2],
+                         [u2, v2, u0 * v1 - u1 * v0]])
     if rep is RepKind.NINE_D:
         return val.copy()
     if rep is RepKind.EULER3:
@@ -219,19 +226,23 @@ def rot_to_euler_xyz(r) -> np.ndarray:
 # Batched forward maps (numpy batched linear algebra; same semantics as the
 # per-sample route, tested against it)
 
+# R_ij(q) = 2 (q_a q_b +/- q_c q_d) - delta_ij as in so3.quat_to_rot: flat
+# slots in q q^T of both products and the sign of the second
+_QUAT_ROT_A = np.array([0, 6, 7, 6, 0, 11, 7, 11, 0])
+_QUAT_ROT_B = np.array([5, 3, 2, 3, 10, 1, 2, 1, 15])
+_QUAT_ROT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+_EYE9 = np.eye(3).ravel()
+
+
 def _quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    r = np.empty((q.shape[0], 3, 3))
-    r[:, 0, 0] = 2.0 * (q0 * q0 + q1 * q1) - 1.0
-    r[:, 0, 1] = 2.0 * (q1 * q2 - q0 * q3)
-    r[:, 0, 2] = 2.0 * (q1 * q3 + q0 * q2)
-    r[:, 1, 0] = 2.0 * (q1 * q2 + q0 * q3)
-    r[:, 1, 1] = 2.0 * (q0 * q0 + q2 * q2) - 1.0
-    r[:, 1, 2] = 2.0 * (q2 * q3 - q0 * q1)
-    r[:, 2, 0] = 2.0 * (q1 * q3 - q0 * q2)
-    r[:, 2, 1] = 2.0 * (q2 * q3 + q0 * q1)
-    r[:, 2, 2] = 2.0 * (q0 * q0 + q3 * q3) - 1.0
-    return r
+    """Rotations of (B, 4) unit quaternions, gathered from q q^T."""
+    outer = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
+    r = np.take(outer, _QUAT_ROT_B, axis=1)
+    r *= _QUAT_ROT_SIGN
+    r += np.take(outer, _QUAT_ROT_A, axis=1)
+    r *= 2.0
+    r -= _EYE9
+    return r.reshape(-1, 3, 3)
 
 
 def _quat_forward_batch(xs: np.ndarray):
@@ -276,11 +287,8 @@ def _six_d_forward_batch(xs: np.ndarray):
 
 
 def _sym4_batch(xs: np.ndarray) -> np.ndarray:
-    a = np.empty((xs.shape[0], 4, 4))
-    for k, (i, j) in enumerate(_SYM4_INDEX):
-        a[:, i, j] = xs[:, k]
-        a[:, j, i] = xs[:, k]
-    return a
+    """Symmetric (B, 4, 4) forms of (B, 10) parameter rows."""
+    return np.take(xs, _SYM4_GATHER.ravel(), axis=1).reshape(-1, 4, 4)
 
 
 def _ten_d_forward_batch(xs: np.ndarray):
@@ -295,8 +303,7 @@ def _ten_d_forward_batch(xs: np.ndarray):
     if bad.any():
         raise DegenerateInputError(
             f"10d smallest-eigenvalue gap below {EIGENGAP_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    q = vecs[:, :, 0].copy()
-    q[q[:, 0] < 0.0] *= -1.0
+    q = vecs[:, :, 0] * np.where(vecs[:, 0, 0] < 0.0, -1.0, 1.0)[:, None]
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = so3.canonical_quat(q[i])
     return _quat_to_rot_batch(q), (vals, vecs)
@@ -458,10 +465,8 @@ def _nine_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarra
     return (u @ k @ vt).reshape(-1, 9)
 
 
-# entry (i, j) of each of the ten parameters; a diagonal entry counts once
-# and an off-diagonal one twice, so (w_i q_j + w_j q_i) is halved on the
-# diagonal
-_SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
+# a diagonal parameter counts once in A and an off-diagonal one twice, so
+# (w_i q_j + w_j q_i) is halved on the diagonal
 _SYM4_HALF_MULT = np.where(_SYM4_ROWS == _SYM4_COLS, 0.5, 1.0)
 
 
@@ -485,10 +490,7 @@ def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray
 
 def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
     (rs,) = factors
-    d = gs @ np.swapaxes(rs, 1, 2)
-    vee = np.stack([d[:, 2, 1] - d[:, 1, 2],
-                    d[:, 0, 2] - d[:, 2, 0],
-                    d[:, 1, 0] - d[:, 0, 1]], axis=1)
+    vee = so3._vee_batch(gs @ np.swapaxes(rs, 1, 2))
     a, b = xs[:, 0], xs[:, 1]
     ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
     # world-frame axes of the three intrinsic rotations
@@ -501,10 +503,7 @@ def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray
 
 def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
     (rs,) = factors
-    c = np.swapaxes(rs, 1, 2) @ gs
-    t = np.stack([c[:, 2, 1] - c[:, 1, 2],
-                  c[:, 0, 2] - c[:, 2, 0],
-                  c[:, 1, 0] - c[:, 0, 1]], axis=1)
+    t = so3._vee_batch(np.swapaxes(rs, 1, 2) @ gs)
     theta2 = np.einsum('bi,bi->b', xs, xs)
     theta = np.sqrt(theta2)
     small = theta < 1e-4

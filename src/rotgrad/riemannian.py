@@ -30,8 +30,8 @@ _MAX_POINTS = 4096
 # beyond this angle from its target a rotation counts as on the cut locus
 _CUT_LOCUS = math.pi - 1e-9
 
-# chamfer distance tables of at most this many (z - y) components are built
-# at once; euclid_grad_batch splits larger batches
+# euclid_grad_batch splits a chamfer batch so that the distance tables it
+# builds at once hold at most this many entries
 _CHAMFER_CHUNK = 1 << 22
 
 
@@ -92,11 +92,22 @@ class Chamfer:
 LossKind = Union[L2Frobenius, GeodesicSquared, Flow, Chamfer]
 
 
+def _sq_dists(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances (..., K, M) between rows of z (K, 3) and y (..., M, 3),
+    one coordinate at a time: (dx^2 + dy^2) + dz^2, numpy's order for a length-3 axis."""
+    d = z[:, None, 0] - y[..., None, :, 0]
+    d2 = d * d
+    for c in (1, 2):
+        d = np.subtract(z[:, None, c], y[..., None, :, c], out=d)
+        d *= d
+        d2 += d
+    return d2
+
+
 def _chamfer_pairs(loss: Chamfer, r: np.ndarray):
     """Nearest-neighbor matches between canonical Z and back-rotated observations."""
     y = loss.observed @ r  # row j is r^T @ observed[j]
-    z = loss.canonical
-    d2 = ((z[:, None, :] - y[None, :, :]) ** 2).sum(-1)  # (K, M)
+    d2 = _sq_dists(loss.canonical, y)  # (K, M)
     return y, d2, d2.argmin(axis=1), d2.argmin(axis=0)
 
 
@@ -181,13 +192,13 @@ def euclid_grad_batch(loss: str, rs, r_gts, points=None) -> np.ndarray:
     step = max(1, _CHAMFER_CHUNK // (3 * k * k))
     for lo in range(0, len(rs), step):
         obs, yc = observed[lo:lo + step], y[lo:lo + step]
-        d2 = ((z[None, :, None, :] - yc[:, None, :, :]) ** 2).sum(-1)  # (b, K, M)
-        jz = d2.argmin(axis=2)[:, :, None]
+        d2 = _sq_dists(z, yc)  # (b, K, M)
+        jz = (d2.argmin(axis=2) + k * np.arange(len(yc))[:, None]).ravel()  # flat rows matched to z
         iy = d2.argmin(axis=1)
-        e_z = z - np.take_along_axis(yc, jz, axis=1)
+        e_z = z - np.take(yc.reshape(-1, 3), jz, axis=0).reshape(-1, k, 3)
         e_y = z[iy] - yc
         # each matched term ||z - r^T xobs||^2 contributes -2 xobs (z - y)^T
-        matched = np.take_along_axis(obs, jz, axis=1)
+        matched = np.take(obs.reshape(-1, 3), jz, axis=0).reshape(-1, k, 3)
         out[lo:lo + step] = (-2.0 / k) * (np.einsum('bki,bkj->bij', matched, e_z)
                                           + np.einsum('bmi,bmj->bij', obs, e_y))
     return out

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import lin_core, so3
 from .representations import (
-    _SYM4_INDEX,
+    _SYM4_COLS,
+    _SYM4_GATHER,
+    _SYM4_ROWS,
     _sym4_batch,
     MANIFOLD_REPS,
     ManifoldPoint,
@@ -206,26 +208,14 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
 # Batched route used by the trainer, for every loss in LOSS_NAMES.  Semantics
 # are pinned to the per-sample functions above by equality tests.
 
+_EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
+
+
 def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
-    n = qs.shape[0]
-    m = np.zeros((n, 4, 10))
-    q0, q1, q2, q3 = qs[:, 0], qs[:, 1], qs[:, 2], qs[:, 3]
-    m[:, 0, 0] = q0
-    m[:, 0, 1] = q1
-    m[:, 0, 2] = q2
-    m[:, 0, 3] = q3
-    m[:, 1, 1] = q0
-    m[:, 1, 4] = q1
-    m[:, 1, 5] = q2
-    m[:, 1, 6] = q3
-    m[:, 2, 2] = q0
-    m[:, 2, 5] = q1
-    m[:, 2, 7] = q2
-    m[:, 2, 8] = q3
-    m[:, 3, 3] = q0
-    m[:, 3, 6] = q1
-    m[:, 3, 8] = q2
-    m[:, 3, 9] = q3
+    """Batched :func:`constraint_rows`, (B, 4, 10), in one scatter."""
+    m = np.zeros((qs.shape[0], 4, 10))
+    # (A(theta) q)_i = sum_j theta[_SYM4_GATHER[i, j]] q_j
+    m[:, np.arange(4)[:, None], _SYM4_GATHER] = qs[:, None, :]
     return m
 
 
@@ -234,7 +224,7 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
     if rep is RepKind.QUAT4:
         q = so3._rot_to_quat_batch(r_g)
         dots = np.einsum('bi,bi->b', xs, q)
-        q[dots < 0.0] *= -1.0
+        q *= np.where(dots < 0.0, -1.0, 1.0)[:, None]
         # after the sign flip the dot product is exactly |dots|
         return q, np.abs(dots)[:, None] * q
 
@@ -254,9 +244,8 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
         return r_g.reshape(-1, 9), (s @ r_g).reshape(-1, 9)
 
     q = so3._rot_to_quat_batch(r_g)
-    outer = q[:, :, None] * q[:, None, :]
-    idx = np.array(_SYM4_INDEX)
-    x_hat = (np.eye(4) - outer)[:, idx[:, 0], idx[:, 1]]
+    # canonical embedding I - q q^T at the ten parameter entries
+    x_hat = _EYE4_SYM - np.take(q, _SYM4_ROWS, axis=1) * np.take(q, _SYM4_COLS, axis=1)
     m = _constraint_rows_batch(q)
     mt = m.transpose(0, 2, 1)
     rhs = np.stack([q, np.einsum('bij,bj->bi', _sym4_batch(xs), q)], axis=2)
@@ -292,10 +281,7 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} supports only the vanilla method")
 
-    c = np.einsum('bji,bjk->bik', rs, dl)
-    phi = np.stack([c[:, 2, 1] - c[:, 1, 2],
-                    c[:, 0, 2] - c[:, 2, 0],
-                    c[:, 1, 0] - c[:, 0, 1]], axis=1)
+    phi = so3._vee_batch(np.einsum('bji,bjk->bik', rs, dl))
     r_g = rs @ so3._rodrigues_batch(-tau * phi)
     x_hat, x_gp = _goal_terms_batch(rep, xs, r_g)
     if params.method is Method.MG or (params.method is Method.RPMG and params.lam == 1.0):

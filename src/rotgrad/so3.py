@@ -136,16 +136,26 @@ def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
             return quat_to_rot(g / math.sqrt(n2))
 
 
+# row-major slots of hat(phi): phi sits at (2, 1), (0, 2), (1, 0) and -phi
+# at (1, 2), (2, 0), (0, 1)
+_HAT_PLUS = np.array([7, 2, 3])
+_HAT_MINUS = np.array([5, 6, 1])
+_EYE3 = np.eye(3)
+
+
 def _hat_batch(phis: np.ndarray) -> np.ndarray:
     """Vectorized :func:`hat` over rows of a (B, 3) array."""
-    k = np.zeros((phis.shape[0], 3, 3))
-    k[:, 0, 1] = -phis[:, 2]
-    k[:, 0, 2] = phis[:, 1]
-    k[:, 1, 0] = phis[:, 2]
-    k[:, 1, 2] = -phis[:, 0]
-    k[:, 2, 0] = -phis[:, 1]
-    k[:, 2, 1] = phis[:, 0]
-    return k
+    k = np.zeros((phis.shape[0], 9))
+    k[:, _HAT_PLUS] = phis
+    k[:, _HAT_MINUS] = -phis
+    return k.reshape(-1, 3, 3)
+
+
+def _vee_batch(c: np.ndarray) -> np.ndarray:
+    """Rows (C21 - C12, C02 - C20, C10 - C01) of a (B, 3, 3) array; the
+    inverse of :func:`_hat_batch` on skew-symmetric input."""
+    c = c.reshape(-1, 9)
+    return np.take(c, _HAT_PLUS, axis=1) - np.take(c, _HAT_MINUS, axis=1)
 
 
 def _rodrigues_batch(phis: np.ndarray) -> np.ndarray:
@@ -158,49 +168,43 @@ def _rodrigues_batch(phis: np.ndarray) -> np.ndarray:
     a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / safe)
     b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / safe ** 2)
     k = _hat_batch(phis)
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+
+
+# d21, d02, d10, s01, s02, s12 (d21 = R21 - R12, s01 = R01 + R10, ...), the
+# numerators of rot_to_quat: flat slots of both terms, sign of the second
+_QUAT_OFF_A = np.array([7, 2, 3, 1, 2, 5])
+_QUAT_OFF_B = np.array([5, 6, 1, 3, 6, 7])
+_QUAT_OFF_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+# per pivot (trace, R00, R11, R22), the source of each quaternion component
+# among the six quotients above; slot 6 is the pivot's own 0.25 * s
+_QUAT_BRANCH = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
 
 
 def _rot_to_quat_batch(rs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`rot_to_quat` over a (B, 3, 3) array, with the same
     sign convention: q0 >= 0, ties at q0 == 0 broken as in
-    :func:`canonical_quat`."""
-    r = np.asarray(rs, dtype=np.float64)
+    :func:`canonical_quat`.  Only the pivot's branch is read: the six
+    off-diagonal sums and differences over s, gathered per row."""
+    r = np.asarray(rs, dtype=np.float64).reshape(-1, 9)
     n = r.shape[0]
-    t = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
+    diag = np.take(r, [0, 4, 8], axis=1)
+    t = diag[:, 0] + diag[:, 1] + diag[:, 2]
     # pivot strengths 4*q_k^2 per extraction branch; the max is always >= 1
-    c = np.stack([1.0 + t,
-                  1.0 + 2.0 * r[:, 0, 0] - t,
-                  1.0 + 2.0 * r[:, 1, 1] - t,
-                  1.0 + 2.0 * r[:, 2, 2] - t], axis=1)
+    c = np.empty((n, 4))
+    c[:, 0] = 1.0 + t
+    np.subtract(1.0 + 2.0 * diag, t[:, None], out=c[:, 1:])
     pick = c.argmax(axis=1)
-    sq = 2.0 * np.sqrt(np.maximum(c, 1e-300))
-    d21 = r[:, 2, 1] - r[:, 1, 2]
-    d02 = r[:, 0, 2] - r[:, 2, 0]
-    d10 = r[:, 1, 0] - r[:, 0, 1]
-    s01 = r[:, 0, 1] + r[:, 1, 0]
-    s02 = r[:, 0, 2] + r[:, 2, 0]
-    s12 = r[:, 1, 2] + r[:, 2, 1]
-    cand = np.empty((n, 4, 4))
-    cand[:, 0, 0] = 0.25 * sq[:, 0]
-    cand[:, 0, 1] = d21 / sq[:, 0]
-    cand[:, 0, 2] = d02 / sq[:, 0]
-    cand[:, 0, 3] = d10 / sq[:, 0]
-    cand[:, 1, 0] = d21 / sq[:, 1]
-    cand[:, 1, 1] = 0.25 * sq[:, 1]
-    cand[:, 1, 2] = s01 / sq[:, 1]
-    cand[:, 1, 3] = s02 / sq[:, 1]
-    cand[:, 2, 0] = d02 / sq[:, 2]
-    cand[:, 2, 1] = s01 / sq[:, 2]
-    cand[:, 2, 2] = 0.25 * sq[:, 2]
-    cand[:, 2, 3] = s12 / sq[:, 2]
-    cand[:, 3, 0] = d10 / sq[:, 3]
-    cand[:, 3, 1] = s02 / sq[:, 3]
-    cand[:, 3, 2] = s12 / sq[:, 3]
-    cand[:, 3, 3] = 0.25 * sq[:, 3]
-    q = cand[np.arange(n), pick]
+    sq = 2.0 * np.sqrt(np.maximum(c.max(axis=1), 1e-300))
+    parts = np.empty((n, 7))
+    off = np.take(r, _QUAT_OFF_B, axis=1)
+    off *= _QUAT_OFF_SIGN
+    off += np.take(r, _QUAT_OFF_A, axis=1)
+    np.divide(off, sq[:, None], out=parts[:, :6])
+    np.multiply(0.25, sq, out=parts[:, 6])
+    q = np.take(parts, _QUAT_BRANCH[pick] + np.arange(0, 7 * n, 7)[:, None])
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    q[q[:, 0] < 0.0] *= -1.0
+    q *= np.where(q[:, 0] < 0.0, -1.0, 1.0)[:, None]
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = canonical_quat(q[i])
     return q
