@@ -501,7 +501,11 @@ def check_mg_tau_gt_identity(n: int = 200, seed: int = 541) -> CheckResult:
 
 def check_kkt_eigen_residual(n: int = 1000, seed: int = 601) -> CheckResult:
     """The 10-dim projection output must hold the goal quaternion as an
-    exact eigenvector of its symmetric form."""
+    exact eigenvector of its symmetric form.
+
+    x_gp meets the KKT conditions of the nearest-point problem, which
+    ``inverse_project`` solves through the 4x4 system M M^T.
+    """
     name = "kkt-eigen-residual-10d"
     xs, r_gs = sample_projection_cases(RepKind.TEN_D, n, seed)
     worst = max(membership_residual(RepKind.TEN_D,

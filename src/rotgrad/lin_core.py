@@ -1,10 +1,12 @@
 """Small fixed-size dense linear algebra.
 
-Everything downstream needs exactly three nontrivial operations: a 3x3 SVD
-(one-sided Jacobi), a 4x4 symmetric eigendecomposition (cyclic Jacobi) and a
-pivoted Gaussian solve for systems up to 14x14.  All three are deterministic:
-same input bits, same output bits.  Inner loops run on Python floats because
-numpy scalar dispatch dominates at these sizes.
+Three nontrivial operations: a 3x3 SVD (one-sided Jacobi), a 4x4 symmetric
+eigendecomposition (cyclic Jacobi) and a pivoted Gaussian solve for systems
+up to 14x14.  The per-sample 9d and 10d forward maps use the first two; the
+solve has no caller in the library beyond its own check, since the 10d
+inverse projection solves its 4x4 system with numpy.  All three are
+deterministic: same input bits, same output bits.  Inner loops run on
+Python floats because numpy scalar dispatch dominates at these sizes.
 """
 
 from __future__ import annotations

@@ -88,17 +88,14 @@ class ManifoldPoint:
 def sym4_from_params(theta) -> np.ndarray:
     """Symmetric 4x4 matrix from its ten row-major upper-triangle entries."""
     theta = np.asarray(theta, dtype=np.float64)
-    a = np.empty((4, 4))
-    for t, (i, j) in zip(theta, _SYM4_INDEX):
-        a[i, j] = t
-        a[j, i] = t
-    return a
+    if theta.shape != (10,):
+        raise ValueError(f"need a (10,) parameter vector, got shape {theta.shape}")
+    return theta[_SYM4_GATHER]
 
 
 def params_from_sym4(a) -> np.ndarray:
     """Inverse of :func:`sym4_from_params` (reads the upper triangle)."""
-    a = np.asarray(a, dtype=np.float64)
-    return np.array([a[i, j] for i, j in _SYM4_INDEX])
+    return np.asarray(a, dtype=np.float64)[_SYM4_ROWS, _SYM4_COLS]
 
 
 def _check_dim(rep: RepKind, x) -> np.ndarray:

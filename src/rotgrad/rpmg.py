@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lin_core, so3
+from . import so3
 from .representations import (
     _SYM4_COLS,
     _SYM4_GATHER,
@@ -95,29 +95,7 @@ def map_quat_to_10d(q) -> np.ndarray:
 
 def constraint_rows(q) -> np.ndarray:
     """4x10 matrix M with M @ theta == sym4_from_params(theta) @ q for all theta."""
-    q0, q1, q2, q3 = (float(v) for v in q)
-    return np.array([
-        [q0, q1, q2, q3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, q0, 0.0, 0.0, q1, q2, q3, 0.0, 0.0, 0.0],
-        [0.0, 0.0, q0, 0.0, 0.0, q1, 0.0, q2, q3, 0.0],
-        [0.0, 0.0, 0.0, q0, 0.0, 0.0, q1, 0.0, q2, q3],
-    ])
-
-
-def _kkt_block(q: np.ndarray) -> np.ndarray:
-    """Upper-right 10x4 block of the inverse of [[I, M^T], [M, 0]].
-
-    Obtained by solving the 14x14 system against the four basis vectors
-    selecting the constraint rows; analytically equals M^T (M M^T)^{-1}.
-    """
-    m = constraint_rows(q)
-    kkt = np.zeros((14, 14))
-    kkt[:10, :10] = np.eye(10)
-    kkt[:10, 10:] = m.T
-    kkt[10:, :10] = m
-    rhs = np.zeros((14, 4))
-    rhs[10:, :] = np.eye(4)
-    return lin_core.solve_columns(kkt, rhs)[:10, :]
+    return _constraint_rows_batch(np.asarray(q, dtype=np.float64)[None])[0]
 
 
 def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
@@ -153,10 +131,12 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
         return (s @ r_g).reshape(9)
 
     if rep is RepKind.TEN_D:
+        # [s t] = M^T (M M^T)^{-1} [q, A(x) q]; for a unit q, M M^T is
+        # diag(1 - q*q) + q q^T, positive definite
         q = so3.rot_to_quat(r_g)
-        k = _kkt_block(q)
-        s = k @ q
-        t = k @ (sym4_from_params(x) @ q)
+        m = constraint_rows(q)
+        w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
+        s, t = w.T @ m
         ss = float(s @ s)
         if ss < _MIN_DIRECTION_SQ:
             raise DegenerateProjectionError(

@@ -572,6 +572,28 @@ def test_rpmg_gradient_batch(rep, loss, b):
 
 
 # ---------------------------------------------------------------------------
+# layouts that einsum callers read
+
+@pytest.mark.parametrize("rep", list(RepKind), ids=lambda r: r.value)
+@pytest.mark.parametrize("b", BATCHES)
+def test_forward_rotations_and_factors_are_c_contiguous(rep, b):
+    rng = np.random.default_rng(b + 20)
+    rs, factors = rotations_from_raw(rep, rng.standard_normal((b, rep.ambient_dim)),
+                                     return_factors=True)
+    for a in (rs,) + tuple(factors):
+        assert a.flags.c_contiguous, (a.shape, a.strides)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+@pytest.mark.parametrize("b", BATCHES)
+def test_euclid_grad_batch_is_c_contiguous(loss, b):
+    rng = np.random.default_rng(b + 21)
+    rs, r_gts = _random_rotations(rng, b), _random_rotations(rng, b)
+    got = riemannian.euclid_grad_batch(loss, rs, r_gts, rng.standard_normal((16, 3)))
+    assert got.flags.c_contiguous, got.strides
+
+
+# ---------------------------------------------------------------------------
 # chamfer
 
 def _chamfer_case(rng, b):

@@ -115,6 +115,13 @@ def test_sym4_param_layout():
     assert np.array_equal(params_from_sym4(a), np.arange(1.0, 11.0))
 
 
+@pytest.mark.parametrize("n", [9, 11])
+def test_sym4_rejects_wrong_parameter_count(n):
+    # too few entries must not leave (3, 3) unset, too many not be dropped
+    with pytest.raises(ValueError, match=r"\(10,\)"):
+        sym4_from_params(np.arange(float(n)))
+
+
 def test_projection_scale_invariance():
     rng = np.random.default_rng(5)
     for rep in (RepKind.QUAT4, RepKind.SIX_D, RepKind.NINE_D):

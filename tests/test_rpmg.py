@@ -143,6 +143,45 @@ def test_ten_d_eigen_constraint_residual():
         assert np.linalg.norm(a @ q - lam * q) <= 1e-8
 
 
+def _bordered_kkt_projection(x, r_g):
+    """10d x_gp through the bordered 14x14 KKT system [[I, M^T], [M, 0]],
+    whose upper-right block is M^T (M M^T)^{-1}."""
+    q = so3.rot_to_quat(r_g)
+    m = constraint_rows(q)
+    kkt = np.zeros((14, 14))
+    kkt[:10, :10] = np.eye(10)
+    kkt[:10, 10:] = m.T
+    kkt[10:, :10] = m
+    rhs = np.zeros((14, 4))
+    rhs[10:, :] = np.eye(4)
+    k = np.linalg.solve(kkt, rhs)[:10, :]
+    s, t = k @ q, k @ (sym4_from_params(x) @ q)
+    return x + float(s @ t) / float(s @ s) * s - t
+
+
+def test_ten_d_projection_matches_bordered_kkt_solve():
+    xs, r_gs = sample_projection_cases(RepKind.TEN_D, 300, 31)
+    rng = np.random.default_rng(32)
+    far = [(rng.standard_normal(10) * rng.uniform(0.2, 3.0), so3.sample_uniform_rotation(rng))
+           for _ in range(300)]
+    for x, r_g in list(zip(xs, r_gs)) + far:
+        ref = _bordered_kkt_projection(x, r_g)
+        got = inverse_project(RepKind.TEN_D, x, r_g)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ten_d_projection_needs_no_dense_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lin_core.solve_columns called")
+
+    monkeypatch.setattr("rotgrad.lin_core.solve_columns", refuse)
+    rng = np.random.default_rng(33)
+    x, r, loss = _random_case(rng, RepKind.TEN_D)
+    assert np.isfinite(inverse_project(RepKind.TEN_D, x, so3.sample_uniform_rotation(rng))).all()
+    for params in (RpmgParams(Method.PMG), RpmgParams(Method.RPMG, lam=0.01)):
+        assert np.isfinite(rpmg_gradient(RepKind.TEN_D, x, r, loss, 0.2, params)).all()
+
+
 @pytest.mark.parametrize("rep,filter_kind", [
     (RepKind.QUAT4, "dot"),
     (RepKind.SIX_D, "coeffs"),
