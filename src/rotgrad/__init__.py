@@ -13,9 +13,10 @@ The subpackages split as: representation mappings
 (:mod:`~rotgrad.so3`), losses and Riemannian descent
 (:mod:`~rotgrad.riemannian`), the gradient layers themselves
 (:mod:`~rotgrad.rpmg`), the 2-sphere analogue (:mod:`~rotgrad.sphere`),
-small dense linear algebra (:mod:`~rotgrad.lin_core`), a numpy MLP
-(:mod:`~rotgrad.nn`), experiment drivers (:mod:`~rotgrad.harness`), and
-the verification checks (:mod:`~rotgrad.checks`).
+a small dense solver that only its own check still calls
+(:mod:`~rotgrad.lin_core`), a numpy MLP (:mod:`~rotgrad.nn`), experiment
+drivers (:mod:`~rotgrad.harness`), and the verification checks
+(:mod:`~rotgrad.checks`).
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from . import representations as _reps
 from . import rpmg as _rpmg
 from . import so3
-from .lin_core import eig_sym4, solve_dense, svd3
+from .lin_core import solve_dense
 from .representations import (
     MANIFOLD_REPS,
     RepKind,
@@ -184,6 +184,11 @@ class CheckResult:
     detail: str
     error: bool = False
     measured: float = float("nan")
+
+    def __post_init__(self):
+        # verdicts computed with numpy arrive as numpy.bool_ / numpy.float64
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "measured", float(self.measured))
 
 
 def membership_residual(rep: RepKind, x_gp: np.ndarray, r_g: np.ndarray) -> float:
@@ -517,42 +522,64 @@ def check_kkt_eigen_residual(n: int = 1000, seed: int = 601) -> CheckResult:
                        measured=worst)
 
 
-def check_lin_core_svd3(n: int = 1000, seed: int = 701) -> CheckResult:
-    name = "lin-core-svd3"
+def check_forward_map_9d(n: int = 1000, seed: int = 701) -> CheckResult:
+    """The per-sample 9d map must return the special-orthogonal polar factor.
+
+    R R^T = I and det R = +1 make R a rotation; R^T M symmetric makes it
+    the polar factor of M.  All three are plain matrix products.
+    """
+    name = "forward-map-9d"
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n):
         m = rng.standard_normal((3, 3))
         if i % 5 == 0:  # exercise the near-rank-deficient path
             m[:, i % 3] = m[:, (i + 1) % 3] + 1e-9 * rng.standard_normal(3)
-        res = svd3(m)
+        r = _reps.manifold_map(RepKind.NINE_D, m.ravel()).value
         scale = max(1.0, float(np.linalg.norm(m)))
-        recon = np.linalg.norm(res.u @ np.diag(res.sigma) @ res.v.T - m) / scale
-        orth = max(np.linalg.norm(res.u @ res.u.T - np.eye(3)),
-                   np.linalg.norm(res.v @ res.v.T - np.eye(3)))
-        order = 0.0 if (res.sigma[0] >= res.sigma[1] >= res.sigma[2] >= 0.0) else 1.0
-        worst = max(worst, recon, orth / (TOL_LIN_ORTH / TOL_LIN_RECON), order)
+        rtm = r.T @ m
+        polar = float(np.linalg.norm(rtm - rtm.T)) / scale
+        orth = float(np.linalg.norm(r @ r.T - np.eye(3)))
+        det = abs(float(r[:, 0] @ np.cross(r[:, 1], r[:, 2])) - 1.0)
+        worst = max(worst, polar, max(orth, det) / (TOL_LIN_ORTH / TOL_LIN_RECON))
     return CheckResult(name, worst <= TOL_LIN_RECON,
                        f"max scaled residual {worst:.3e} (tol {TOL_LIN_RECON:.0e}, n={n})",
                        measured=worst)
 
 
-def check_lin_core_eig_sym4(n: int = 1000, seed: int = 751) -> CheckResult:
-    name = "lin-core-eig-sym4"
+def _psd_violation(d: np.ndarray) -> float:
+    """Most negative elementary symmetric function of the eigenvalues of
+    the symmetric 4x4 ``d``, from the traces of its powers (Newton's
+    identities).  All are >= 0 exactly when ``d`` is positive semidefinite."""
+    d2 = d @ d
+    p1, p2, p3 = float(np.trace(d)), float(np.trace(d2)), float(np.trace(d2 @ d))
+    e2 = 0.5 * (p1 * p1 - p2)
+    e3 = (e2 * p1 - p1 * p2 + p3) / 3.0
+    return max(0.0, -p1, -e2, -e3)
+
+
+def check_forward_map_10d(n: int = 1000, seed: int = 751) -> CheckResult:
+    """The per-sample 10d map must return a unit eigenvector of A(x) for
+    its smallest eigenvalue.
+
+    With lambda = q^T A q, the residual A q - lambda q must vanish, and
+    A - lambda I must be positive semidefinite, so that no eigenvalue of A
+    lies below lambda.  All are plain matrix products.
+    """
+    name = "forward-map-10d"
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         a = rng.standard_normal((4, 4))
         a = 0.5 * (a + a.T)
-        res = eig_sym4(a)
+        q = _reps.manifold_map(RepKind.TEN_D, params_from_sym4(a)).value
         scale = max(1.0, float(np.linalg.norm(a)))
-        for i in range(4):
-            resid = np.linalg.norm(a @ res.vectors[:, i]
-                                   - res.values[i] * res.vectors[:, i]) / scale
-            worst = max(worst, float(resid))
-        orth = float(np.linalg.norm(res.vectors @ res.vectors.T - np.eye(4)))
-        order = 0.0 if (np.diff(res.values) >= -1e-12 * scale).all() else 1.0
-        worst = max(worst, orth / (TOL_LIN_ORTH / TOL_LIN_RECON), order)
+        aq = a @ q
+        lam = float(q @ aq)
+        resid = float(np.linalg.norm(aq - lam * q)) / scale
+        unit = abs(float(np.sqrt(q @ q)) - 1.0)
+        order = 0.0 if _psd_violation((a - lam * np.eye(4)) / scale) <= 1e-12 else 1.0
+        worst = max(worst, resid, unit / (TOL_LIN_ORTH / TOL_LIN_RECON), order)
     return CheckResult(name, worst <= TOL_LIN_RECON,
                        f"max scaled residual {worst:.3e} (tol {TOL_LIN_RECON:.0e}, n={n})",
                        measured=worst)
@@ -592,8 +619,8 @@ def _registry() -> "OrderedDict[str, Callable[[], CheckResult]]":
     checks["lambda-one-equals-mg"] = check_lambda_one_equals_mg
     checks["mg-tau-gt-identity"] = check_mg_tau_gt_identity
     checks["kkt-eigen-residual-10d"] = check_kkt_eigen_residual
-    checks["lin-core-svd3"] = check_lin_core_svd3
-    checks["lin-core-eig-sym4"] = check_lin_core_eig_sym4
+    checks["forward-map-9d"] = check_forward_map_9d
+    checks["forward-map-10d"] = check_forward_map_10d
     checks["lin-core-solve"] = check_lin_core_solve
     return checks
 

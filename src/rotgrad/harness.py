@@ -56,6 +56,12 @@ from .sphere import TAU_CONVERGE_S2, _s2_gradient_batch, _unit_rows
 # with tau_probe so that the goal rotation moves a few degrees per step
 DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 
+# largest goal step, in radians, that tau="auto" takes on SO(3).  The
+# geodesic landing step tau = 1/2 aims at the target at any distance, and
+# past about 90 degrees the relaxed inverse images walk the fit to the cut
+# locus; the l2 auto step, tau |phi| = sin(theta), never exceeds it.
+AUTO_MAX_GOAL_STEP = 1.0
+
 _LOSS_CLASSES = {
     "l2": L2Frobenius,
     "geodesic": GeodesicSquared,
@@ -247,24 +253,28 @@ def _make_loss(name: str, r_gt: np.ndarray, points: np.ndarray):
     raise ValueError(f"unknown loss {name!r}")
 
 
-def _resolve_tau(spec: TauSpec, loss_name: Optional[str]) -> Callable[[int], float]:
-    """Turn a tau spec into a per-iteration callable.
+def _resolve_tau(spec: TauSpec,
+                 loss_name: Optional[str]) -> Tuple[Callable[[int], float], Optional[float]]:
+    """Turn a tau spec into a per-iteration callable and a goal-step cap.
 
-    "auto" uses the converging step size of the loss, or of the sphere
+    "auto" uses the converging step size of the loss, capped at
+    ``AUTO_MAX_GOAL_STEP`` radians, or the uncapped step of the sphere
     experiment when ``loss_name`` is None, and raises NoAnalyticTauError
-    when the loss has none.
+    when the loss has none.  Explicit steps and schedules are never capped.
     """
     if isinstance(spec, TauSchedule):
-        return lambda it: tau_at(spec, it)
+        return (lambda it: tau_at(spec, it)), None
     if isinstance(spec, str):
         if spec != "auto":
             raise ValueError(f"unknown tau spec {spec!r}")
-        const = TAU_CONVERGE_S2 if loss_name is None else tau_converge_for(_LOSS_CLASSES[loss_name])
-        return lambda it: const
+        if loss_name is None:
+            return (lambda it: TAU_CONVERGE_S2), None
+        const = tau_converge_for(_LOSS_CLASSES[loss_name])
+        return (lambda it: const), AUTO_MAX_GOAL_STEP
     const = float(spec)
     if const <= 0.0:
         raise ValueError(f"constant tau must be positive, got {const}")
-    return lambda it: const
+    return (lambda it: const), None
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +367,8 @@ def fit_single_rotation(
     crawls. A degenerate raw vector or projection, or a geodesic step
     from the cut locus, aborts the run and is reported through the
     diagnostic instead of raising. Each step makes one per-sample
-    ``rpmg_gradient`` call.
+    ``rpmg_gradient`` call; under ``tau="auto"`` its goal step is capped
+    at ``AUTO_MAX_GOAL_STEP`` radians.
     """
     if loss not in LOSS_NAMES:
         raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_NAMES}")
@@ -398,7 +409,10 @@ def fit_single_rotation(
         r_gt = np.eye(3)
     points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
     loss_inst = _make_loss(loss, r_gt, points)
-    tau_fn = _resolve_tau(tau, loss) if method is not Method.VANILLA else (lambda it: 0.0)
+    if method is Method.VANILLA:
+        tau_fn, max_step = (lambda it: 0.0), None
+    else:
+        tau_fn, max_step = _resolve_tau(tau, loss)
     params = RpmgParams(method=method, lam=lam)
 
     if not aborted:
@@ -414,7 +428,7 @@ def fit_single_rotation(
             if it == iters:
                 break
             try:
-                g = rpmg_gradient(rep, x, r, loss_inst, tau_fn(it), params)
+                g = rpmg_gradient(rep, x, r, loss_inst, tau_fn(it), params, max_step=max_step)
             except DegenerateInputError as exc:
                 aborted = True
                 diagnostic = f"degenerate raw vector at step {it}: {exc}"
@@ -552,8 +566,9 @@ def train(config: ExperimentConfig) -> MetricsReport:
     params = RpmgParams(method=config.method, lam=config.lam)
     if config.method is Method.VANILLA:
         tau_fn: Callable[[int], float] = lambda it: 0.0
+        max_step = None
     else:
-        tau_fn = _resolve_tau(config.tau, config.loss)
+        tau_fn, max_step = _resolve_tau(config.tau, config.loss)
 
     def head_norm(r_ev: np.ndarray) -> Optional[float]:
         if rep not in MANIFOLD_REPS:
@@ -566,7 +581,8 @@ def train(config: ExperimentConfig) -> MetricsReport:
     def gradient(ys: np.ndarray, r_gts: np.ndarray, it: int, points: np.ndarray) -> np.ndarray:
         rs, factors = rotations_from_raw(rep, ys, return_factors=True)
         return rpmg_gradient_batch(rep, ys, rs, r_gts, tau_fn(it), params,
-                                   loss=config.loss, points=points, factors=factors)
+                                   loss=config.loss, points=points, factors=factors,
+                                   max_step=max_step)
 
     return _train_network(config, rep.ambient_dim, lambda rotations: rotations,
                           head_norm, eval_errors_deg, gradient)
@@ -597,7 +613,7 @@ def train_s2(config: ExperimentConfig) -> MetricsReport:
     if not isinstance(config.method, S2Method):
         raise ValueError(f"train_s2 expects an S2Method, got {config.method!r}")
     method = config.method
-    tau_fn = _resolve_tau(config.tau, None)
+    tau_fn, _ = _resolve_tau(config.tau, None)
     lam = {S2Method.MG: 1.0, S2Method.PMG: 0.0}.get(method, config.lam)
 
     def eval_errors_deg(ys: np.ndarray, t_ev: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ Each representation is a pair of maps:
 ``embed`` re-injects a manifold point into ambient coordinates.  The two
 Euclidean baselines (Euler angles, axis-angle) have trivial projections.
 
-Per-sample projections run on the deterministic fixed-size solvers from
-``lin_core``; the ``*_batch`` helpers implement the same maps over a leading
-batch axis with numpy's batched linear algebra, which the training loops need
-for throughput.  Tests pin the two routes against each other.
+Per-sample projections map one vector; the ``*_batch`` helpers implement
+the same maps over a leading batch axis, which the training loops need for
+throughput.  Both routes compute the 9d and 10d maps with one
+``np.linalg.svd``/``eigh`` call, the same guards and the same arithmetic,
+so their rotations agree byte for byte.  Tests pin the two routes against
+each other.
 
 The batched route is a forward/backward pair, like ``nn.forward`` and
 ``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)`` returns
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .lin_core import eig_sym4, svd3
 
 # Degeneracy thresholds for the projections.  Inputs this close to the
 # singular set have no stable projection and are rejected.
@@ -130,22 +131,21 @@ def manifold_map(rep: RepKind, x) -> ManifoldPoint:
         return ManifoldPoint(rep, np.stack([u_hat, w / nw]))
 
     if rep is RepKind.NINE_D:
-        res = svd3(x.reshape(3, 3))
-        if res.sigma[1] + res.sigma[2] <= SIGMA_SUM_MIN:
+        # the arithmetic and guard of _nine_d_forward_batch
+        u, s, vt = np.linalg.svd(x.reshape(3, 3))
+        if s[1] + s[2] <= SIGMA_SUM_MIN:
             raise DegenerateInputError(
-                f"9d singular values sigma2+sigma3 = {res.sigma[1] + res.sigma[2]:.3e} "
-                f"below {SIGMA_SUM_MIN:.0e}")
-        d = float(np.linalg.det(res.u @ res.v.T))
-        r = (res.u * np.array([1.0, 1.0, d])) @ res.v.T
-        return ManifoldPoint(rep, r)
+                f"9d singular values sigma2+sigma3 = {s[1] + s[2]:.3e} below {SIGMA_SUM_MIN:.0e}")
+        u[:, 2] *= np.linalg.det(u @ vt)
+        return ManifoldPoint(rep, u @ vt)
 
-    # TEN_D: unit eigenvector of the smallest eigenvalue of A(x)
-    res = eig_sym4(sym4_from_params(x))
-    gap = float(res.values[1] - res.values[0])
+    # TEN_D: unit eigenvector of the smallest eigenvalue of A(x), as in
+    # _ten_d_forward_batch
+    vals, vecs = np.linalg.eigh(sym4_from_params(x))
+    gap = float(vals[1] - vals[0])
     if gap <= EIGENGAP_MIN:
         raise DegenerateInputError(f"10d smallest-eigenvalue gap {gap:.3e} below {EIGENGAP_MIN:.0e}")
-    q = so3.canonical_quat(res.vectors[:, 0])
-    return ManifoldPoint(rep, q)
+    return ManifoldPoint(rep, so3.canonical_quat(vecs[:, 0]))
 
 
 def rotation_map(point: ManifoldPoint) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -157,13 +158,15 @@ def _embed_goal(rep: RepKind, x: np.ndarray, r_g: np.ndarray) -> np.ndarray:
 
 
 def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
-                  params: RpmgParams) -> np.ndarray:
+                  params: RpmgParams, max_step: Optional[float] = None) -> np.ndarray:
     """Ambient gradient emitted for one sample.
 
     ``r`` must be the rotation the forward pass produced from ``x`` (passed
     in to avoid recomputing the projection).  Vanilla delegates to the plain
     chain rule and works for all six representations; the manifold methods
-    require a representation with a nontrivial projection.
+    require a representation with a nontrivial projection.  With
+    ``max_step`` (radians), a goal step tau |phi| past it is scaled down to
+    exactly ``max_step``; a step within it keeps ``tau`` as given.
     """
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
@@ -174,6 +177,10 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
         raise ValueError(f"{rep.value} supports only the vanilla method")
 
     phi = riemannian_grad(r, dl_dr)
+    if max_step is not None:
+        norm = float(np.linalg.norm(phi))
+        if tau * norm > max_step:
+            tau = max_step / norm
     r_g = goal_rotation(r, phi, tau)
     x_hat_g = _embed_goal(rep, x, r_g)
     if params.method is Method.MG or (params.method is Method.RPMG and params.lam == 1.0):
@@ -241,7 +248,8 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
 
 def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
                         params: RpmgParams, loss: str = "l2",
-                        points=None, factors=None) -> np.ndarray:
+                        points=None, factors=None,
+                        max_step: Optional[float] = None) -> np.ndarray:
     """Batched :func:`rpmg_gradient` under any loss of ``LOSS_NAMES``.
 
     rs must be the forward rotations of xs; r_gts are per-sample targets.
@@ -251,7 +259,8 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
     spare the vanilla method a second factorization of ``xs`` (see
     :func:`vanilla_backward_batch`); the manifold methods need only ``rs``.
     Row i equals :func:`rpmg_gradient` under the per-sample loss for
-    ``r_gts[i]``.
+    ``r_gts[i]`` and the same ``max_step``, which caps each row's goal
+    step on its own.
     """
     xs = np.asarray(xs, dtype=np.float64)
     rs = np.asarray(rs, dtype=np.float64)
@@ -262,7 +271,13 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
         raise ValueError(f"{rep.value} supports only the vanilla method")
 
     phi = so3._vee_batch(np.einsum('bji,bjk->bik', rs, dl))
-    r_g = rs @ so3._rodrigues_batch(-tau * phi)
+    step = -tau * phi
+    if max_step is not None:
+        norms = np.linalg.norm(phi, axis=1)
+        over = tau * norms > max_step
+        if over.any():
+            step[over] = (-max_step / norms[over])[:, None] * phi[over]
+    r_g = rs @ so3._rodrigues_batch(step)
     x_hat, x_gp = _goal_terms_batch(rep, xs, r_g)
     if params.method is Method.MG or (params.method is Method.RPMG and params.lam == 1.0):
         return xs - x_hat

@@ -29,14 +29,14 @@ import numpy as np
 import pytest
 
 from rotgrad.checks import (
+    check_forward_map_9d,
+    check_forward_map_10d,
     check_gradient_fd,
     check_gradient_hand_case,
     check_goal_direction,
     check_kkt_eigen_residual,
     check_lambda_one_equals_mg,
-    check_lin_core_eig_sym4,
     check_lin_core_solve,
-    check_lin_core_svd3,
     check_mg_tau_gt_identity,
     check_projection_membership,
     check_projection_optimality,
@@ -242,7 +242,7 @@ def test_criterion_09_sphere_regression(capsys, s2_runs):
 
 
 def test_criterion_10_numerics_substrate(capsys):
-    results = [check_lin_core_svd3(), check_lin_core_eig_sym4(),
+    results = [check_forward_map_9d(), check_forward_map_10d(),
                check_lin_core_solve(), check_kkt_eigen_residual(n=1000)]
     ok = all(r.passed for r in results)
     _verdict(capsys, 10, "numerics-substrate", ok,

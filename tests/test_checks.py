@@ -26,6 +26,8 @@ def test_registry_is_ordered_and_named():
     assert "kkt-eigen-residual-10d" in CHECK_NAMES
     assert "tau-converge-s2" in CHECK_NAMES
     assert "vanilla-backward-fd" in CHECK_NAMES
+    assert "forward-map-9d" in CHECK_NAMES and "forward-map-10d" in CHECK_NAMES
+    assert len(CHECK_NAMES) == 25
 
 
 def test_full_registry_passes():
@@ -34,6 +36,7 @@ def test_full_registry_passes():
     failed = [r for r in results if not r.passed]
     assert not failed, [f"{r.name}: {r.detail}" for r in failed]
     assert all(not r.error for r in results)
+    assert all(type(r.passed) is bool and type(r.measured) is float for r in results)
 
 
 def test_filter_selects_substring_matches():
@@ -45,6 +48,7 @@ def test_filter_selects_substring_matches():
         "projection-optimality-10d",
         "projection-membership-10d",
         "kkt-eigen-residual-10d",
+        "forward-map-10d",
     }
 
 
@@ -54,8 +58,8 @@ def test_unknown_filter_raises():
 
 
 def test_parallel_jobs_match_serial():
-    serial = run_checks("lin-core")
-    parallel = run_checks("lin-core", jobs=3)
+    serial = run_checks("forward-map")
+    parallel = run_checks("forward-map", jobs=3)
     assert [r.name for r in serial] == [r.name for r in parallel]
     assert all(r.passed for r in parallel)
 
@@ -87,6 +91,29 @@ def test_injected_vanilla_backward_bug_fails_by_name(monkeypatch):
     [result] = run_checks("vanilla-backward-fd")
     assert not result.passed and not result.error
     assert result.measured > 1.0
+
+
+def test_injected_forward_map_bugs_fail_by_name(monkeypatch):
+    orig = reps.manifold_map
+
+    def bugged(rep, x):
+        if rep is RepKind.NINE_D:  # polar factor without the det sign fix
+            u, _, vt = np.linalg.svd(np.reshape(x, (3, 3)))
+            return reps.ManifoldPoint(rep, u @ vt)
+        if rep is RepKind.TEN_D:  # eigenvector of the second eigenvalue
+            _, vecs = np.linalg.eigh(reps.sym4_from_params(x))
+            return reps.ManifoldPoint(rep, vecs[:, 1])
+        return orig(rep, x)
+
+    monkeypatch.setattr(reps, "manifold_map", bugged)
+    results = run_checks("forward-map")
+    assert [r.name for r in results] == ["forward-map-9d", "forward-map-10d"]
+    assert all(not r.passed and not r.error and r.measured >= 1.0 for r in results)
+
+
+def test_check_result_coerces_numpy_verdicts():
+    r = CheckResult("x", np.float64(0.5) < 1.0, "d", measured=np.float64(0.5))
+    assert type(r.passed) is bool and type(r.measured) is float
 
 
 def test_injected_exception_marks_error(monkeypatch):

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import rotgrad.cli as cli
@@ -204,10 +205,16 @@ def test_fit_numeric_failure_exits_3(monkeypatch, tmp_path, capsys):
     assert doc["summary"]["final_error_rad"] is None
 
 
-def test_fit_at_cut_locus_exits_3(tmp_path, capsys):
-    # 9d pmg under the geodesic loss walks to angle pi on seed 1
+def test_fit_at_cut_locus_exits_3(monkeypatch, tmp_path, capsys):
+    # start the fit a half turn from its target, on the cut locus
+    fit = cli.fit_single_rotation
+
+    def from_half_turn(*args, **kwargs):
+        return fit(*args, **kwargs, x_init=np.eye(3).ravel(), r_gt=np.diag([1.0, -1.0, -1.0]))
+
+    monkeypatch.setattr(cli, "fit_single_rotation", from_half_turn)
     code = cli.main(["fit", "--rep", "9d", "--method", "pmg", "--loss", "geodesic",
-                     "--seed", "1", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
     assert code == 3
     assert "cut locus at step" in capsys.readouterr().err
     doc = _load_report(_one_dir(tmp_path, "fit-*") / "report.json")

@@ -26,7 +26,7 @@ from rotgrad.representations import (
     embed,
     representation_map,
 )
-from rotgrad.riemannian import CutLocusError, tau_gt_l2
+from rotgrad.riemannian import CutLocusError, TauSchedule, tau_gt_l2
 from rotgrad.rpmg import RpmgParams, rpmg_gradient
 
 
@@ -382,14 +382,49 @@ def test_train_cut_locus_aborts_with_diagnostic(monkeypatch):
 
 
 def test_fit_driven_to_cut_locus_aborts_with_diagnostic():
-    # a projective geodesic fit that walks to angle pi (a known defect of
-    # pmg under the geodesic loss) stops there instead of raising
-    result = fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", seed=1, iters=2000)
+    # a geodesic fit that starts a half turn from its target stops at the
+    # cut locus with a diagnostic instead of raising
+    result = fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", iters=2000,
+                                 x_init=np.eye(3).ravel(), r_gt=np.diag([1.0, -1.0, -1.0]))
     assert result.aborted
     assert result.diagnostic.startswith("cut locus at step ")
     assert len(result.errors) < 2001
     assert result.final_error > math.pi - 1e-6
     assert np.isfinite(result.errors).all() and np.isfinite(result.norms).all()
+
+
+def test_only_auto_tau_on_so3_caps_the_goal_step():
+    for loss in ("l2", "geodesic"):
+        assert harness._resolve_tau("auto", loss)[1] == harness.AUTO_MAX_GOAL_STEP == 1.0
+    for spec, loss in ((0.5, "geodesic"), (TauSchedule(0.05, 0.5, 100), "geodesic"),
+                       (DEFAULT_TAU_BY_LOSS["flow"], "flow"),
+                       (DEFAULT_TAU_BY_LOSS["chamfer"], "chamfer"), ("auto", None)):
+        assert harness._resolve_tau(spec, loss)[1] is None
+
+
+def test_fit_and_train_pass_the_cap_only_under_auto_tau(monkeypatch):
+    seen = []
+
+    def record(rep, x, *args, max_step, **kwargs):
+        seen.append(max_step)
+        return np.zeros(np.shape(x))
+
+    monkeypatch.setattr(harness, "rpmg_gradient", record)
+    monkeypatch.setattr(harness, "rpmg_gradient_batch", record)
+    for tau in ("auto", 0.5):
+        fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", tau=tau, iters=1)
+        train(ExperimentConfig(rep=RepKind.NINE_D, loss="geodesic", tau=tau, iters=1,
+                               n_rotations=64, eval_every=1))
+    assert seen == [1.0, 1.0, None, None]
+
+
+def test_capped_geodesic_fit_converges_where_the_uncapped_one_walks_to_pi():
+    # seed 1 puts the 9d target 2.0 rad from the start; the uncapped landing
+    # step tau = 1/2 walks the fit to the cut locus
+    capped = fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", seed=1)
+    assert not capped.aborted and capped.final_error <= 1e-4
+    uncapped = fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", tau=0.5, seed=1)
+    assert uncapped.final_error > math.pi - 1e-6
 
 
 def test_train_rejects_sphere_method_and_bad_rep():

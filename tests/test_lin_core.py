@@ -1,99 +1,7 @@
 import numpy as np
 import pytest
 
-from rotgrad.lin_core import (
-    ConvergenceError,
-    SingularSystemError,
-    eig_sym4,
-    solve_columns,
-    solve_dense,
-    svd3,
-)
-
-
-def test_svd3_diagonal():
-    res = svd3(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(res.sigma, [3.0, 2.0, 1.0])
-    assert np.allclose(np.abs(res.u), np.eye(3))
-    assert np.allclose(np.abs(res.v), np.eye(3))
-
-
-def test_svd3_random_reconstruction():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        m = rng.standard_normal((3, 3)) * rng.uniform(0.1, 10.0)
-        res = svd3(m)
-        recon = res.u @ np.diag(res.sigma) @ res.v.T
-        assert np.linalg.norm(recon - m) <= 1e-8 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(res.u @ res.u.T - np.eye(3)) <= 1e-9
-        assert np.linalg.norm(res.v @ res.v.T - np.eye(3)) <= 1e-9
-        assert res.sigma[0] >= res.sigma[1] >= res.sigma[2] >= 0.0
-        # independent oracle for the singular values themselves
-        ref = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(res.sigma, ref, atol=1e-10 * max(1.0, ref[0]))
-
-
-def test_svd3_rank_deficient():
-    rng = np.random.default_rng(1)
-    for rank in (1, 2):
-        cols = rng.standard_normal((3, rank))
-        m = cols @ rng.standard_normal((rank, 3))
-        res = svd3(m)
-        recon = res.u @ np.diag(res.sigma) @ res.v.T
-        assert np.linalg.norm(recon - m) <= 1e-8 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(res.u @ res.u.T - np.eye(3)) <= 1e-9
-        assert (res.sigma[rank:] <= 1e-12 * res.sigma[0]).all()
-
-
-def test_svd3_zero_matrix():
-    res = svd3(np.zeros((3, 3)))
-    assert np.allclose(res.sigma, 0.0)
-    assert np.linalg.norm(res.u @ res.u.T - np.eye(3)) <= 1e-12
-
-
-def test_svd3_deterministic():
-    m = np.random.default_rng(7).standard_normal((3, 3))
-    a = svd3(m)
-    b = svd3(m.copy())
-    assert (a.u == b.u).all() and (a.sigma == b.sigma).all() and (a.v == b.v).all()
-
-
-def test_svd3_rejects_bad_input():
-    with pytest.raises(ValueError):
-        svd3(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        svd3(np.full((3, 3), np.nan))
-
-
-def test_eig_sym4_diagonal():
-    res = eig_sym4(np.diag([-2.0, 0.0, 1.0, 5.0]))
-    assert np.allclose(res.values, [-2.0, 0.0, 1.0, 5.0])
-    assert np.allclose(np.abs(res.vectors), np.eye(4))
-
-
-def test_eig_sym4_random():
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        raw = rng.standard_normal((4, 4)) * rng.uniform(0.1, 10.0)
-        a = 0.5 * (raw + raw.T)
-        res = eig_sym4(a)
-        anorm = np.linalg.norm(a)
-        for i in range(4):
-            resid = a @ res.vectors[:, i] - res.values[i] * res.vectors[:, i]
-            assert np.linalg.norm(resid) <= 1e-8 * max(1.0, anorm)
-            # eigenvalues are roots of the characteristic polynomial
-            assert abs(np.linalg.det(a - res.values[i] * np.eye(4))) <= 1e-6 * max(1.0, anorm) ** 4
-        assert np.linalg.norm(res.vectors @ res.vectors.T - np.eye(4)) <= 1e-9
-        assert (np.diff(res.values) >= -1e-12 * max(1.0, anorm)).all()
-        ref = np.linalg.eigvalsh(a)
-        assert np.allclose(res.values, ref, atol=1e-9 * max(1.0, anorm))
-
-
-def test_eig_sym4_symmetrizes_on_entry():
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((4, 4))
-    sym = 0.5 * (raw + raw.T)
-    assert np.allclose(eig_sym4(raw).values, eig_sym4(sym).values)
+from rotgrad.lin_core import SingularSystemError, solve_columns, solve_dense
 
 
 def test_solve_identity():

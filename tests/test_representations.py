@@ -229,6 +229,23 @@ def test_batched_forward_matches_single(rep):
             assert np.max(np.abs(rs[i] - so3.exp_so3(np.eye(3), xs[i]))) <= 1e-12
 
 
+@pytest.mark.parametrize("rep", [RepKind.NINE_D, RepKind.TEN_D], ids=lambda r: r.value)
+@pytest.mark.parametrize("batch", [1, 32])
+def test_nine_ten_d_forward_is_the_batched_map_byte_for_byte(rep, batch):
+    # same numpy factorization, same guard, same arithmetic on both routes
+    xs = _factor_cases(rep, np.random.default_rng(11))[:batch]
+    rs = rotations_from_raw(rep, xs)
+    assert np.array_equal(np.stack([baseline_rotation(rep, x) for x in xs]), rs)
+
+
+def test_nine_d_negative_det_sigma_tie_is_the_same_on_both_routes():
+    # det M < 0 with sigma2 = sigma3: neither forward route guards the tie
+    m = np.diag([2.0, 1.0, -1.0]).ravel()
+    r = baseline_rotation(RepKind.NINE_D, m)
+    assert_rotation(r)
+    assert np.array_equal(r, rotations_from_raw(RepKind.NINE_D, m[None])[0])
+
+
 def test_batched_forward_rejects_degenerate():
     xs = np.zeros((3, 4))
     xs[0] = [1.0, 0, 0, 0]

@@ -376,3 +376,58 @@ def test_batch_geodesic_raises_cut_locus_on_one_row():
     for params in (RpmgParams(Method.VANILLA), RpmgParams(Method.RPMG)):
         with pytest.raises(CutLocusError, match="sample 3"):
             rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss="geodesic")
+
+
+# ---------------------------------------------------------------------------
+# the goal-step cap
+
+def test_capped_goal_lies_exactly_max_step_away():
+    # under MG the 9d gradient is x - R_g, so the goal is read off it
+    x = np.eye(3).ravel()
+    for theta in (1.5, 2.5, 3.0):
+        loss = GeodesicSquared(so3.rot_x(theta))
+        g = rpmg_gradient(RepKind.NINE_D, x, np.eye(3), loss, 0.5, RpmgParams(Method.MG),
+                          max_step=1.0)
+        r_g = (x - g).reshape(3, 3)
+        assert so3.geodesic_distance(np.eye(3), r_g) == pytest.approx(1.0, abs=1e-12)
+        batch = rpmg_gradient_batch(RepKind.NINE_D, x[None], np.eye(3)[None],
+                                    so3.rot_x(theta)[None], 0.5, RpmgParams(Method.MG),
+                                    loss="geodesic", max_step=1.0)
+        r_g = (x - batch[0]).reshape(3, 3)
+        assert so3.geodesic_distance(np.eye(3), r_g) == pytest.approx(1.0, abs=1e-12)
+
+
+def _cap_cases(rep, n, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.stack([_random_case(rng, rep)[0] for _ in range(n)])
+    r_gts = np.stack([so3.sample_uniform_rotation(rng) for _ in range(n)])
+    return xs, rotations_from_raw(rep, xs), r_gts
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_rows_under_the_cap_are_bit_identical(rep):
+    xs, rs, r_gts = _cap_cases(rep, 40, 19)
+    steps = so3.geodesic_distance_batch(rs, r_gts)  # tau = 1/2 lands on the target
+    under = steps < 1.0
+    assert 0 < under.sum() < len(xs)
+    params = RpmgParams(Method.RPMG, lam=0.01)
+    capped = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss="geodesic", max_step=1.0)
+    free = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss="geodesic")
+    assert np.array_equal(capped[under], free[under])
+    assert not np.array_equal(capped[~under], free[~under])
+    for i in np.nonzero(under)[0]:
+        loss = GeodesicSquared(r_gts[i])
+        assert np.array_equal(rpmg_gradient(rep, xs[i], rs[i], loss, 0.5, params, max_step=1.0),
+                              rpmg_gradient(rep, xs[i], rs[i], loss, 0.5, params))
+
+
+@pytest.mark.parametrize("loss", ["l2", "geodesic"])
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_batch_matches_per_sample_with_the_cap_active(rep, loss):
+    xs, rs, r_gts = _cap_cases(rep, 40, 20)
+    for params in (RpmgParams(Method.MG), RpmgParams(Method.PMG), RpmgParams(Method.RPMG)):
+        batch = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss=loss, max_step=1.0)
+        for i in range(len(xs)):
+            per = L2Frobenius(r_gts[i]) if loss == "l2" else GeodesicSquared(r_gts[i])
+            one = rpmg_gradient(rep, xs[i], rs[i], per, 0.5, params, max_step=1.0)
+            assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)
