@@ -3,15 +3,18 @@
 Every closed-form result in the package is re-derived here by a slower,
 algorithmically different route (projected gradient descent, finite
 differences, brute-force recomputation) and compared against the production
-code.  The check registry at the bottom powers the ``check`` CLI command.
+code.  The descent oracle's steps are affine in its iterate, so it takes its
+last iterate by repeated squaring of the step map instead of stepping 10,000
+times.  The check registry at the bottom powers the ``check`` CLI command.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, List
 
@@ -51,6 +54,36 @@ _PGD_STEPS = 10_000
 _PGD_STEP_SIZE = 1e-3
 
 
+def _iterate_affine(step_fn: Callable[[np.ndarray], np.ndarray],
+                    z0: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` applications of the per-sample affine map ``step_fn`` to z0.
+
+    Each sample's map z -> A z + b is read off ``step_fn`` by probing it at
+    0 and at the unit vectors; the ``steps``-th power of the augmented
+    matrix [[A, b], [0, 1]] is then applied to [z0; 1] by repeated
+    squaring, in about 2 log2(steps) batched products.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    n, d = z0.shape
+    aug = np.zeros((n, d + 1, d + 1))
+    b = step_fn(np.zeros((n, d)))
+    aug[:, :d, d] = b
+    aug[:, d, d] = 1.0
+    for j in range(d):
+        e = np.zeros((n, d))
+        e[:, j] = 1.0
+        aug[:, :d, j] = step_fn(e) - b
+    v = np.concatenate([z0, np.ones((n, 1))], axis=1)[:, :, None]
+    while steps:
+        if steps & 1:
+            v = aug @ v
+        steps >>= 1
+        if steps:
+            aug = aug @ aug
+    return v[:, :d, 0]
+
+
 def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
                                steps: int = _PGD_STEPS,
                                step: float = _PGD_STEP_SIZE) -> np.ndarray:
@@ -58,8 +91,10 @@ def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
 
     Projected gradient descent over the family parameters (scale along the
     quaternion line; three projection coefficients for 6d; a symmetric
-    factor for 9d; the linear eigen-feasibility set for 10d).  Shares no
-    code with the closed forms in :mod:`rotgrad.rpmg`.
+    factor for 9d; the linear eigen-feasibility set for 10d).  Each descent
+    step is affine in the iterate, so the ``steps``-th iterate is taken by
+    repeated squaring of that map (``_iterate_affine``) rather than by
+    looping.  Shares no code with the closed forms in :mod:`rotgrad.rpmg`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     r_gs = np.asarray(r_gs, dtype=np.float64)
@@ -67,33 +102,41 @@ def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
 
     if rep is RepKind.QUAT4:
         q = so3._rot_to_quat_batch(r_gs)
-        k = np.ones(n)
-        target = np.einsum('bi,bi->b', xs, q)
-        for _ in range(steps):
-            k -= step * 2.0 * (k - target)
-        return k[:, None] * q
+        target = np.einsum('bi,bi->b', xs, q)[:, None]
+
+        def descend(k):
+            return k - step * 2.0 * (k - target)
+
+        k = _iterate_affine(descend, np.ones((n, 1)), steps)
+        return k * q
 
     if rep is RepKind.SIX_D:
         u_g, v_g = r_gs[:, :, 0], r_gs[:, :, 1]
         u, v = xs[:, :3], xs[:, 3:]
-        ks = np.tile([1.0, 0.0, 1.0], (n, 1))
         target = np.stack([np.einsum('bi,bi->b', u, u_g),
                            np.einsum('bi,bi->b', v, u_g),
                            np.einsum('bi,bi->b', v, v_g)], axis=1)
-        for _ in range(steps):
-            ks -= step * 2.0 * (ks - target)
+
+        def descend(ks):
+            return ks - step * 2.0 * (ks - target)
+
+        ks = _iterate_affine(descend, np.tile([1.0, 0.0, 1.0], (n, 1)), steps)
         return np.concatenate([ks[:, :1] * u_g,
                                ks[:, 1:2] * u_g + ks[:, 2:] * v_g], axis=1)
 
     if rep is RepKind.NINE_D:
         m = xs.reshape(n, 3, 3)
-        s = np.tile(np.eye(3), (n, 1, 1))
         r_t = np.ascontiguousarray(r_gs.transpose(0, 2, 1))
-        for _ in range(steps):
+
+        def descend(flat):
+            s = flat.reshape(n, 3, 3)
             grad = 2.0 * (s @ r_gs - m) @ r_t
             s = s - step * grad
             s = 0.5 * (s + s.transpose(0, 2, 1))
-        return (s @ r_gs).reshape(n, 9)
+            return s.reshape(n, 9)
+
+        s = _iterate_affine(descend, np.tile(np.eye(3).ravel(), (n, 1)), steps)
+        return (s.reshape(n, 3, 3) @ r_gs).reshape(n, 9)
 
     if rep is RepKind.TEN_D:
         q = so3._rot_to_quat_batch(r_gs)
@@ -107,12 +150,13 @@ def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
         # orthogonal projector onto the null space of [M, -q]
         proj = np.tile(np.eye(11), (n, 1, 1)) - ct @ np.linalg.solve(c @ ct, c)
         x_pad = np.concatenate([xs, np.zeros((n, 1))], axis=1)
-        z = np.einsum('bij,bj->bi', proj, x_pad)
-        g = np.empty_like(z)
-        for _ in range(steps):
+
+        def descend(z):
+            g = np.zeros_like(z)
             g[:, :10] = 2.0 * (z[:, :10] - xs)
-            g[:, 10] = 0.0
-            z = np.einsum('bij,bj->bi', proj, z - step * g)
+            return np.einsum('bij,bj->bi', proj, z - step * g)
+
+        z = _iterate_affine(descend, np.einsum('bij,bj->bi', proj, x_pad), steps)
         return z[:, :10]
 
     raise ValueError(f"{rep.value} has no manifold inverse image")
@@ -177,13 +221,16 @@ class CheckResult:
     ``measured`` is the headline number the verdict was decided on (usually
     a worst-case residual); ``error`` marks a check that raised instead of
     measuring, which callers report as a numeric failure rather than a
-    plain check failure.
+    plain check failure.  ``seconds`` is the check's wall time, filled in
+    by :func:`run_checks`; it takes no part in equality or the repr, so two
+    runs of the same arithmetic compare equal.
     """
     name: str
     passed: bool
     detail: str
     error: bool = False
     measured: float = float("nan")
+    seconds: float = field(default=float("nan"), compare=False, repr=False)
 
     def __post_init__(self):
         # verdicts computed with numpy arrive as numpy.bool_ / numpy.float64
@@ -630,10 +677,12 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def _run_named(name: str) -> CheckResult:
+    start = time.perf_counter()
     try:
-        return CHECKS[name]()
+        result = CHECKS[name]()
     except Exception as exc:  # surfaced as a numeric failure, not a crash
-        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", error=True)
+        result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", error=True)
+    return replace(result, seconds=time.perf_counter() - start)
 
 
 def run_checks(name_filter: str = "", jobs: int = 1) -> List[CheckResult]:

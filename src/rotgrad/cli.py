@@ -346,10 +346,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
-        print(f"{verdict}  {r.name:<{width}}  {r.detail}")
+        print(f"{verdict}  {r.name:<{width}}  {r.seconds:6.2f}s  {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results)} checks: {len(results) - len(failed)} passed, "
-          f"{len(failed)} failed")
+          f"{len(failed)} failed, {sum(r.seconds for r in results):.2f}s in checks")
     if any(r.error for r in failed):
         print("numeric failure in: "
               + ", ".join(r.name for r in failed if r.error), file=sys.stderr)

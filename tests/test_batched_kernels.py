@@ -8,7 +8,9 @@ must give the same bits on random batches (B = 1 and B = 32) and on edge
 rows: exact pi rotations with tied diagonals, q0 = 0 ties, -0.0 entries and
 chamfer distance ties.  Every rewritten kernel must also return C-contiguous
 arrays, since einsum's summation order, and so its bits, follow the strides
-of its operands.
+of its operands.  The exception is the checks' descent oracle, whose
+per-step loop is now taken by repeated squaring: it is held to its loop
+within 1e-12 relative.
 """
 
 import itertools
@@ -315,16 +317,69 @@ def _ref_rpmg_gradient_batch(rep, xs, rs, r_gts, tau, params, loss="l2", points=
     return xs - x_gp + params.lam * (x_gp - x_hat)
 
 
+# The oracle's projected-gradient-descent loops, one step per pass.
+
+def _ref_oracle_quat(xs, r_gs, steps, step):
+    n = xs.shape[0]
+    q = _ref_rot_to_quat_batch(r_gs)
+    k = np.ones(n)
+    target = np.einsum('bi,bi->b', xs, q)
+    for _ in range(steps):
+        k -= step * 2.0 * (k - target)
+    return k[:, None] * q
+
+
+def _ref_oracle_6d(xs, r_gs, steps, step):
+    n = xs.shape[0]
+    u_g, v_g = r_gs[:, :, 0], r_gs[:, :, 1]
+    u, v = xs[:, :3], xs[:, 3:]
+    ks = np.tile([1.0, 0.0, 1.0], (n, 1))
+    target = np.stack([np.einsum('bi,bi->b', u, u_g),
+                       np.einsum('bi,bi->b', v, u_g),
+                       np.einsum('bi,bi->b', v, v_g)], axis=1)
+    for _ in range(steps):
+        ks -= step * 2.0 * (ks - target)
+    return np.concatenate([ks[:, :1] * u_g,
+                           ks[:, 1:2] * u_g + ks[:, 2:] * v_g], axis=1)
+
+
 def _ref_oracle_9d(xs, r_gs, steps, step):
     n = xs.shape[0]
     m = xs.reshape(n, 3, 3)
     s = np.tile(np.eye(3), (n, 1, 1))
-    r_t = r_gs.transpose(0, 2, 1)
+    r_t = np.ascontiguousarray(r_gs.transpose(0, 2, 1))
     for _ in range(steps):
         grad = 2.0 * (s @ r_gs - m) @ r_t
         s = s - step * grad
         s = 0.5 * (s + s.transpose(0, 2, 1))
     return (s @ r_gs).reshape(n, 9)
+
+
+def _ref_oracle_10d(xs, r_gs, steps, step):
+    n = xs.shape[0]
+    q = _ref_rot_to_quat_batch(r_gs)
+    basis = _ref_sym4_batch(np.eye(10))
+    c = np.empty((n, 4, 11))
+    c[:, :, :10] = np.einsum('jkl,bl->bkj', basis, q)
+    c[:, :, 10] = -q
+    ct = c.transpose(0, 2, 1)
+    proj = np.tile(np.eye(11), (n, 1, 1)) - ct @ np.linalg.solve(c @ ct, c)
+    x_pad = np.concatenate([xs, np.zeros((n, 1))], axis=1)
+    z = np.einsum('bij,bj->bi', proj, x_pad)
+    g = np.empty_like(z)
+    for _ in range(steps):
+        g[:, :10] = 2.0 * (z[:, :10] - xs)
+        g[:, 10] = 0.0
+        z = np.einsum('bij,bj->bi', proj, z - step * g)
+    return z[:, :10]
+
+
+_REF_ORACLES = {
+    RepKind.QUAT4: _ref_oracle_quat,
+    RepKind.SIX_D: _ref_oracle_6d,
+    RepKind.NINE_D: _ref_oracle_9d,
+    RepKind.TEN_D: _ref_oracle_10d,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +700,45 @@ def test_chamfer_pairs_distance_ties():
 # ---------------------------------------------------------------------------
 # checks
 
-def test_nine_d_oracle_contiguous_transpose_same_bits():
-    xs, r_gs = checks.sample_projection_cases(RepKind.NINE_D, 32, 3)
-    got = checks.oracle_inverse_image_batch(RepKind.NINE_D, xs, r_gs, steps=300)
-    _same(got, _ref_oracle_9d(xs, r_gs, 300, checks._PGD_STEP_SIZE))
+def _assert_rows_close(got, ref, rtol):
+    """Each row within ``rtol`` of its reference, relative to the row's
+    largest entry."""
+    assert got.shape == ref.shape
+    scale = np.maximum(np.abs(ref).max(axis=1), 1e-300)
+    assert (np.abs(got - ref).max(axis=1) <= rtol * scale).all(), \
+        float((np.abs(got - ref).max(axis=1) / scale).max())
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_oracle_matches_descent_loop(rep):
+    xs, r_gs = checks.sample_projection_cases(rep, 32, 3)
+    for steps in (0, 1, 2, 3, 7, 100, 1000, checks._PGD_STEPS):
+        got = checks.oracle_inverse_image_batch(rep, xs, r_gs, steps=steps)
+        ref = _REF_ORACLES[rep](xs, r_gs, steps, checks._PGD_STEP_SIZE)
+        _assert_rows_close(got, ref, 1e-12)
+
+
+def test_iterate_affine_matches_explicit_loop():
+    rng = np.random.default_rng(17)
+    n, d = 6, 5
+    a = rng.standard_normal((n, d, d))
+    a *= 0.95 / np.linalg.norm(a, ord=2, axis=(1, 2))[:, None, None]
+    b = rng.standard_normal((n, d))
+    z0 = rng.standard_normal((n, d))
+
+    def step_fn(z):
+        return np.einsum('bij,bj->bi', a, z) + b
+
+    for steps in (0, 1, 2, 5, 64, 333):
+        z = z0
+        for _ in range(steps):
+            z = step_fn(z)
+        _assert_rows_close(checks._iterate_affine(step_fn, z0, steps), z, 1e-12)
+
+
+def test_iterate_affine_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        checks._iterate_affine(lambda z: z, np.zeros((2, 3)), -1)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        checks.oracle_inverse_image_batch(RepKind.QUAT4, np.ones((1, 4)),
+                                          np.eye(3)[None], steps=-5)

@@ -1,5 +1,7 @@
 """The verification registry itself: clean runs, filtering, fault injection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import rotgrad.rpmg as rpmg
 from rotgrad.checks import (
     CHECK_NAMES,
     CHECKS,
+    TOL_PROJECTION_EXCESS,
     CheckResult,
     membership_residual,
     oracle_inverse_image_batch,
@@ -128,6 +131,15 @@ def test_injected_exception_marks_error(monkeypatch):
     assert "FloatingPointError" in results[0].detail
 
 
+def test_check_seconds_are_timed_but_not_compared():
+    [timed] = run_checks("tau-converge-l2")
+    assert timed.seconds >= 0.0
+    untimed = CheckResult(timed.name, timed.passed, timed.detail,
+                          measured=timed.measured)
+    assert timed == untimed and repr(timed) == repr(untimed)
+    assert "seconds" not in repr(timed)
+
+
 def test_check_result_is_frozen():
     r = CheckResult("x", True, "d")
     with pytest.raises(AttributeError):
@@ -151,6 +163,20 @@ def test_oracle_never_beats_closed_form(rep):
     # both satisfy the membership constraint, so they chase the same set
     for x_gp, r_g in zip(oracle, r_gs):
         assert membership_residual(rep, x_gp, r_g) <= 1e-5
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_closed_form_optimal_out_to_pi(rep):
+    # goal steps up to pi and no ambient-angle filter: the whole family of
+    # goals, not only the regime that check_projection_optimality samples
+    xs, r_gs = sample_projection_cases(rep, 1000, seed=907,
+                                       max_ambient_angle=math.inf,
+                                       goal_step=math.pi)
+    closed = np.array([rpmg.inverse_project(rep, x, r_g) for x, r_g in zip(xs, r_gs)])
+    oracle = oracle_inverse_image_batch(rep, xs, r_gs)
+    d_closed = np.linalg.norm(closed - xs, axis=1)
+    d_oracle = np.linalg.norm(oracle - xs, axis=1)
+    assert np.max(d_closed - d_oracle) <= TOL_PROJECTION_EXCESS
 
 
 def test_membership_residual_rejects_non_manifold_rep():

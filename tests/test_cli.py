@@ -4,6 +4,7 @@ import csv
 import hashlib
 import importlib.resources
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -166,6 +167,16 @@ def test_check_clean_subset_exits_0(capsys):
     assert out.count("PASS") == 3
     assert "tau-converge-l2" in out and "residual" in out
     assert "3 checks: 3 passed, 0 failed" in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_prints_finite_seconds(jobs, capsys):
+    assert cli.main(["check", "--filter", "tau-converge", "--jobs", jobs]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    per_check = [float(line.split()[2].rstrip("s")) for line in lines[:3]]
+    assert all(math.isfinite(t) and t >= 0.0 for t in per_check)
+    total = float(lines[3].rsplit(", ", 1)[1].split("s in checks")[0])
+    assert math.isfinite(total) and total == pytest.approx(sum(per_check), abs=0.03)
 
 
 def test_check_injected_sign_bug_named_failure(monkeypatch, capsys):
