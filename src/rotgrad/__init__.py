@@ -49,7 +49,6 @@ from .riemannian import (
     tau_gt_l2,
 )
 from .rpmg import (
-    DegenerateProjectionError,
     Method,
     RpmgParams,
     inverse_project,
@@ -104,7 +103,6 @@ __all__ = [
     "tau_at",
     "tau_converge_for",
     "tau_gt_l2",
-    "DegenerateProjectionError",
     "Method",
     "RpmgParams",
     "inverse_project",

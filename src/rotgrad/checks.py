@@ -4,7 +4,7 @@ Every closed-form result in the package is re-derived here by a slower,
 algorithmically different route (projected gradient descent, finite
 differences, brute-force recomputation) and compared against the production
 code.  The descent oracle's steps are affine in its iterate, so it takes its
-last iterate by repeated squaring of the step map instead of stepping 10,000
+last iterate by repeated squaring of the step map instead of stepping 100,000
 times.  The check registry at the bottom powers the ``check`` CLI command.
 """
 
@@ -50,7 +50,7 @@ from .riemannian import (
 from .rpmg import Method, RpmgParams
 from .sphere import TAU_CONVERGE_S2, angle_between, s2_exp, s2_riemannian_grad
 
-_PGD_STEPS = 10_000
+_PGD_STEPS = 100_000
 _PGD_STEP_SIZE = 1e-3
 
 
@@ -543,7 +543,9 @@ def check_mg_tau_gt_identity(n: int = 200, seed: int = 541) -> CheckResult:
                 continue
             g = _rpmg.rpmg_gradient(rep, x, r, L2Frobenius(r_gt), tau_gt_l2(theta),
                                     RpmgParams(Method.MG))
-            x_hat_gt = _rpmg._embed_goal(rep, x, r_gt)
+            x_hat_gt = embed(representation_map(r_gt, rep))
+            if rep is RepKind.QUAT4 and float(x @ x_hat_gt) < 0.0:
+                x_hat_gt = -x_hat_gt  # the sheet of the double cover nearer x
             worst = max(worst, float(np.max(np.abs(g - (x - x_hat_gt)))))
     return CheckResult(name, worst <= TOL_IDENTITY,
                        f"max |g - (x - embed(target))| = {worst:.3e} "

@@ -41,7 +41,7 @@ from .harness import (
 )
 from .representations import DegenerateInputError, RepKind
 from .riemannian import CutLocusError, NoAnalyticTauError, TauSchedule
-from .rpmg import DegenerateProjectionError, Method
+from .rpmg import METHOD_BY_NAME
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,8 +49,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
 
 CSV_HEADER = ("iteration", "mean_deg", "median_deg", "acc5", "acc3", "mean_norm")
-
-_METHOD_BY_NAME = {m.value: m for m in Method}
 
 
 class CliConfigError(Exception):
@@ -143,7 +141,7 @@ def _out_root(out_dir: Optional[str]) -> Path:
 
 
 def _parse_method(name: str, sphere: bool):
-    table = S2_METHOD_BY_NAME if sphere else _METHOD_BY_NAME
+    table = S2_METHOD_BY_NAME if sphere else METHOD_BY_NAME
     if name not in table:
         kind = "sphere method" if sphere else "method"
         raise CliConfigError(
@@ -377,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="descend one raw output onto one target rotation")
     fit.add_argument("--rep", default="9d", help=f"one of: {', '.join(rep_values)}")
     fit.add_argument("--method", default="rpmg",
-                     help=f"one of: {', '.join(_METHOD_BY_NAME)}")
+                     help=f"one of: {', '.join(METHOD_BY_NAME)}")
     fit.add_argument("--loss", default="l2", help=f"one of: {', '.join(LOSS_NAMES)}")
     fit.add_argument("--lambda", dest="lam", type=float, default=0.01)
     fit.add_argument("--tau", type=float, default=None,
@@ -435,8 +433,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DegenerateInputError, DegenerateProjectionError, CutLocusError,
-            FloatingPointError, ZeroDivisionError) as exc:
+    except (DegenerateInputError, CutLocusError, FloatingPointError,
+            ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except (NoAnalyticTauError, ValueError, TypeError) as exc:

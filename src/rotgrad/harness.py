@@ -44,7 +44,7 @@ from .riemannian import (
     tau_converge_for,
 )
 from .rpmg import (
-    DegenerateProjectionError,
+    BLEND_LAM,
     Method,
     RpmgParams,
     rpmg_gradient,
@@ -364,9 +364,9 @@ def fit_single_rotation(
     of the relaxed inverse images whose escape is governed by the slow
     1/(lr*lambda) regularization timescale, and near-antipodal targets sit
     next to the critical set of the loss where every first-order rule
-    crawls. A degenerate raw vector or projection, or a geodesic step
-    from the cut locus, aborts the run and is reported through the
-    diagnostic instead of raising. Each step makes one per-sample
+    crawls. A degenerate raw vector, or a geodesic step from the cut
+    locus, aborts the run and is reported through the diagnostic instead
+    of raising. Each step makes one per-sample
     ``rpmg_gradient`` call; under ``tau="auto"`` its goal step is capped
     at ``AUTO_MAX_GOAL_STEP`` radians.
     """
@@ -416,13 +416,8 @@ def fit_single_rotation(
     params = RpmgParams(method=method, lam=lam)
 
     if not aborted:
+        r = r_start
         for it in range(iters + 1):
-            try:
-                r = baseline_rotation(rep, x)
-            except DegenerateInputError as exc:
-                aborted = True
-                diagnostic = f"degenerate raw vector at step {it}: {exc}"
-                break
             errors.append(so3.geodesic_distance(r, r_gt))
             norms.append(float(np.linalg.norm(x)))
             if it == iters:
@@ -433,10 +428,6 @@ def fit_single_rotation(
                 aborted = True
                 diagnostic = f"degenerate raw vector at step {it}: {exc}"
                 break
-            except DegenerateProjectionError as exc:
-                aborted = True
-                diagnostic = f"degenerate projection at step {it}: {exc}"
-                break
             except CutLocusError as exc:
                 aborted = True
                 diagnostic = f"cut locus at step {it}: {exc}"
@@ -446,6 +437,12 @@ def fit_single_rotation(
                 diagnostic = f"non-finite gradient at step {it}"
                 break
             x = x - lr * g
+            try:
+                r = baseline_rotation(rep, x)
+            except DegenerateInputError as exc:
+                aborted = True
+                diagnostic = f"degenerate raw vector at step {it + 1}: {exc}"
+                break
     return FitResult(
         rep=rep,
         method=method,
@@ -526,7 +523,7 @@ def _train_network(
         ys, cache = nn.forward(mlp, x_tr[idx])
         try:
             g = gradient(ys, t_tr[idx], it, dataset.points)
-        except (DegenerateInputError, DegenerateProjectionError) as exc:
+        except DegenerateInputError as exc:
             aborted = True
             diagnostic = f"degenerate sample at iteration {it}: {exc}"
             break
@@ -614,7 +611,7 @@ def train_s2(config: ExperimentConfig) -> MetricsReport:
         raise ValueError(f"train_s2 expects an S2Method, got {config.method!r}")
     method = config.method
     tau_fn, _ = _resolve_tau(config.tau, None)
-    lam = {S2Method.MG: 1.0, S2Method.PMG: 0.0}.get(method, config.lam)
+    lam = BLEND_LAM.get(method.value, config.lam)
 
     def eval_errors_deg(ys: np.ndarray, t_ev: np.ndarray) -> np.ndarray:
         x_hat, _ = _unit_rows(ys)

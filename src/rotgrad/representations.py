@@ -69,8 +69,6 @@ class RepKind(enum.Enum):
         return {"euler": 3, "axis-angle": 3, "quat": 4, "6d": 6, "9d": 9, "10d": 10}[self.value]
 
 
-REP_BY_NAME = {k.value: k for k in RepKind}
-
 MANIFOLD_REPS = (RepKind.QUAT4, RepKind.SIX_D, RepKind.NINE_D, RepKind.TEN_D)
 
 

@@ -16,6 +16,11 @@ pull toward the nearest equivalent output); both are exposed as named
 methods and as exact short-circuits of the blend.  A small positive ``lam``
 keeps the raw output norm from collapsing while preserving most of the
 projective gradient's freedom.
+
+The per-sample ``rpmg_gradient`` (the reference) and the batched
+``rpmg_gradient_batch`` each get both pullbacks from one goal kernel,
+``_goal_terms`` and its row twin ``_goal_terms_batch``, and emit them
+through the one ``_blend`` that the sphere's rules also use.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .representations import (
     RepKind,
     baseline_backward,
     embed,
-    representation_map,
     sym4_from_params,
     vanilla_backward_batch,
 )
@@ -49,15 +53,6 @@ from .riemannian import (
     riemannian_grad,
 )
 
-# Below this squared norm the 10-dim projection direction is considered
-# degenerate.  Unreachable for unit quaternions (the norm is >= 1/2); the
-# guard protects against malformed callers only.
-_MIN_DIRECTION_SQ = 1e-12
-
-
-class DegenerateProjectionError(ValueError):
-    """Inverse projection has no well-conditioned solution for this input."""
-
 
 class Method(enum.Enum):
     VANILLA = "vanilla"
@@ -67,6 +62,12 @@ class Method(enum.Enum):
 
 
 METHOD_BY_NAME = {m.value: m for m in Method}
+
+# the blend weight each named method fixes, by method value; RPMG (and the
+# sphere's rule of the same name) uses its own lam
+BLEND_LAM = {"mg": 1.0, "pmg": 0.0}
+
+_EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,11 @@ class RpmgParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+
+    @property
+    def blend_lam(self) -> float:
+        """The weight :func:`_blend` gets: 1 for MG, 0 for PMG, else lam."""
+        return BLEND_LAM.get(self.method.value, self.lam)
 
 
 def map_quat_to_10d(q) -> np.ndarray:
@@ -99,6 +105,13 @@ def constraint_rows(q) -> np.ndarray:
     return _constraint_rows_batch(np.asarray(q, dtype=np.float64)[None])[0]
 
 
+def _finite_ambient(rep: RepKind, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (rep.ambient_dim,) or not np.isfinite(x).all():
+        raise ValueError(f"{rep.value}: need a finite ({rep.ambient_dim},) vector")
+    return x
+
+
 def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     """Closest point to x within the inverse image of the goal rotation.
 
@@ -107,21 +120,29 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     10-dim eigenvalue need not be the smallest), so far from the goal the
     result can leave the true inverse image; near it the relaxation is tight.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rep.ambient_dim,) or not np.isfinite(x).all():
-        raise ValueError(f"{rep.value}: need a finite ({rep.ambient_dim},) vector")
-    r_g = np.asarray(r_g, dtype=np.float64)
+    x = _finite_ambient(rep, x)
+    if rep not in MANIFOLD_REPS:
+        raise ValueError(f"{rep.value} has no manifold inverse image")
+    return _goal_terms(rep, x, np.asarray(r_g, dtype=np.float64))[1]
 
+
+def _goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
+    """(x_hat_g, x_gp) for one goal rotation: a row of :func:`_goal_terms_batch`.
+
+    x_hat_g is the embedded canonical representation of r_g (for quat, the
+    sheet nearer x); x_gp is :func:`inverse_project`'s point.
+    """
     if rep is RepKind.QUAT4:
         q = so3.rot_to_quat(r_g)
-        if float(x @ q) < 0.0:  # nearer sheet of the double cover
+        dot = float(x @ q)
+        if dot < 0.0:  # nearer sheet of the double cover
             q = -q
-        return float(x @ q) * q
+        return q, abs(dot) * q
 
     if rep is RepKind.SIX_D:
         u, v = x[:3], x[3:]
         u_g, v_g = r_g[:, 0], r_g[:, 1]
-        return np.concatenate([
+        return np.concatenate([u_g, v_g]), np.concatenate([
             float(u @ u_g) * u_g,
             float(v @ u_g) * u_g + float(v @ v_g) * v_g,
         ])
@@ -129,32 +150,28 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     if rep is RepKind.NINE_D:
         m = x.reshape(3, 3)
         s = 0.5 * (m @ r_g.T + r_g @ m.T)
-        return (s @ r_g).reshape(9)
+        return r_g.reshape(9), (s @ r_g).reshape(9)
 
-    if rep is RepKind.TEN_D:
-        # [s t] = M^T (M M^T)^{-1} [q, A(x) q]; for a unit q, M M^T is
-        # diag(1 - q*q) + q q^T, positive definite
-        q = so3.rot_to_quat(r_g)
-        m = constraint_rows(q)
-        w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
-        s, t = w.T @ m
-        ss = float(s @ s)
-        if ss < _MIN_DIRECTION_SQ:
-            raise DegenerateProjectionError(
-                f"projection direction has squared norm {ss:.3e}")
-        lam_eig = float(s @ t) / ss
-        return x + lam_eig * s - t
-
-    raise ValueError(f"{rep.value} has no manifold inverse image")
+    # [s t] = M^T (M M^T)^{-1} [q, A(x) q]; for a unit q, M M^T is
+    # diag(1 - q*q) + q q^T, positive definite with eigenvalues <= 2, so
+    # |s|^2 = q^T (M M^T)^{-1} q >= 1/2
+    q = so3.rot_to_quat(r_g)
+    x_hat = _EYE4_SYM - q[_SYM4_ROWS] * q[_SYM4_COLS]
+    m = constraint_rows(q)
+    w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
+    s, t = w.T @ m
+    lam_eig = float(s @ t) / float(s @ s)
+    return x_hat, x + lam_eig * s - t
 
 
-def _embed_goal(rep: RepKind, x: np.ndarray, r_g: np.ndarray) -> np.ndarray:
-    if rep is RepKind.QUAT4:
-        q = so3.rot_to_quat(r_g)
-        return -q if float(x @ q) < 0.0 else q
-    if rep is RepKind.TEN_D:
-        return map_quat_to_10d(so3.rot_to_quat(r_g))
-    return embed(representation_map(r_g, rep))
+def _blend(x, x_hat_g, x_gp, lam: float):
+    """The emitted gradient x - x_gp + lam (x_gp - x_hat_g), exact at lam = 1
+    (x - x_hat_g) and lam = 0 (x - x_gp)."""
+    if lam == 1.0:
+        return x - x_hat_g
+    if lam == 0.0:
+        return x - x_gp
+    return x - x_gp + lam * (x_gp - x_hat_g)
 
 
 def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
@@ -164,17 +181,18 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
     ``r`` must be the rotation the forward pass produced from ``x`` (passed
     in to avoid recomputing the projection).  Vanilla delegates to the plain
     chain rule and works for all six representations; the manifold methods
-    require a representation with a nontrivial projection.  With
-    ``max_step`` (radians), a goal step tau |phi| past it is scaled down to
-    exactly ``max_step``; a step within it keeps ``tau`` as given.
+    require a representation with a nontrivial projection and a finite
+    ``x``.  With ``max_step`` (radians), a goal step tau |phi| past it is
+    scaled down to exactly ``max_step``; a step within it keeps ``tau`` as
+    given.
     """
-    x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     dl_dr = euclid_grad(loss, r)
     if params.method is Method.VANILLA:
         return baseline_backward(rep, x, dl_dr)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} supports only the vanilla method")
+    x = _finite_ambient(rep, x)
 
     phi = riemannian_grad(r, dl_dr)
     if max_step is not None:
@@ -182,21 +200,13 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
         if tau * norm > max_step:
             tau = max_step / norm
     r_g = goal_rotation(r, phi, tau)
-    x_hat_g = _embed_goal(rep, x, r_g)
-    if params.method is Method.MG or (params.method is Method.RPMG and params.lam == 1.0):
-        return x - x_hat_g
-    x_gp = inverse_project(rep, x, r_g)
-    if params.method is Method.PMG or params.lam == 0.0:
-        return x - x_gp
-    return x - x_gp + params.lam * (x_gp - x_hat_g)
+    x_hat_g, x_gp = _goal_terms(rep, x, r_g)
+    return _blend(x, x_hat_g, x_gp, params.blend_lam)
 
 
 # ---------------------------------------------------------------------------
 # Batched route used by the trainer, for every loss in LOSS_NAMES.  Semantics
 # are pinned to the per-sample functions above by equality tests.
-
-_EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
-
 
 def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
     """Batched :func:`constraint_rows`, (B, 4, 10), in one scatter."""
@@ -239,10 +249,7 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
     w = np.linalg.solve(m @ mt, rhs)
     st = mt @ w
     s, t = st[:, :, 0], st[:, :, 1]
-    ss = np.einsum('bi,bi->b', s, s)
-    if (ss < _MIN_DIRECTION_SQ).any():
-        raise DegenerateProjectionError("projection direction collapsed in batch")
-    lam_eig = np.einsum('bi,bi->b', s, t) / ss
+    lam_eig = np.einsum('bi,bi->b', s, t) / np.einsum('bi,bi->b', s, s)
     return x_hat, xs + lam_eig[:, None] * s - t
 
 
@@ -279,8 +286,4 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
             step[over] = (-max_step / norms[over])[:, None] * phi[over]
     r_g = rs @ so3._rodrigues_batch(step)
     x_hat, x_gp = _goal_terms_batch(rep, xs, r_g)
-    if params.method is Method.MG or (params.method is Method.RPMG and params.lam == 1.0):
-        return xs - x_hat
-    if params.method is Method.PMG or params.lam == 0.0:
-        return xs - x_gp
-    return xs - x_gp + params.lam * (x_gp - x_hat)
+    return _blend(xs, x_hat, x_gp, params.blend_lam)

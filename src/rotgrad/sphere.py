@@ -4,7 +4,8 @@ S^2 is the simplest manifold exercising the whole pipeline: the projection
 is a normalization, the exponential map is a plane rotation, and the inverse
 image of a unit vector is the ray through it.  The emitted gradient mirrors
 the rotation case: step along the sphere toward the target, project the raw
-output onto the goal's ray, blend with weight ``lam``.
+output onto the goal's ray, blend with weight ``lam`` through the rotation
+layer's own ``rpmg._blend``.
 
 ``s2_rpmg_gradient`` computes that gradient for one raw vector and is the
 reference; ``_s2_gradient_batch`` is its vectorized twin over a training
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from .representations import DegenerateInputError
+from .rpmg import _blend
 
 _NORM_MIN = 1e-8
 _SMALL_STEP = 1e-6
@@ -94,19 +96,14 @@ def s2_rpmg_gradient(x, x_hat_gt, tau: float, lam: float) -> np.ndarray:
 
         g = x - x_gp + lam * (x_gp - x_hat_g)
 
-    lam = 1 and lam = 0 short-circuit to the plain and projective manifold
-    gradients exactly.
+    through :func:`rotgrad.rpmg._blend`, so lam = 1 and lam = 0 give the
+    plain and projective manifold gradients exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = s2_map(x)
     grad = s2_riemannian_grad(x_hat, x_hat_gt)
     x_hat_g = s2_exp(x_hat, -tau * grad)
-    if lam == 1.0:
-        return x - x_hat_g
-    x_gp = float(x @ x_hat_g) * x_hat_g
-    if lam == 0.0:
-        return x - x_gp
-    return x - x_gp + lam * (x_gp - x_hat_g)
+    return _blend(x, x_hat_g, float(x @ x_hat_g) * x_hat_g, lam)
 
 
 def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +132,7 @@ def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: flo
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(small, 1.0 - theta**2 / 6.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
     x_hat_g = np.cos(theta)[:, None] * x_hat + sinc[:, None] * v
-    if lam == 1.0:
-        return ys - x_hat_g
-    proj = np.sum(ys * x_hat_g, axis=1)
-    x_gp = proj[:, None] * x_hat_g
-    if lam == 0.0:
-        return ys - x_gp
-    return ys - x_gp + lam * (x_gp - x_hat_g)
+    return _blend(ys, x_hat_g, np.sum(ys * x_hat_g, axis=1)[:, None] * x_hat_g, lam)
 
 
 def angle_between(u, v) -> float:

@@ -32,7 +32,7 @@ from rotgrad.representations import (
     rotations_from_raw,
 )
 from rotgrad.riemannian import LOSS_NAMES, Chamfer, CutLocusError
-from rotgrad.rpmg import Method, RpmgParams, DegenerateProjectionError
+from rotgrad.rpmg import Method, RpmgParams
 from rotgrad.so3 import _SMALL_ANGLE, canonical_quat
 
 
@@ -248,8 +248,6 @@ def _ref_goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
     st = mt @ w
     s, t = st[:, :, 0], st[:, :, 1]
     ss = np.einsum('bi,bi->b', s, s)
-    if (ss < rpmg._MIN_DIRECTION_SQ).any():
-        raise DegenerateProjectionError("projection direction collapsed in batch")
     lam_eig = np.einsum('bi,bi->b', s, t) / ss
     return x_hat, xs + lam_eig[:, None] * s - t
 

@@ -179,6 +179,18 @@ def test_closed_form_optimal_out_to_pi(rep):
     assert np.max(d_closed - d_oracle) <= TOL_PROJECTION_EXCESS
 
 
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_oracle_converges_to_closed_form(rep):
+    # on the projection-optimality check's own cases the descent oracle
+    # must end at the closed form's distance, not merely above it
+    xs, r_gs = sample_projection_cases(rep, 1000, seed=101)
+    closed = np.array([rpmg.inverse_project(rep, x, r_g) for x, r_g in zip(xs, r_gs)])
+    oracle = oracle_inverse_image_batch(rep, xs, r_gs)
+    d_closed = np.linalg.norm(closed - xs, axis=1)
+    d_oracle = np.linalg.norm(oracle - xs, axis=1)
+    assert np.max(np.abs(d_oracle - d_closed)) <= 1e-9
+
+
 def test_membership_residual_rejects_non_manifold_rep():
     with pytest.raises(ValueError, match="no manifold inverse image"):
         membership_residual(RepKind.EULER3, np.zeros(3), np.eye(3))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rotgrad import so3
+from rotgrad import rpmg, so3
 from rotgrad.checks import oracle_inverse_image_batch, sample_projection_cases
 from rotgrad.representations import (
     MANIFOLD_REPS,
@@ -168,6 +169,64 @@ def test_ten_d_projection_matches_bordered_kkt_solve():
         ref = _bordered_kkt_projection(x, r_g)
         got = inverse_project(RepKind.TEN_D, x, r_g)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _axis_angle_rotation(axis, angle):
+    axis = np.array(axis)
+    return so3.exp_so3(np.eye(3), angle * axis / np.linalg.norm(axis))
+
+
+_axes = st.tuples(*([st.floats(-1.0, 1.0)] * 3)).filter(lambda a: np.linalg.norm(a) > 1e-3)
+_any_3x3 = st.builds(
+    lambda entries, k: np.reshape(entries, (3, 3)) * 10.0 ** k,
+    st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9), st.integers(-8, 8))
+_goal_matrices = st.one_of(
+    st.builds(_axis_angle_rotation, _axes, st.floats(0.0, math.pi)),
+    st.builds(_axis_angle_rotation, _axes, st.floats(0.0, 1e-6).map(lambda e: math.pi - e)),
+    _any_3x3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_goal_matrices)
+def test_goal_quaternion_is_unit_and_projection_direction_bounded(r):
+    # the 10d closed form divides by |s|^2, s = M^T (M M^T)^{-1} q; for a
+    # unit q, M M^T = diag(1 - q*q) + q q^T has eigenvalues <= 2, so
+    # |s|^2 >= 1/2 whatever 3x3 matrix the quaternion came from
+    for q in (so3.rot_to_quat(r), so3._rot_to_quat_batch(r[None])[0]):
+        assert abs(float(q @ q) - 1.0) <= 1e-12
+        # M, column by column, from its definition M theta = A(theta) q
+        m = np.stack([sym4_from_params(e) @ q for e in np.eye(10)], axis=1)
+        s = m.T @ np.linalg.solve(m @ m.T, q)
+        assert float(s @ s) >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_goal_terms_rows_match_batch(rep):
+    # goals out to pi and no ambient-angle filter; the two routes extract
+    # the quaternion and reduce differently, so rows agree to rounding only
+    xs, r_gs = sample_projection_cases(rep, 300, seed=41, max_ambient_angle=math.inf,
+                                       goal_step=math.pi)
+    batch = rpmg._goal_terms_batch(rep, xs, r_gs)
+    for i, (x, r_g) in enumerate(zip(xs, r_gs)):
+        for one, rows in zip(rpmg._goal_terms(rep, x, r_g), batch):
+            scale = max(np.linalg.norm(rows[i]), np.linalg.norm(x))
+            assert np.linalg.norm(one - rows[i]) <= 1e-12 * scale, i
+
+
+def test_blend_lam_fixes_mg_and_pmg():
+    assert RpmgParams(Method.MG, lam=0.3).blend_lam == 1.0
+    assert RpmgParams(Method.PMG, lam=0.3).blend_lam == 0.0
+    assert RpmgParams(Method.RPMG, lam=0.3).blend_lam == 0.3
+
+
+@pytest.mark.parametrize("method", [Method.MG, Method.PMG, Method.RPMG],
+                         ids=lambda m: m.value)
+def test_manifold_methods_reject_non_finite_raw_vector(method):
+    x = np.array([1.0, np.nan, 0.0, 0.0])
+    r = np.eye(3)
+    with pytest.raises(ValueError, match="need a finite"):
+        rpmg_gradient(RepKind.QUAT4, x, r, L2Frobenius(r), 0.25, RpmgParams(method))
 
 
 def test_ten_d_projection_needs_no_dense_solver(monkeypatch):

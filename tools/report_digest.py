@@ -13,7 +13,9 @@ five ``train_s2`` rules, one run with an explicit tau, one with a
 vanilla ``train`` under geodesic, flow and chamfer for every rep.
 Per-sample route: ``fit_single_rotation`` for every manifold rep x
 {vanilla, mg, pmg, rpmg} x {l2, geodesic} at seed 1 (the vanilla fits reach
-the batched vanilla backward at B = 1), one ``tau_probe``, and every
+the batched vanilla backward at B = 1), ``inverse_project`` over 200 fixed
+cases per manifold rep with goals out to pi, ``s2_rpmg_gradient`` over 100
+fixed cases at each of lam = 0, 0.01 and 1, one ``tau_probe``, and every
 ``run_checks()`` result.  It hashes the ``repr`` of every result in that
 order, a fit's arrays byte for byte (numpy's repr rounds them).  It prints
 one short digest per run, to find the first one that differs, and the total
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ITERS = 150
 FIT_SEED = 1
+LAYER_CASES_SEED = 2
 
 
 def configs() -> list:
@@ -66,6 +69,32 @@ def _fit_text(result) -> str:
             + "".join(a.tobytes().hex() for a in arrays))
 
 
+def _project_text(rep) -> str:
+    """Bytes of the closed-form inverse projection over fixed cases."""
+    import math
+    from rotgrad.checks import sample_projection_cases
+    from rotgrad.rpmg import inverse_project
+
+    xs, r_gs = sample_projection_cases(rep, 200, LAYER_CASES_SEED,
+                                       max_ambient_angle=math.inf, goal_step=math.pi)
+    return "".join(inverse_project(rep, x, r_g).tobytes().hex() for x, r_g in zip(xs, r_gs))
+
+
+def _s2_text(lam: float) -> str:
+    """Bytes of the per-sample sphere gradient over fixed cases."""
+    import numpy as np
+    from rotgrad.sphere import s2_rpmg_gradient
+
+    rng = np.random.default_rng(LAYER_CASES_SEED)
+    out = []
+    for _ in range(100):
+        x = rng.standard_normal(3) * rng.uniform(0.5, 2.0)
+        target = rng.standard_normal(3)
+        target /= np.linalg.norm(target)
+        out.append(s2_rpmg_gradient(x, target, rng.uniform(0.0, 1.0), lam).tobytes().hex())
+    return "".join(out)
+
+
 def runs() -> list:
     """(label, thunk) pairs; each thunk returns the text that is hashed."""
     from rotgrad import Method
@@ -82,6 +111,12 @@ def runs() -> list:
                 out.append((f"fit_single_rotation {rep.value} {method.value} {loss} seed {FIT_SEED}",
                             lambda rep=rep, method=method, loss=loss: _fit_text(
                                 fit_single_rotation(rep, method, loss=loss, seed=FIT_SEED))))
+    for rep in MANIFOLD_REPS:
+        out.append((f"inverse_project {rep.value} seed {LAYER_CASES_SEED}",
+                    lambda rep=rep: _project_text(rep)))
+    for lam in (0.0, 0.01, 1.0):
+        out.append((f"s2_rpmg_gradient lam {lam} seed {LAYER_CASES_SEED}",
+                    lambda lam=lam: _s2_text(lam)))
     taus = (0.05, 0.5, 5.0, 50.0)
     out.append((f"tau_probe 6d flow {taus}",
                 lambda: repr(tau_probe(RepKind.SIX_D, "flow", taus))))
