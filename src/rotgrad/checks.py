@@ -35,14 +35,13 @@ from .representations import (
     sym4_from_params,
 )
 from .riemannian import (
-    Chamfer,
-    Flow,
     GeodesicSquared,
     L2Frobenius,
     _chamfer_pairs,
     euclid_grad,
     goal_rotation,
     loss_value,
+    make_loss,
     riemannian_grad,
     tau_converge_for,
     tau_gt_l2,
@@ -330,19 +329,14 @@ def check_gradient_fd(loss_name: str, n: int = 100, seed: int = 211) -> CheckRes
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         r_gt = so3.exp_so3(r, rng.uniform(0.2, 2.9) * axis)
-        if loss_name == "l2":
-            loss = L2Frobenius(r_gt)
-        elif loss_name == "geodesic":
-            loss = GeodesicSquared(r_gt)
-        elif loss_name == "flow":
-            loss = Flow(r_gt, rng.uniform(-1.0, 1.0, (3, 32)))
+        points = None
+        if loss_name == "flow":
+            points = rng.uniform(-1.0, 1.0, (3, 32)).T
         elif loss_name == "chamfer":
-            pts = rng.uniform(-1.0, 1.0, (64, 3))
-            loss = Chamfer(pts, pts @ r_gt.T)
-            if not _chamfer_assignment_stable(loss, r, h):
-                continue
-        else:
-            raise ValueError(f"unknown loss {loss_name!r}")
+            points = rng.uniform(-1.0, 1.0, (64, 3))
+        loss = make_loss(loss_name, r_gt, points)
+        if loss_name == "chamfer" and not _chamfer_assignment_stable(loss, r, h):
+            continue
         phi = riemannian_grad(r, euclid_grad(loss, r))
         phi_fd = _fd_riemannian(loss, r, h)
         rel = float(np.linalg.norm(phi_fd - phi) / max(1.0, np.linalg.norm(phi)))

@@ -29,16 +29,14 @@ from .representations import (
     rotations_from_raw,
 )
 from .riemannian import (
+    _LOSS_CLASSES,
     LOSS_NAMES,
-    Chamfer,
     CutLocusError,
-    Flow,
-    GeodesicSquared,
-    L2Frobenius,
     NoAnalyticTauError,
     TauSchedule,
     euclid_grad,
     goal_rotation,
+    make_loss,
     riemannian_grad,
     tau_at,
     tau_converge_for,
@@ -52,8 +50,9 @@ from .rpmg import (
 )
 from .sphere import TAU_CONVERGE_S2, _s2_gradient_batch, _unit_rows
 
-# point-set losses have no closed-form converging step; these were picked
-# with tau_probe so that the goal rotation moves a few degrees per step
+# point-set losses have no closed-form converging step, so they train at
+# these presets.  They overshoot: tau_probe (9d, seed 0) measures a mean goal
+# step of 91 degrees for flow and 41 for chamfer (ROADMAP item 3)
 DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 
 # largest goal step, in radians, that tau="auto" takes on SO(3).  The
@@ -61,13 +60,6 @@ DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 # past about 90 degrees the relaxed inverse images walk the fit to the cut
 # locus; the l2 auto step, tau |phi| = sin(theta), never exceeds it.
 AUTO_MAX_GOAL_STEP = 1.0
-
-_LOSS_CLASSES = {
-    "l2": L2Frobenius,
-    "geodesic": GeodesicSquared,
-    "flow": Flow,
-    "chamfer": Chamfer,
-}
 
 TauSpec = Union[str, float, TauSchedule]
 
@@ -140,6 +132,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.loss not in LOSS_NAMES:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
+        if isinstance(self.method, S2Method) and self.loss != "l2":
+            raise ValueError(f"the sphere experiment has only the l2 loss, got {self.loss!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         for name in ("iters", "batch", "n_points", "n_rotations", "eval_every"):
@@ -241,18 +235,6 @@ def make_dataset(n_points: int, n_rotations: int, rng: np.random.Generator) -> S
     return SyntheticDataset(points=points, rotations=rotations, inputs=inputs, n_train=n_train)
 
 
-def _make_loss(name: str, r_gt: np.ndarray, points: np.ndarray):
-    if name == "l2":
-        return L2Frobenius(r_gt)
-    if name == "geodesic":
-        return GeodesicSquared(r_gt)
-    if name == "flow":
-        return Flow(r_gt, points.T)
-    if name == "chamfer":
-        return Chamfer(points, points @ r_gt.T)
-    raise ValueError(f"unknown loss {name!r}")
-
-
 def _resolve_tau(spec: TauSpec,
                  loss_name: Optional[str]) -> Tuple[Callable[[int], float], Optional[float]]:
     """Turn a tau spec into a per-iteration callable and a goal-step cap.
@@ -338,7 +320,8 @@ class FitResult:
 
     @property
     def final_error(self) -> float:
-        return float(self.errors[-1])
+        """Error after the last step taken; NaN for a fit that aborted at step 0."""
+        return float(self.errors[-1]) if len(self.errors) else float("nan")
 
 
 def fit_single_rotation(
@@ -370,8 +353,10 @@ def fit_single_rotation(
     ``rpmg_gradient`` call; under ``tau="auto"`` its goal step is capped
     at ``AUTO_MAX_GOAL_STEP`` radians.
     """
-    if loss not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_NAMES}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    if not lr > 0.0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
     if rep not in MANIFOLD_REPS and method is not Method.VANILLA:
         raise ValueError(f"{rep.value} supports only the vanilla method")
     data_rng, init_rng = _spawn_rngs(seed, 2)
@@ -408,7 +393,7 @@ def fit_single_rotation(
     else:
         r_gt = np.eye(3)
     points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
-    loss_inst = _make_loss(loss, r_gt, points)
+    loss_inst = make_loss(loss, r_gt, points)
     if method is Method.VANILLA:
         tau_fn, max_step = (lambda it: 0.0), None
     else:
@@ -494,9 +479,9 @@ def _train_network(
     """
     data_rng, init_rng, batch_rng = _spawn_rngs(config.seed, 3)
     dataset = make_dataset(config.n_points, config.n_rotations, data_rng)
-    targets = targets_of(dataset.rotations)
-    x_tr, t_tr = dataset.inputs[: dataset.n_train], targets[: dataset.n_train]
-    x_ev, t_ev = dataset.inputs[dataset.n_train :], targets[dataset.n_train :]
+    x_tr, r_tr = dataset.train_slice
+    x_ev, r_ev = dataset.eval_slice
+    t_tr, t_ev = targets_of(r_tr), targets_of(r_ev)
     mlp = nn.init_mlp([dataset.inputs.shape[1], *config.hidden, out_dim], init_rng)
     norm = head_norm(t_ev)
     if norm is not None:
@@ -651,8 +636,6 @@ def tau_probe(
     exists. Distances grow monotonically with tau until the exponential
     wraps, so look for the knee.
     """
-    if loss not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_NAMES}")
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold structure to probe")
     if not taus:
@@ -662,7 +645,7 @@ def tau_probe(
     for _ in range(n_samples):
         r_gt = so3.sample_uniform_rotation(rng)
         points = rng.uniform(-1.0, 1.0, size=(n_points, 3))
-        loss_inst = _make_loss(loss, r_gt, points)
+        loss_inst = make_loss(loss, r_gt, points)
         r0 = so3.sample_uniform_rotation(rng)
         x = rng.uniform(0.5, 2.0) * embed(representation_map(r0, rep))
         x = x + 0.05 * rng.standard_normal(x.shape)

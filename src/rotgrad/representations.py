@@ -50,6 +50,7 @@ _SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
 # _SYM4_GATHER[i, j] is the parameter at entry (i, j) of the symmetric form
 _SYM4_GATHER = np.empty((4, 4), dtype=np.intp)
 _SYM4_GATHER[_SYM4_ROWS, _SYM4_COLS] = _SYM4_GATHER[_SYM4_COLS, _SYM4_ROWS] = np.arange(10)
+_EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
 
 
 class DegenerateInputError(ValueError):
@@ -95,6 +96,12 @@ def sym4_from_params(theta) -> np.ndarray:
 def params_from_sym4(a) -> np.ndarray:
     """Inverse of :func:`sym4_from_params` (reads the upper triangle)."""
     return np.asarray(a, dtype=np.float64)[_SYM4_ROWS, _SYM4_COLS]
+
+
+def _ten_d_embedding(q: np.ndarray) -> np.ndarray:
+    """Packed parameters of I - q q^T, the 10d embedding of a unit quaternion
+    q: the symmetric form with eigenvalue 0 exactly on q (either sign)."""
+    return _EYE4_SYM - q[_SYM4_ROWS] * q[_SYM4_COLS]
 
 
 def _check_dim(rep: RepKind, x) -> np.ndarray:
@@ -190,8 +197,7 @@ def embed(point: ManifoldPoint) -> np.ndarray:
     if rep is RepKind.NINE_D:
         return val.ravel().copy()
     if rep is RepKind.TEN_D:
-        # symmetric form I - q q^T has eigenvalue 0 exactly on q
-        return params_from_sym4(np.eye(4) - np.outer(val, val))
+        return _ten_d_embedding(val)
     return val.copy()
 
 

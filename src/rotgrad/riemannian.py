@@ -22,8 +22,6 @@ import numpy as np
 from . import so3
 
 
-LOSS_NAMES = ("l2", "geodesic", "flow", "chamfer")
-
 # the point-set size cap shared by Flow, Chamfer and euclid_grad_batch
 _MAX_POINTS = 4096
 
@@ -91,6 +89,26 @@ class Chamfer:
 
 LossKind = Union[L2Frobenius, GeodesicSquared, Flow, Chamfer]
 
+# the trainer's loss names and the class each one builds
+_LOSS_CLASSES = {"l2": L2Frobenius, "geodesic": GeodesicSquared, "flow": Flow, "chamfer": Chamfer}
+LOSS_NAMES = tuple(_LOSS_CLASSES)
+
+
+def make_loss(name: str, r_gt, points=None) -> LossKind:
+    """The per-sample loss a name, a target and a shared point set define.
+
+    ``points`` is the (K, 3) point set that flow and chamfer need: flow uses
+    ``points.T`` as its point set, chamfer matches ``points`` against
+    ``points @ r_gt.T``.  l2 and geodesic ignore it.
+    """
+    if name not in _LOSS_CLASSES:
+        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    if name == "flow":
+        return Flow(r_gt, points.T)
+    if name == "chamfer":
+        return Chamfer(points, points @ r_gt.T)
+    return _LOSS_CLASSES[name](r_gt)
+
 
 def _sq_dists(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distances (..., K, M) between rows of z (K, 3) and y (..., M, 3),
@@ -154,12 +172,11 @@ def euclid_grad(loss: LossKind, r) -> np.ndarray:
 def euclid_grad_batch(loss: str, rs, r_gts, points=None) -> np.ndarray:
     """Batched :func:`euclid_grad` over (B, 3, 3) rotations and targets.
 
-    ``loss`` is one of :data:`LOSS_NAMES`.  Row i equals the per-sample
-    gradient of the loss the trainer builds for target ``r_gts[i]`` over the
-    shared (K, 3) point set ``points``: flow uses ``points.T`` as its point
-    set, chamfer matches ``points`` against ``points @ r_gts[i].T``.  The
-    point set is ignored by l2 and geodesic.  A geodesic row at the cut
-    locus raises :class:`CutLocusError` naming the first such row.
+    ``loss`` is one of :data:`LOSS_NAMES`.  Row i equals
+    ``euclid_grad(make_loss(loss, r_gts[i], points), rs[i])``, with
+    ``points`` the shared (K, 3) point set that flow and chamfer need.  A
+    geodesic row at the cut locus raises :class:`CutLocusError` naming the
+    first such row.
     """
     rs = np.asarray(rs, dtype=np.float64)
     r_gts = np.asarray(r_gts, dtype=np.float64)

@@ -33,15 +33,15 @@ import numpy as np
 
 from . import so3
 from .representations import (
+    _EYE4_SYM,
     _SYM4_COLS,
     _SYM4_GATHER,
     _SYM4_ROWS,
     _sym4_batch,
+    _ten_d_embedding,
     MANIFOLD_REPS,
-    ManifoldPoint,
     RepKind,
     baseline_backward,
-    embed,
     sym4_from_params,
     vanilla_backward_batch,
 )
@@ -67,8 +67,6 @@ METHOD_BY_NAME = {m.value: m for m in Method}
 # sphere's rule of the same name) uses its own lam
 BLEND_LAM = {"mg": 1.0, "pmg": 0.0}
 
-_EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
-
 
 @dataclass(frozen=True)
 class RpmgParams:
@@ -88,16 +86,6 @@ class RpmgParams:
     def blend_lam(self) -> float:
         """The weight :func:`_blend` gets: 1 for MG, 0 for PMG, else lam."""
         return BLEND_LAM.get(self.method.value, self.lam)
-
-
-def map_quat_to_10d(q) -> np.ndarray:
-    """Ambient 10-vector whose projection recovers the unit quaternion q.
-
-    Returns the packed parameters of I - q q^T, whose smallest eigenvalue is
-    0 with eigenvector exactly q (either sign gives the same matrix).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    return embed(ManifoldPoint(RepKind.TEN_D, q))
 
 
 def constraint_rows(q) -> np.ndarray:
@@ -156,7 +144,7 @@ def _goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
     # diag(1 - q*q) + q q^T, positive definite with eigenvalues <= 2, so
     # |s|^2 = q^T (M M^T)^{-1} q >= 1/2
     q = so3.rot_to_quat(r_g)
-    x_hat = _EYE4_SYM - q[_SYM4_ROWS] * q[_SYM4_COLS]
+    x_hat = _ten_d_embedding(q)
     m = constraint_rows(q)
     w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
     s, t = w.T @ m
@@ -241,7 +229,7 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
         return r_g.reshape(-1, 9), (s @ r_g).reshape(-1, 9)
 
     q = so3._rot_to_quat_batch(r_g)
-    # canonical embedding I - q q^T at the ten parameter entries
+    # _ten_d_embedding by rows; np.take keeps it C-contiguous, q[..., idx] would not
     x_hat = _EYE4_SYM - np.take(q, _SYM4_ROWS, axis=1) * np.take(q, _SYM4_COLS, axis=1)
     m = _constraint_rows_batch(q)
     mt = m.transpose(0, 2, 1)

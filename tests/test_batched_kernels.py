@@ -536,7 +536,7 @@ def test_ten_d_forward_random(b):
 def test_ten_d_forward_embedded_edge_quats():
     """Forms I - q q^T of q0 = 0 and axis-aligned quaternions."""
     qs = _ref_rot_to_quat_batch(EDGE_ROTATIONS)
-    xs = np.stack([rpmg.map_quat_to_10d(q) for q in qs])
+    xs = np.stack([reps.embed(reps.ManifoldPoint(RepKind.TEN_D, q)) for q in qs])
     xs[1::2] += np.random.default_rng(6).standard_normal(xs[1::2].shape) * 1e-3
     _same(reps._ten_d_forward_batch(xs), _ref_ten_d_forward_batch(xs))
 

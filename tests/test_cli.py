@@ -74,6 +74,17 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--iters", "-1"], "iters must be >= 0"),
+    (["fit", "--lr", "-1"], "learning rate must be positive"),
+    (["train", "--sphere", "--loss", "chamfer", "--iters", "1"], "only the l2 loss"),
+])
+def test_invalid_values_exit_2_without_a_run_directory(argv, message, tmp_path, capsys):
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_iters_zero_initial_state(tmp_path):
     code = cli.main(["fit", "--rep", "quat", "--iters", "0",
                      "--out-dir", str(tmp_path)])

@@ -251,6 +251,27 @@ def test_fit_rejects_bad_arguments():
         fit_single_rotation(RepKind.QUAT4, x_init=np.zeros(3))
 
 
+def test_fit_rejects_negative_iters_and_non_positive_lr():
+    with pytest.raises(ValueError, match="iters must be >= 0"):
+        fit_single_rotation(RepKind.QUAT4, iters=-1)
+    for lr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            fit_single_rotation(RepKind.QUAT4, lr=lr)
+
+
+def test_final_error_is_nan_after_an_abort_at_step_0():
+    fit = fit_single_rotation(RepKind.QUAT4, x_init=np.zeros(4))
+    assert fit.aborted and fit.diagnostic.startswith("degenerate raw vector at step 0")
+    assert len(fit.errors) == 0 and math.isnan(fit.final_error)
+
+
+@pytest.mark.parametrize("loss", ["geodesic", "flow", "chamfer"])
+def test_sphere_config_rejects_losses_other_than_l2(loss):
+    with pytest.raises(ValueError, match="only the l2 loss"):
+        ExperimentConfig(method=S2Method.RPMG, loss=loss)
+    ExperimentConfig(method=Method.RPMG, loss=loss)
+
+
 def test_fit_vanilla_nine_d_aborts_on_negative_det_sigma_tie():
     # the forward map accepts det M < 0 with sigma2 = sigma3; its backward does not
     fit = fit_single_rotation(RepKind.NINE_D, Method.VANILLA, seed=0, iters=10,

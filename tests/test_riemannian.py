@@ -135,17 +135,6 @@ def test_geodesic_grad_cut_locus_raises():
 # ---------------------------------------------------------------------------
 # batched Euclidean gradient
 
-def _trainer_loss(name, r_gt, points):
-    """The per-sample loss the trainer's point set defines for one target."""
-    if name == "l2":
-        return L2Frobenius(r_gt)
-    if name == "geodesic":
-        return GeodesicSquared(r_gt)
-    if name == "flow":
-        return Flow(r_gt, points.T)
-    return Chamfer(points, points @ r_gt.T)
-
-
 @pytest.mark.parametrize("name", ["l2", "geodesic", "flow", "chamfer"])
 def test_euclid_grad_batch_matches_per_sample(name):
     rng = np.random.default_rng(10)
@@ -158,7 +147,7 @@ def test_euclid_grad_batch_matches_per_sample(name):
     batch = euclid_grad_batch(name, rs, r_gts, points)
     assert batch.shape == (30, 3, 3)
     for i in range(30):
-        one = euclid_grad(_trainer_loss(name, r_gts[i], points), rs[i])
+        one = euclid_grad(riemannian.make_loss(name, r_gts[i], points), rs[i])
         assert np.linalg.norm(batch[i] - one) <= 1e-9 * max(1.0, np.linalg.norm(one)), i
 
 
@@ -169,6 +158,13 @@ def test_euclid_grad_batch_chamfer_chunks_agree(monkeypatch):
     whole = euclid_grad_batch("chamfer", rs, r_gts, points)
     monkeypatch.setattr(riemannian, "_CHAMFER_CHUNK", 2 * 3 * 8 * 8)  # two rows a chunk
     assert np.array_equal(euclid_grad_batch("chamfer", rs, r_gts, points), whole)
+
+
+def test_make_loss_rejects_unknown_name():
+    with pytest.raises(ValueError) as exc:
+        riemannian.make_loss("nope", np.eye(3))
+    assert str(exc.value) == f"unknown loss 'nope'; expected one of {riemannian.LOSS_NAMES}"
+    assert riemannian.LOSS_NAMES == ("l2", "geodesic", "flow", "chamfer")
 
 
 def test_euclid_grad_batch_cut_locus_names_first_row():

@@ -8,6 +8,7 @@ from rotgrad import rpmg, so3
 from rotgrad.checks import oracle_inverse_image_batch, sample_projection_cases
 from rotgrad.representations import (
     MANIFOLD_REPS,
+    ManifoldPoint,
     RepKind,
     baseline_backward,
     baseline_rotation,
@@ -18,19 +19,17 @@ from rotgrad.representations import (
     sym4_from_params,
 )
 from rotgrad.riemannian import (
-    Chamfer,
     CutLocusError,
-    Flow,
     GeodesicSquared,
     L2Frobenius,
     euclid_grad,
+    make_loss,
 )
 from rotgrad.rpmg import (
     Method,
     RpmgParams,
     constraint_rows,
     inverse_project,
-    map_quat_to_10d,
     rpmg_gradient,
     rpmg_gradient_batch,
 )
@@ -51,7 +50,7 @@ def test_params_validation():
 # quaternion-to-10d embedding
 
 def test_map_quat_identity_example():
-    got = map_quat_to_10d(np.array([1.0, 0.0, 0.0, 0.0]))
+    got = embed(ManifoldPoint(RepKind.TEN_D, np.array([1.0, 0.0, 0.0, 0.0])))
     expect = np.array([0, 0, 0, 0, 1, 0, 0, 1, 0, 1], dtype=np.float64)
     np.testing.assert_array_equal(got, expect)
 
@@ -61,7 +60,7 @@ def test_map_quat_roundtrip():
     for _ in range(1000):
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        back = manifold_map(RepKind.TEN_D, map_quat_to_10d(q)).value
+        back = manifold_map(RepKind.TEN_D, embed(ManifoldPoint(RepKind.TEN_D, q))).value
         assert min(np.linalg.norm(back - q), np.linalg.norm(back + q)) <= 1e-9
 
 
@@ -70,7 +69,7 @@ def test_map_quat_eigen_structure():
     for _ in range(50):
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        a = sym4_from_params(map_quat_to_10d(q))
+        a = sym4_from_params(embed(ManifoldPoint(RepKind.TEN_D, q)))
         assert np.linalg.norm(a @ q) <= 1e-12
         np.testing.assert_allclose(np.linalg.eigvalsh(a), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
 
@@ -396,14 +395,6 @@ def test_batch_matches_per_sample(rep):
             assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)
 
 
-def _per_sample_loss(name, r_gt, points):
-    if name == "geodesic":
-        return GeodesicSquared(r_gt)
-    if name == "flow":
-        return Flow(r_gt, points.T)
-    return Chamfer(points, points @ r_gt.T)
-
-
 @pytest.mark.parametrize("loss", ["geodesic", "flow", "chamfer"])
 @pytest.mark.parametrize("rep", list(RepKind), ids=lambda r: r.value)
 def test_batch_matches_per_sample_every_loss(rep, loss):
@@ -420,7 +411,7 @@ def test_batch_matches_per_sample_every_loss(rep, loss):
     for params in methods:
         batch = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.2, params, loss=loss, points=points)
         for i in range(n):
-            one = rpmg_gradient(rep, xs[i], rs[i], _per_sample_loss(loss, r_gts[i], points),
+            one = rpmg_gradient(rep, xs[i], rs[i], make_loss(loss, r_gts[i], points),
                                 0.2, params)
             assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)
 
@@ -487,6 +478,6 @@ def test_batch_matches_per_sample_with_the_cap_active(rep, loss):
     for params in (RpmgParams(Method.MG), RpmgParams(Method.PMG), RpmgParams(Method.RPMG)):
         batch = rpmg_gradient_batch(rep, xs, rs, r_gts, 0.5, params, loss=loss, max_step=1.0)
         for i in range(len(xs)):
-            per = L2Frobenius(r_gts[i]) if loss == "l2" else GeodesicSquared(r_gts[i])
-            one = rpmg_gradient(rep, xs[i], rs[i], per, 0.5, params, max_step=1.0)
+            one = rpmg_gradient(rep, xs[i], rs[i], make_loss(loss, r_gts[i]), 0.5, params,
+                                max_step=1.0)
             assert np.linalg.norm(batch[i] - one) <= 1e-9, (params.method, i)

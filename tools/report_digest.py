@@ -15,12 +15,13 @@ Per-sample route: ``fit_single_rotation`` for every manifold rep x
 {vanilla, mg, pmg, rpmg} x {l2, geodesic} at seed 1 (the vanilla fits reach
 the batched vanilla backward at B = 1), ``inverse_project`` over 200 fixed
 cases per manifold rep with goals out to pi, ``s2_rpmg_gradient`` over 100
-fixed cases at each of lam = 0, 0.01 and 1, one ``tau_probe``, and every
-``run_checks()`` result.  It hashes the ``repr`` of every result in that
-order, a fit's arrays byte for byte (numpy's repr rounds them).  It prints
-one short digest per run, to find the first one that differs, and the total
-hex digest on the last line.  Two checkouts whose arithmetic is the same
-bit for bit print the same digest.  Runs use one BLAS thread.
+fixed cases at each of lam = 0, 0.01 and 1, ``euclid_grad`` under each loss
+over 100 fixed cases, one ``tau_probe``, and every ``run_checks()`` result.
+It hashes the ``repr`` of every result in that order, a fit's arrays byte
+for byte (numpy's repr rounds them).  It prints one short digest per run,
+to find the first one that differs, and the total hex digest on the last
+line.  Two checkouts whose arithmetic is the same bit for bit print the
+same digest.  Runs use one BLAS thread.
 """
 
 from __future__ import annotations
@@ -95,6 +96,31 @@ def _s2_text(lam: float) -> str:
     return "".join(out)
 
 
+def _euclid_text(loss: str) -> str:
+    """Bytes of the per-sample Euclidean gradient over fixed cases.
+
+    Each loss is built from its class, under the trainer's point-set
+    convention, so that the tool also runs on checkouts without
+    ``make_loss``.
+    """
+    import numpy as np
+    from rotgrad import so3
+    from rotgrad.riemannian import Chamfer, Flow, GeodesicSquared, L2Frobenius, euclid_grad
+
+    build = {"l2": lambda r_gt, z: L2Frobenius(r_gt),
+             "geodesic": lambda r_gt, z: GeodesicSquared(r_gt),
+             "flow": lambda r_gt, z: Flow(r_gt, z.T),
+             "chamfer": lambda r_gt, z: Chamfer(z, z @ r_gt.T)}[loss]
+    rng = np.random.default_rng(LAYER_CASES_SEED)
+    out = []
+    for _ in range(100):
+        r = so3.sample_uniform_rotation(rng)
+        r_gt = so3.sample_uniform_rotation(rng)
+        z = rng.uniform(-1.0, 1.0, (16, 3))
+        out.append(euclid_grad(build(r_gt, z), r).tobytes().hex())
+    return "".join(out)
+
+
 def runs() -> list:
     """(label, thunk) pairs; each thunk returns the text that is hashed."""
     from rotgrad import Method
@@ -117,6 +143,9 @@ def runs() -> list:
     for lam in (0.0, 0.01, 1.0):
         out.append((f"s2_rpmg_gradient lam {lam} seed {LAYER_CASES_SEED}",
                     lambda lam=lam: _s2_text(lam)))
+    for loss in ("l2", "geodesic", "flow", "chamfer"):
+        out.append((f"euclid_grad {loss} seed {LAYER_CASES_SEED}",
+                    lambda loss=loss: _euclid_text(loss)))
     taus = (0.05, 0.5, 5.0, 50.0)
     out.append((f"tau_probe 6d flow {taus}",
                 lambda: repr(tau_probe(RepKind.SIX_D, "flow", taus))))
