@@ -35,11 +35,11 @@ from .representations import (
     sym4_from_params,
 )
 from .riemannian import (
-    GeodesicSquared,
     L2Frobenius,
     _chamfer_pairs,
     euclid_grad,
     goal_rotation,
+    loss_class,
     loss_value,
     make_loss,
     riemannian_grad,
@@ -422,7 +422,7 @@ def check_tau_converge(loss_name: str, n: int = 50, seed: int = 307) -> CheckRes
     """One step at the converging step size lands within theta^3 of the target."""
     name = f"tau-converge-{loss_name}"
     rng = np.random.default_rng(seed)
-    cls = L2Frobenius if loss_name == "l2" else GeodesicSquared
+    cls = loss_class(loss_name)
     tau = tau_converge_for(cls)
     worst_ratio = 0.0
     for theta in _TAU_LEMMA_THETAS:

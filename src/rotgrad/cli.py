@@ -28,8 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .checks import run_checks
 from .harness import (
-    DEFAULT_TAU_BY_LOSS,
-    LOSS_NAMES,
     ExperimentConfig,
     LrSchedule,
     MetricsReport,
@@ -40,7 +38,7 @@ from .harness import (
     train_s2,
 )
 from .representations import DegenerateInputError, RepKind
-from .riemannian import CutLocusError, NoAnalyticTauError, TauSchedule
+from .riemannian import LOSS_NAMES, CutLocusError, TauSchedule
 from .rpmg import METHOD_BY_NAME
 
 EXIT_OK = 0
@@ -157,14 +155,7 @@ def _parse_rep(name: str) -> RepKind:
         raise CliConfigError(f"unknown rep {name!r}; valid values: {valid}") from None
 
 
-def _parse_loss(name: str) -> str:
-    if name not in LOSS_NAMES:
-        raise CliConfigError(
-            f"unknown loss {name!r}; valid values: {', '.join(LOSS_NAMES)}")
-    return name
-
-
-def _tau_spec(loss: str, tau: Optional[float], tau_init: Optional[float],
+def _tau_spec(tau: Optional[float], tau_init: Optional[float],
               tau_converge: Optional[float], iters: int):
     if tau is not None:
         if tau_init is not None or tau_converge is not None:
@@ -174,8 +165,7 @@ def _tau_spec(loss: str, tau: Optional[float], tau_init: Optional[float],
         raise CliConfigError("--tau-init and --tau-converge must be given together")
     if tau_init is not None:
         return TauSchedule(tau_init, tau_converge, total_iters=iters)
-    # losses without an analytic converging step fall back to fixed presets
-    return DEFAULT_TAU_BY_LOSS.get(loss, "auto")
+    return "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +174,14 @@ def _tau_spec(loss: str, tau: Optional[float], tau_init: Optional[float],
 def cmd_fit(args: argparse.Namespace) -> int:
     rep = _parse_rep(args.rep)
     method = _parse_method(args.method, sphere=False)
-    loss = _parse_loss(args.loss)
-    tau = args.tau if args.tau is not None else DEFAULT_TAU_BY_LOSS.get(loss, "auto")
+    tau = args.tau if args.tau is not None else "auto"
 
-    echo = {"rep": rep.value, "method": method.value, "loss": loss,
+    echo = {"rep": rep.value, "method": method.value, "loss": args.loss,
             "lambda": args.lam, "tau": _tau_echo(tau), "seed": args.seed,
             "iters": args.iters, "lr": args.lr}
     digest = config_hash(echo)
     started = _utc_now()
-    result = fit_single_rotation(rep, method, loss=loss, tau=tau, lam=args.lam,
+    result = fit_single_rotation(rep, method, loss=args.loss, tau=tau, lam=args.lam,
                                  seed=args.seed, iters=args.iters, lr=args.lr)
 
     run_dir = _out_root(args.out_dir) / f"fit-{digest[:8]}"
@@ -208,7 +197,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             for i, (err, norm) in enumerate(zip(result.errors, result.norms))]
     _write_trace(trace_path, rows)
 
-    summary = {"rep": rep.value, "method": method.value, "loss": loss,
+    summary = {"rep": rep.value, "method": method.value, "loss": args.loss,
                "final_error_rad": _json_num(result.final_error),
                "iters_run": len(result.errors) - 1,
                "aborted": result.aborted, "diagnostic": result.diagnostic}
@@ -216,7 +205,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                            [str(report_path), str(trace_path)])
     _write_report(report_path, "fit", manifest, summary)
 
-    print(f"fit {rep.value} {method.value} {loss} seed {args.seed}: "
+    print(f"fit {rep.value} {method.value} {args.loss} seed {args.seed}: "
           f"final error {result.final_error:.3e} rad "
           f"({len(result.errors) - 1} iters)")
     print(f"report: {report_path}")
@@ -232,11 +221,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _cell_config(args: argparse.Namespace, method_name: str, seed: int,
                  sphere: bool) -> ExperimentConfig:
     method = _parse_method(method_name, sphere)
-    tau = _tau_spec(args.loss, args.tau, args.tau_init, args.tau_converge,
-                    args.iters)
+    tau = _tau_spec(args.tau, args.tau_init, args.tau_converge, args.iters)
     try:
         return ExperimentConfig(rep=_parse_rep(args.rep), method=method,
-                                loss=_parse_loss(args.loss), lam=args.lam,
+                                loss=args.loss, lam=args.lam,
                                 tau=tau, seed=seed, iters=args.iters,
                                 batch=args.batch)
     except ValueError as exc:
@@ -437,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
-    except (NoAnalyticTauError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

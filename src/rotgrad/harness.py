@@ -12,6 +12,8 @@ norm, holdout error and gradient.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -29,13 +31,11 @@ from .representations import (
     rotations_from_raw,
 )
 from .riemannian import (
-    _LOSS_CLASSES,
-    LOSS_NAMES,
     CutLocusError,
-    NoAnalyticTauError,
     TauSchedule,
     euclid_grad,
     goal_rotation,
+    loss_class,
     make_loss,
     riemannian_grad,
     tau_at,
@@ -50,15 +50,16 @@ from .rpmg import (
 )
 from .sphere import TAU_CONVERGE_S2, _s2_gradient_batch, _unit_rows
 
-# point-set losses have no closed-form converging step, so they train at
-# these presets.  They overshoot: tau_probe (9d, seed 0) measures a mean goal
-# step of 91 degrees for flow and 41 for chamfer (ROADMAP item 3)
+# what tau="auto" means for the point-set losses, which have no closed-form
+# converging step; _resolve_tau is the only reader.  The presets overshoot:
+# tau_probe (9d, seed 0) measures a mean goal step of 91 degrees for flow and
+# 41 for chamfer (ROADMAP item 3)
 DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 
-# largest goal step, in radians, that tau="auto" takes on SO(3).  The
-# geodesic landing step tau = 1/2 aims at the target at any distance, and
-# past about 90 degrees the relaxed inverse images walk the fit to the cut
-# locus; the l2 auto step, tau |phi| = sin(theta), never exceeds it.
+# largest goal step, in radians, that tau="auto" takes under l2 and
+# geodesic.  The geodesic landing step tau = 1/2 aims at the target at any
+# distance, and past about 90 degrees the relaxed inverse images walk the fit
+# to the cut locus; the l2 auto step, tau |phi| = sin(theta), never exceeds it.
 AUTO_MAX_GOAL_STEP = 1.0
 
 TauSpec = Union[str, float, TauSchedule]
@@ -113,7 +114,8 @@ def lr_at(spec: LrSpec, iteration: int) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a training run depends on.  Frozen so it can be hashed
-    into a manifest; two runs with equal configs produce equal reports."""
+    into a manifest; two runs with equal configs produce equal reports.
+    Construction rejects what its trainer cannot run, tau included."""
 
     rep: RepKind = RepKind.NINE_D
     method: Union[Method, S2Method] = Method.RPMG
@@ -130,10 +132,14 @@ class ExperimentConfig:
     hidden: Tuple[int, ...] = (128, 128)
 
     def __post_init__(self) -> None:
-        if self.loss not in LOSS_NAMES:
-            raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_NAMES}")
-        if isinstance(self.method, S2Method) and self.loss != "l2":
+        if not isinstance(self.rep, RepKind) or not isinstance(self.method, (Method, S2Method)):
+            raise ValueError(f"expected a RepKind and a Method or S2Method, got {self.rep!r}, {self.method!r}")
+        loss_class(self.loss)
+        sphere = isinstance(self.method, S2Method)
+        if sphere and self.loss != "l2":
             raise ValueError(f"the sphere experiment has only the l2 loss, got {self.loss!r}")
+        if not sphere and self.method is not Method.VANILLA and self.rep not in MANIFOLD_REPS:
+            raise ValueError(f"{self.rep.value} supports only the vanilla method")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         for name in ("iters", "batch", "n_points", "n_rotations", "eval_every"):
@@ -153,10 +159,7 @@ class ExperimentConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not self.hidden or any(int(h) <= 0 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden!r}")
-        if isinstance(self.tau, str) and self.tau != "auto":
-            raise ValueError(f"tau must be 'auto', a float, or a TauSchedule, got {self.tau!r}")
-        if isinstance(self.tau, (int, float)) and not isinstance(self.tau, bool) and self.tau <= 0.0:
-            raise ValueError(f"constant tau must be positive, got {self.tau}")
+        _resolve_tau(self.tau, None if sphere else self.loss)
 
 
 @dataclass(frozen=True)
@@ -237,25 +240,29 @@ def make_dataset(n_points: int, n_rotations: int, rng: np.random.Generator) -> S
 
 def _resolve_tau(spec: TauSpec,
                  loss_name: Optional[str]) -> Tuple[Callable[[int], float], Optional[float]]:
-    """Turn a tau spec into a per-iteration callable and a goal-step cap.
+    """A run's goal step: a per-iteration tau and a goal-step cap.
 
-    "auto" uses the converging step size of the loss, capped at
-    ``AUTO_MAX_GOAL_STEP`` radians, or the uncapped step of the sphere
-    experiment when ``loss_name`` is None, and raises NoAnalyticTauError
-    when the loss has none.  Explicit steps and schedules are never capped.
+    The one place a run's tau is decided.  "auto" is the converging step of
+    l2 and geodesic capped at ``AUTO_MAX_GOAL_STEP`` radians, the uncapped
+    ``DEFAULT_TAU_BY_LOSS`` preset of flow and chamfer, or the uncapped
+    ``TAU_CONVERGE_S2`` of the sphere when ``loss_name`` is None.  A finite
+    positive real or a ``TauSchedule`` is used as given, uncapped.  Any
+    other spec raises ValueError, which makes this ``ExperimentConfig``'s
+    tau validator.
     """
     if isinstance(spec, TauSchedule):
         return (lambda it: tau_at(spec, it)), None
-    if isinstance(spec, str):
-        if spec != "auto":
-            raise ValueError(f"unknown tau spec {spec!r}")
+    if isinstance(spec, str) and spec == "auto":
         if loss_name is None:
             return (lambda it: TAU_CONVERGE_S2), None
-        const = tau_converge_for(_LOSS_CLASSES[loss_name])
-        return (lambda it: const), AUTO_MAX_GOAL_STEP
+        if loss_name in DEFAULT_TAU_BY_LOSS:
+            const, cap = DEFAULT_TAU_BY_LOSS[loss_name], None
+        else:
+            const, cap = tau_converge_for(loss_class(loss_name)), AUTO_MAX_GOAL_STEP
+        return (lambda it: const), cap
+    if not isinstance(spec, numbers.Real) or isinstance(spec, bool) or not 0.0 < spec < math.inf:
+        raise ValueError(f"tau must be 'auto', a positive real or a TauSchedule, got {spec!r}")
     const = float(spec)
-    if const <= 0.0:
-        raise ValueError(f"constant tau must be positive, got {const}")
     return (lambda it: const), None
 
 
@@ -350,8 +357,9 @@ def fit_single_rotation(
     crawls. A degenerate raw vector, or a geodesic step from the cut
     locus, aborts the run and is reported through the diagnostic instead
     of raising. Each step makes one per-sample
-    ``rpmg_gradient`` call; under ``tau="auto"`` its goal step is capped
-    at ``AUTO_MAX_GOAL_STEP`` radians.
+    ``rpmg_gradient`` call at the step ``_resolve_tau`` picks; under
+    ``tau="auto"`` with l2 or geodesic its goal step is capped at
+    ``AUTO_MAX_GOAL_STEP`` radians.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -394,10 +402,7 @@ def fit_single_rotation(
         r_gt = np.eye(3)
     points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
     loss_inst = make_loss(loss, r_gt, points)
-    if method is Method.VANILLA:
-        tau_fn, max_step = (lambda it: 0.0), None
-    else:
-        tau_fn, max_step = _resolve_tau(tau, loss)
+    tau_fn, max_step = _resolve_tau(tau, loss)
     params = RpmgParams(method=method, lam=lam)
 
     if not aborted:
@@ -543,14 +548,8 @@ def train(config: ExperimentConfig) -> MetricsReport:
     if not isinstance(config.method, Method):
         raise ValueError(f"train expects a rotation method, got {config.method!r}")
     rep = config.rep
-    if config.method is not Method.VANILLA and rep not in MANIFOLD_REPS:
-        raise ValueError(f"{rep.value} supports only the vanilla method")
     params = RpmgParams(method=config.method, lam=config.lam)
-    if config.method is Method.VANILLA:
-        tau_fn: Callable[[int], float] = lambda it: 0.0
-        max_step = None
-    else:
-        tau_fn, max_step = _resolve_tau(config.tau, config.loss)
+    tau_fn, max_step = _resolve_tau(config.tau, config.loss)
 
     def head_norm(r_ev: np.ndarray) -> Optional[float]:
         if rep not in MANIFOLD_REPS:

@@ -8,7 +8,9 @@ the goal rotation.
 For losses whose Riemannian gradient norm is proportional to the distance to
 the optimum there is a closed-form converging step size ``tau_converge_for``:
 1/4 for the squared-Frobenius loss, 1/2 for the squared-geodesic loss.  Point
-losses (flow, chamfer) have no such constant and the caller must supply tau.
+losses (flow, chamfer) have no such constant: ``tau_converge_for`` raises
+``NoAnalyticTauError`` for them, and the harness trains them under
+``tau="auto"`` at fixed presets (``harness.DEFAULT_TAU_BY_LOSS``).
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ _LOSS_CLASSES = {"l2": L2Frobenius, "geodesic": GeodesicSquared, "flow": Flow, "
 LOSS_NAMES = tuple(_LOSS_CLASSES)
 
 
+def loss_class(name: str) -> type:
+    """The loss class a trainer loss name builds; an unknown name raises ValueError."""
+    if name not in _LOSS_CLASSES:
+        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
+    return _LOSS_CLASSES[name]
+
+
 def make_loss(name: str, r_gt, points=None) -> LossKind:
     """The per-sample loss a name, a target and a shared point set define.
 
@@ -101,13 +110,12 @@ def make_loss(name: str, r_gt, points=None) -> LossKind:
     ``points.T`` as its point set, chamfer matches ``points`` against
     ``points @ r_gt.T``.  l2 and geodesic ignore it.
     """
-    if name not in _LOSS_CLASSES:
-        raise ValueError(f"unknown loss {name!r}; expected one of {LOSS_NAMES}")
-    if name == "flow":
+    cls = loss_class(name)
+    if cls is Flow:
         return Flow(r_gt, points.T)
-    if name == "chamfer":
+    if cls is Chamfer:
         return Chamfer(points, points @ r_gt.T)
-    return _LOSS_CLASSES[name](r_gt)
+    return cls(r_gt)
 
 
 def _sq_dists(z: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,12 +12,14 @@ from rotgrad.checks import (
     CHECKS,
     TOL_PROJECTION_EXCESS,
     CheckResult,
+    check_tau_converge,
     membership_residual,
     oracle_inverse_image_batch,
     run_checks,
     sample_projection_cases,
 )
 from rotgrad.representations import MANIFOLD_REPS, RepKind
+from rotgrad.riemannian import NoAnalyticTauError
 
 
 def test_registry_is_ordered_and_named():
@@ -112,6 +114,16 @@ def test_injected_forward_map_bugs_fail_by_name(monkeypatch):
     results = run_checks("forward-map")
     assert [r.name for r in results] == ["forward-map-9d", "forward-map-10d"]
     assert all(not r.passed and not r.error and r.measured >= 1.0 for r in results)
+
+
+def test_tau_converge_check_takes_the_loss_from_the_loss_table():
+    assert check_tau_converge("l2").detail.endswith("(tau=0.25)")
+    assert check_tau_converge("geodesic").detail.endswith("(tau=0.5)")
+    for loss in ("flow", "chamfer"):
+        with pytest.raises(NoAnalyticTauError):
+            check_tau_converge(loss)
+    with pytest.raises(ValueError, match="unknown loss 'nope'"):
+        check_tau_converge("nope")
 
 
 def test_check_result_coerces_numpy_verdicts():

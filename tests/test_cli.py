@@ -78,6 +78,8 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     (["fit", "--iters", "-1"], "iters must be >= 0"),
     (["fit", "--lr", "-1"], "learning rate must be positive"),
     (["train", "--sphere", "--loss", "chamfer", "--iters", "1"], "only the l2 loss"),
+    (["train", "--rep", "euler", "--method", "rpmg"], "supports only the vanilla method"),
+    (["fit", "--loss", "hinge"], "unknown loss"),
 ])
 def test_invalid_values_exit_2_without_a_run_directory(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -263,6 +265,16 @@ def test_config_hash_is_canonical():
 def test_version_flag_exits_0(capsys):
     assert cli.main(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_flow_train_without_tau_runs_at_the_preset(tmp_path):
+    args = ["train", "--loss", "flow", "--iters", "20"]
+    assert cli.main(args + ["--out-dir", str(tmp_path / "auto")]) == 0
+    assert cli.main(args + ["--tau", "50", "--out-dir", str(tmp_path / "preset")]) == 0
+    auto = _one_dir(tmp_path / "auto", "train-*")
+    preset = _one_dir(tmp_path / "preset", "train-*")
+    assert _load_report(auto / "report.json")["manifest"]["config"]["tau"] == "auto"
+    assert (auto / "trace.csv").read_bytes() == (preset / "trace.csv").read_bytes()
 
 
 def test_tau_schedule_flags_accepted(tmp_path):

@@ -56,11 +56,29 @@ def rot_xyz(rng):
         {"tau": -0.5},
         {"batch": 2.5},
         {"lr": "fast"},
+        {"tau": None},
+        {"tau": [0.1]},
+        {"tau": True},
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+        {"rep": RepKind.EULER3},
+        {"rep": RepKind.AXIS_ANGLE3, "method": Method.PMG},
+        {"rep": "9d"},
+        {"method": "rpmg"},
     ],
 )
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_every_run_train_and_train_s2_can_make():
+    # vanilla runs every rep, the sphere rules ignore it, and numpy reals
+    # and schedules are valid steps
+    ExperimentConfig(rep=RepKind.EULER3, method=Method.VANILLA)
+    ExperimentConfig(rep=RepKind.EULER3, method=S2Method.RPMG)
+    ExperimentConfig(tau=np.float64(0.3))
+    ExperimentConfig(tau=TauSchedule(0.05, 0.5, 100))
 
 
 @pytest.mark.parametrize(
@@ -382,7 +400,6 @@ def test_train_non_l2_loss_never_calls_per_sample_route(monkeypatch, loss):
     monkeypatch.setattr(harness, "rpmg_gradient", per_sample)
     for method in (Method.RPMG, Method.VANILLA):
         cfg = ExperimentConfig(rep=RepKind.SIX_D, method=method, loss=loss,
-                               tau=DEFAULT_TAU_BY_LOSS.get(loss, "auto"),
                                iters=6, n_rotations=64, batch=8, eval_every=3)
         report = train(cfg)
         assert not report.aborted, report.diagnostic
@@ -419,8 +436,24 @@ def test_only_auto_tau_on_so3_caps_the_goal_step():
         assert harness._resolve_tau("auto", loss)[1] == harness.AUTO_MAX_GOAL_STEP == 1.0
     for spec, loss in ((0.5, "geodesic"), (TauSchedule(0.05, 0.5, 100), "geodesic"),
                        (DEFAULT_TAU_BY_LOSS["flow"], "flow"),
-                       (DEFAULT_TAU_BY_LOSS["chamfer"], "chamfer"), ("auto", None)):
+                       (DEFAULT_TAU_BY_LOSS["chamfer"], "chamfer"), ("auto", None),
+                       ("auto", "flow"), ("auto", "chamfer")):
         assert harness._resolve_tau(spec, loss)[1] is None
+
+
+@pytest.mark.parametrize("loss", ["flow", "chamfer"])
+def test_auto_tau_trains_and_fits_point_losses_at_their_presets(loss):
+    preset = DEFAULT_TAU_BY_LOSS[loss]
+    assert harness._resolve_tau("auto", loss)[0](0) == preset
+    fields = dict(rep=RepKind.SIX_D, loss=loss, iters=20, n_rotations=64, batch=8, eval_every=10)
+    auto = train(ExperimentConfig(**fields))
+    assert not auto.aborted, auto.diagnostic
+    assert repr(auto) == repr(train(ExperimentConfig(tau=preset, **fields)))
+    fit = fit_single_rotation(RepKind.NINE_D, loss=loss, iters=40)
+    explicit = fit_single_rotation(RepKind.NINE_D, loss=loss, tau=preset, iters=40)
+    assert (fit.aborted, fit.diagnostic) == (explicit.aborted, explicit.diagnostic)
+    for a, b in zip((fit.errors, fit.norms, fit.x_final), (explicit.errors, explicit.norms, explicit.x_final)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fit_and_train_pass_the_cap_only_under_auto_tau(monkeypatch):

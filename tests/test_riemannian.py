@@ -167,6 +167,15 @@ def test_make_loss_rejects_unknown_name():
     assert riemannian.LOSS_NAMES == ("l2", "geodesic", "flow", "chamfer")
 
 
+def test_loss_class_maps_each_name_and_rejects_unknown_ones():
+    points = np.arange(12.0).reshape(4, 3)
+    for name in riemannian.LOSS_NAMES:
+        loss = riemannian.make_loss(name, np.eye(3), points)
+        assert riemannian.loss_class(name) is type(loss)
+    with pytest.raises(ValueError, match="unknown loss 'nope'"):
+        riemannian.loss_class("nope")
+
+
 def test_euclid_grad_batch_cut_locus_names_first_row():
     rs = np.stack(rotations(16, 5))
     r_gts = rs.copy()

@@ -22,6 +22,12 @@ for byte (numpy's repr rounds them).  It prints one short digest per run,
 to find the first one that differs, and the total hex digest on the last
 line.  Two checkouts whose arithmetic is the same bit for bit print the
 same digest.  Runs use one BLAS thread.
+
+The flow and chamfer runs pass ``DEFAULT_TAU_BY_LOSS``'s presets as
+explicit steps rather than ``tau="auto"``.  Both mean the same step today,
+but checkouts older than the rule that ``"auto"`` means the preset raise
+``NoAnalyticTauError`` on ``"auto"`` there, and the digest must run on
+either side of a change.
 """
 
 from __future__ import annotations
