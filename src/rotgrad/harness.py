@@ -88,8 +88,8 @@ class LrSchedule:
     milestones: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.base > 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.base}")
+        if not 0.0 < self.base < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.base}")
         for m in self.milestones:
             if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
                 raise ValueError(f"milestones must be non-negative integers, got {self.milestones!r}")
@@ -155,8 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 4 points, got {self.n_points}")
         if self.n_rotations < 5:
             raise ValueError(f"need at least 5 rotations for a holdout split, got {self.n_rotations}")
-        if not lr_at(self.lr, 0) > 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < lr_at(self.lr, 0) < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not self.hidden or any(int(h) <= 0 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden!r}")
         _resolve_tau(self.tau, None if sphere else self.loss)
@@ -356,15 +356,15 @@ def fit_single_rotation(
     next to the critical set of the loss where every first-order rule
     crawls. A degenerate raw vector, or a geodesic step from the cut
     locus, aborts the run and is reported through the diagnostic instead
-    of raising. Each step makes one per-sample
-    ``rpmg_gradient`` call at the step ``_resolve_tau`` picks; under
-    ``tau="auto"`` with l2 or geodesic its goal step is capped at
-    ``AUTO_MAX_GOAL_STEP`` radians.
+    of raising. Each step makes one per-sample ``rpmg_gradient`` call at
+    the step ``_resolve_tau`` picks; under ``tau="auto"`` with l2 or
+    geodesic its goal step is capped at ``AUTO_MAX_GOAL_STEP`` radians.
+    Bad ``iters``, ``lr`` or ``x_init`` raise ValueError before any step.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    if not lr > 0.0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if rep not in MANIFOLD_REPS and method is not Method.VANILLA:
         raise ValueError(f"{rep.value} supports only the vanilla method")
     data_rng, init_rng = _spawn_rngs(seed, 2)
@@ -372,6 +372,8 @@ def fit_single_rotation(
         x = np.asarray(x_init, dtype=float).copy()
         if x.shape != (rep.ambient_dim,):
             raise ValueError(f"x_init must have shape ({rep.ambient_dim},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"x_init must be finite, got {x}")
     else:
         r_rand = so3.sample_uniform_rotation(init_rng)
         if rep in MANIFOLD_REPS:
@@ -409,7 +411,7 @@ def fit_single_rotation(
         r = r_start
         for it in range(iters + 1):
             errors.append(so3.geodesic_distance(r, r_gt))
-            norms.append(float(np.linalg.norm(x)))
+            norms.append(math.sqrt(x.dot(x)))
             if it == iters:
                 break
             try:
@@ -422,7 +424,7 @@ def fit_single_rotation(
                 aborted = True
                 diagnostic = f"cut locus at step {it}: {exc}"
                 break
-            if not np.all(np.isfinite(g)):
+            if not all(map(math.isfinite, g.tolist())):
                 aborted = True
                 diagnostic = f"non-finite gradient at step {it}"
                 break

@@ -67,9 +67,10 @@ class RepKind(enum.Enum):
 
     @property
     def ambient_dim(self) -> int:
-        return {"euler": 3, "axis-angle": 3, "quat": 4, "6d": 6, "9d": 9, "10d": 10}[self.value]
+        return _AMBIENT_DIM[self._value_]
 
 
+_AMBIENT_DIM = {"euler": 3, "axis-angle": 3, "quat": 4, "6d": 6, "9d": 9, "10d": 10}
 MANIFOLD_REPS = (RepKind.QUAT4, RepKind.SIX_D, RepKind.NINE_D, RepKind.TEN_D)
 
 
@@ -118,19 +119,19 @@ def manifold_map(rep: RepKind, x) -> ManifoldPoint:
         return ManifoldPoint(rep, x.copy())
 
     if rep is RepKind.QUAT4:
-        n = float(np.linalg.norm(x))
+        n = math.sqrt(x.ravel().dot(x.ravel()))  # norm's operand: contiguous if x is strided
         if n <= QUAT_NORM_MIN:
             raise DegenerateInputError(f"quat norm {n:.3e} below {QUAT_NORM_MIN:.0e}")
         return ManifoldPoint(rep, x / n)
 
     if rep is RepKind.SIX_D:
         u, v = x[:3], x[3:]
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u.ravel().dot(u.ravel()))
         if nu <= GRAM_RESIDUAL_MIN:
             raise DegenerateInputError(f"6d first-column norm {nu:.3e} below {GRAM_RESIDUAL_MIN:.0e}")
         u_hat = u / nu
-        w = v - float(v @ u_hat) * u_hat
-        nw = float(np.linalg.norm(w))
+        w = v - float(v.dot(u_hat)) * u_hat
+        nw = math.sqrt(w.dot(w))
         if nw <= GRAM_RESIDUAL_MIN:
             raise DegenerateInputError(f"6d Gram-Schmidt residual {nw:.3e} below {GRAM_RESIDUAL_MIN:.0e}")
         return ManifoldPoint(rep, np.stack([u_hat, w / nw]))
@@ -159,7 +160,7 @@ def rotation_map(point: ManifoldPoint) -> np.ndarray:
     if rep in (RepKind.QUAT4, RepKind.TEN_D):
         return so3.quat_to_rot(val)
     if rep is RepKind.SIX_D:
-        (u0, u1, u2), (v0, v1, v2) = val
+        (u0, u1, u2), (v0, v1, v2) = np.asarray(val).tolist()
         # np.cross's multiply, multiply, subtract per component
         return np.array([[u0, v0, u1 * v2 - u2 * v1],
                          [u1, v1, u2 * v0 - u0 * v2],

@@ -16,6 +16,7 @@ losses (flow, chamfer) have no such constant: ``tau_converge_for`` raises
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -231,8 +232,8 @@ def euclid_grad_batch(loss: str, rs, r_gts, points=None) -> np.ndarray:
 
 def riemannian_grad(r, dl_dr) -> np.ndarray:
     """Tangent components of dL/dR at R: phi_k = <dL/dR, R @ hat(e_k)>."""
-    c = np.asarray(r).T @ np.asarray(dl_dr)
-    return np.array([c[2, 1] - c[1, 2], c[0, 2] - c[2, 0], c[1, 0] - c[0, 1]])
+    (_, c01, c02), (c10, _, c12), (c20, c21, _) = (np.asarray(r).T @ np.asarray(dl_dr)).tolist()
+    return np.array([c21 - c12, c02 - c20, c10 - c01])
 
 
 def goal_rotation(r, phi_grad, tau: float) -> np.ndarray:
@@ -271,6 +272,10 @@ class TauSchedule:
     def __post_init__(self):
         if self.n_steps < 1 or self.total_iters < 0:
             raise ValueError("schedule needs n_steps >= 1 and total_iters >= 0")
+        # each end obeys harness._resolve_tau's rule for a constant tau
+        for name, end in (("tau_init", self.tau_init), ("tau_converge", self.tau_converge)):
+            if not isinstance(end, numbers.Real) or isinstance(end, bool) or not 0.0 < end < math.inf:
+                raise ValueError(f"{name} must be a finite positive real, got {end!r}")
 
 
 def tau_at(schedule: TauSchedule, iteration: int) -> float:

@@ -26,6 +26,7 @@ through the one ``_blend`` that the sphere's rules also use.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +96,7 @@ def constraint_rows(q) -> np.ndarray:
 
 def _finite_ambient(rep: RepKind, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rep.ambient_dim,) or not np.isfinite(x).all():
+    if x.shape != (rep.ambient_dim,) or not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"{rep.value}: need a finite ({rep.ambient_dim},) vector")
     return x
 
@@ -122,18 +123,18 @@ def _goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
     """
     if rep is RepKind.QUAT4:
         q = so3.rot_to_quat(r_g)
-        dot = float(x @ q)
+        dot = float(x.dot(q))
         if dot < 0.0:  # nearer sheet of the double cover
             q = -q
         return q, abs(dot) * q
 
     if rep is RepKind.SIX_D:
-        u, v = x[:3], x[3:]
         u_g, v_g = r_g[:, 0], r_g[:, 1]
-        return np.concatenate([u_g, v_g]), np.concatenate([
-            float(u @ u_g) * u_g,
-            float(v @ u_g) * u_g + float(v @ v_g) * v_g,
-        ])
+        k1, k2, k3 = float(x[:3].dot(u_g)), float(x[3:].dot(u_g)), float(x[3:].dot(v_g))
+        (a0, b0, _), (a1, b1, _), (a2, b2, _) = r_g.tolist()
+        return np.array([a0, a1, a2, b0, b1, b2]), np.array([
+            k1 * a0, k1 * a1, k1 * a2,
+            k2 * a0 + k3 * b0, k2 * a1 + k3 * b1, k2 * a2 + k3 * b2])
 
     if rep is RepKind.NINE_D:
         m = x.reshape(3, 3)
@@ -148,7 +149,7 @@ def _goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
     m = constraint_rows(q)
     w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
     s, t = w.T @ m
-    lam_eig = float(s @ t) / float(s @ s)
+    lam_eig = float(s.dot(t)) / float(s.dot(s))
     return x_hat, x + lam_eig * s - t
 
 
@@ -184,7 +185,7 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
 
     phi = riemannian_grad(r, dl_dr)
     if max_step is not None:
-        norm = float(np.linalg.norm(phi))
+        norm = math.sqrt(phi.dot(phi))
         if tau * norm > max_step:
             tau = max_step / norm
     r_g = goal_rotation(r, phi, tau)

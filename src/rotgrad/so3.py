@@ -7,6 +7,14 @@ Conventions used throughout the package:
   canonicalization (both signs encode the same rotation);
 * tangent vectors live in the body frame: a step ``phi`` from ``R`` lands at
   ``R @ rodrigues(phi)``.
+
+Per-sample functions read their scalars once with ``tolist()`` and compute
+on Python floats with the bits of numpy scalars: squares stay ``x ** 2``
+(libm ``pow``, not ``x * x``); no divisor may reach 0.0, nor a square
+overflow unhandled (Python raises, numpy gives inf); ``@``, ``.dot`` (for
+1-D, ``@``'s ddot at a third of its cost) and ``numpy.linalg`` stay numpy
+calls, as OpenBLAS fuses multiply-adds; and ``math.sqrt(v.dot(v))`` is
+``np.linalg.norm(v)`` only for a contiguous ``v``.
 """
 
 from __future__ import annotations
@@ -17,16 +25,21 @@ import numpy as np
 
 # Below this angle the sin/cos ratios switch to second-order Taylor series.
 _SMALL_ANGLE = 1e-6
+_EYE3 = np.eye(3)
 
 
 def hat(phi) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector, hat(a) @ b == cross(a, b)."""
-    x, y, z = phi
+    x, y, z = np.asarray(phi, dtype=np.float64).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _rodrigues(phi) -> np.ndarray:
-    theta2 = float(phi[0] ** 2 + phi[1] ** 2 + phi[2] ** 2)
+def _rodrigues(phi: np.ndarray) -> np.ndarray:
+    x, y, z = phi.tolist()
+    try:
+        theta2 = x ** 2 + y ** 2 + z ** 2
+    except OverflowError:  # past 1.8e308 Python's pow raises, numpy's gives inf
+        theta2 = float(phi[0] ** 2 + phi[1] ** 2 + phi[2] ** 2)
     theta = math.sqrt(theta2)
     if theta < _SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0
@@ -35,7 +48,7 @@ def _rodrigues(phi) -> np.ndarray:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     k = hat(phi)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def exp_so3(r, phi) -> np.ndarray:
@@ -45,7 +58,7 @@ def exp_so3(r, phi) -> np.ndarray:
 
 def quat_to_rot(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (either sign gives the same R)."""
-    q0, q1, q2, q3 = q
+    q0, q1, q2, q3 = np.asarray(q, dtype=np.float64).tolist()
     return np.array([
         [2.0 * (q0 * q0 + q1 * q1) - 1.0, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2)],
         [2.0 * (q1 * q2 + q0 * q3), 2.0 * (q0 * q0 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q0 * q1)],
@@ -54,51 +67,42 @@ def quat_to_rot(q) -> np.ndarray:
 
 
 def rot_to_quat(r) -> np.ndarray:
-    """Unit quaternion of a rotation matrix, canonicalized to q0 >= 0.
+    """Unit quaternion of a 3x3 rotation matrix, canonicalized to q0 >= 0.
 
     Four-branch extraction pivoting on the largest of trace and diagonal
     entries, so the division is always by a quantity bounded away from zero
     (the naive trace-only formula breaks down near 180-degree rotations).
     Ties at q0 == 0 are broken by making the first nonzero component positive.
     """
-    t = r[0, 0] + r[1, 1] + r[2, 2]
-    if t > r[0, 0] and t > r[1, 1] and t > r[2, 2]:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(r, dtype=np.float64).tolist()
+    t = r00 + r11 + r22
+    if t > r00 and t > r11 and t > r22:
         s = math.sqrt(1.0 + t) * 2.0
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s,
-                      0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s,
-                      (r[1, 2] + r[2, 1]) / s])
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 > r22:
+        s = math.sqrt(1.0 - r00 + r11 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s,
-                      (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s,
-                      0.25 * s])
-    q /= math.sqrt(float(q @ q))
+        s = math.sqrt(1.0 - r00 - r11 + r22) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    q = np.array(q)
+    q /= math.sqrt(q.dot(q))
     return canonical_quat(q)
 
 
 def canonical_quat(q: np.ndarray) -> np.ndarray:
     """Fix the quaternion double-cover sign: q0 >= 0, ties broken by the
     first nonzero component being positive."""
-    if q[0] < 0.0:
+    c = np.asarray(q).tolist()
+    if c[0] < 0.0:
         return -q
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
+    if c[0] == 0.0:
+        for v in c[1:]:
+            if v != 0.0:
+                return q if v > 0.0 else -q
     return q
 
 
@@ -124,7 +128,8 @@ def geodesic_distance(r1, r2) -> float:
     quaternion, which keeps precision near both 0 and pi.
     """
     q = rot_to_quat(np.asarray(r1).T @ np.asarray(r2))
-    return 2.0 * math.atan2(math.sqrt(float(q[1:] @ q[1:])), q[0])
+    v = q[1:]
+    return 2.0 * math.atan2(math.sqrt(v.dot(v)), q[0])
 
 
 def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +145,6 @@ def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
 # at (1, 2), (2, 0), (0, 1)
 _HAT_PLUS = np.array([7, 2, 3])
 _HAT_MINUS = np.array([5, 6, 1])
-_EYE3 = np.eye(3)
 
 
 def _hat_batch(phis: np.ndarray) -> np.ndarray:

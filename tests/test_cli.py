@@ -80,6 +80,11 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     (["train", "--sphere", "--loss", "chamfer", "--iters", "1"], "only the l2 loss"),
     (["train", "--rep", "euler", "--method", "rpmg"], "supports only the vanilla method"),
     (["fit", "--loss", "hinge"], "unknown loss"),
+    (["train", "--rep", "quat", "--tau-init", "-0.5", "--tau-converge", "-0.25", "--iters", "20"],
+     "tau_init must be a finite positive real"),
+    (["train", "--tau-init", "0.1", "--tau-converge", "inf", "--iters", "1"],
+     "tau_converge must be a finite positive real"),
+    (["fit", "--lr", "inf"], "learning rate must be positive and finite"),
 ])
 def test_invalid_values_exit_2_without_a_run_directory(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2

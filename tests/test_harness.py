@@ -65,6 +65,7 @@ def rot_xyz(rng):
         {"rep": RepKind.AXIS_ANGLE3, "method": Method.PMG},
         {"rep": "9d"},
         {"method": "rpmg"},
+        {"lr": math.inf},
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -89,6 +90,8 @@ def test_config_accepts_every_run_train_and_train_s2_can_make():
         {"base": 1e-3, "milestones": (-1,)},
         {"base": 1e-3, "milestones": (2.5,)},
         {"base": 0.0, "milestones": ()},
+        {"base": math.inf, "milestones": (5,)},
+        {"base": math.nan, "milestones": ()},
     ],
 )
 def test_lr_schedule_rejects_invalid(kwargs):
@@ -275,6 +278,27 @@ def test_fit_rejects_negative_iters_and_non_positive_lr():
     for lr in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="learning rate must be positive"):
             fit_single_rotation(RepKind.QUAT4, lr=lr)
+
+
+def test_fit_rejects_an_infinite_lr_before_any_step():
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        fit_single_rotation(RepKind.QUAT4, lr=math.inf, iters=5)
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_a_non_finite_x_init_before_any_step(rep, bad):
+    x_init = np.ones(rep.ambient_dim)
+    x_init[-1] = bad
+    with pytest.raises(ValueError, match="x_init must be finite"):
+        fit_single_rotation(rep, x_init=x_init, iters=5)
+
+
+def test_config_rejects_a_schedule_that_steps_away_from_the_target():
+    # both ends negative: training moved away from its targets, 139.8 -> 146.3 degrees
+    with pytest.raises(ValueError, match="tau_init must be a finite positive real"):
+        ExperimentConfig(rep=RepKind.QUAT4, tau=TauSchedule(-0.5, -0.25, 20), iters=20,
+                         n_rotations=64, eval_every=10)
 
 
 def test_final_error_is_nan_after_an_abort_at_step_0():

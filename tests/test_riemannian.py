@@ -341,3 +341,10 @@ def test_tau_schedule_monotone_and_bounded(i):
 def test_tau_schedule_validation():
     with pytest.raises(ValueError):
         TauSchedule(0.1, 0.2, total_iters=10, n_steps=0)
+
+
+@pytest.mark.parametrize("ends", [(-0.5, -0.25), (0.0, 0.25), (0.1, -0.2), (math.nan, 0.25),
+                                  (0.1, math.inf), (True, 0.25), ("0.1", 0.25)])
+def test_tau_schedule_rejects_ends_that_are_not_finite_positive_reals(ends):
+    with pytest.raises(ValueError, match="must be a finite positive real"):
+        TauSchedule(*ends, total_iters=20)
