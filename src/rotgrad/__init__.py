@@ -55,13 +55,7 @@ from .rpmg import (
     rpmg_gradient,
     rpmg_gradient_batch,
 )
-from .sphere import (
-    TAU_CONVERGE_S2,
-    s2_exp,
-    s2_map,
-    s2_riemannian_grad,
-    s2_rpmg_gradient,
-)
+from .sphere import TAU_CONVERGE_S2
 from .harness import (
     ExperimentConfig,
     FitResult,
@@ -109,10 +103,6 @@ __all__ = [
     "rpmg_gradient",
     "rpmg_gradient_batch",
     "TAU_CONVERGE_S2",
-    "s2_exp",
-    "s2_map",
-    "s2_riemannian_grad",
-    "s2_rpmg_gradient",
     "ExperimentConfig",
     "FitResult",
     "LrSchedule",

@@ -23,6 +23,7 @@ import numpy as np
 from . import representations as _reps
 from . import rpmg as _rpmg
 from . import so3
+from . import sphere as _sphere
 from .lin_core import solve_dense
 from .representations import (
     MANIFOLD_REPS,
@@ -47,7 +48,7 @@ from .riemannian import (
     tau_gt_l2,
 )
 from .rpmg import Method, RpmgParams
-from .sphere import TAU_CONVERGE_S2, angle_between, s2_exp, s2_riemannian_grad
+from .sphere import TAU_CONVERGE_S2
 
 _PGD_STEPS = 100_000
 _PGD_STEP_SIZE = 1e-3
@@ -441,19 +442,18 @@ def check_tau_converge(loss_name: str, n: int = 50, seed: int = 307) -> CheckRes
 
 
 def check_tau_converge_s2(n: int = 50, seed: int = 311) -> CheckResult:
+    """One goal step of ``train_s2``'s kernel at TAU_CONVERGE_S2 lands within
+    theta^3 of a target theta away."""
     name = "tau-converge-s2"
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    for theta in _TAU_LEMMA_THETAS:
-        for _ in range(n):
-            y = rng.standard_normal(3)
-            y /= np.linalg.norm(y)
-            axis = np.cross(y, rng.standard_normal(3))
-            axis /= np.linalg.norm(axis)
-            t = so3._rodrigues(theta * axis) @ y
-            g = s2_riemannian_grad(y, t)
-            y_g = s2_exp(y, -TAU_CONVERGE_S2 * g)
-            worst_ratio = max(worst_ratio, angle_between(y_g, t) / theta ** 3)
+    thetas = np.repeat(_TAU_LEMMA_THETAS, n)
+    # per case: a start y, then the draw its rotation axis is made from
+    ys, draws = np.moveaxis(np.random.default_rng(seed).standard_normal((len(thetas), 2, 3)), 1, 0)
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    axes = np.cross(ys, draws)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    ts = (so3._rodrigues_batch(thetas[:, None] * axes) @ ys[:, :, None])[:, :, 0]
+    landed = _sphere._s2_goal_batch(ys, ts, TAU_CONVERGE_S2)
+    worst_ratio = float(np.max(_sphere._row_angles(landed, ts) / thetas ** 3))
     return CheckResult(name, worst_ratio <= 1.0,
                        f"max residual / theta^3 = {worst_ratio:.3e} over "
                        f"theta in {_TAU_LEMMA_THETAS} (tau={TAU_CONVERGE_S2})",
@@ -684,9 +684,12 @@ def _run_named(name: str) -> CheckResult:
 def run_checks(name_filter: str = "", jobs: int = 1) -> List[CheckResult]:
     """Run every check whose name contains ``name_filter``.
 
-    ``jobs`` > 1 fans the checks out over a process pool; each worker
-    re-imports the package, so monkeypatched fault injection is only seen
-    with jobs=1.
+    ``jobs`` > 1 fans the checks out over a process pool under the
+    platform's default start method.  Under fork (the Linux default before
+    Python 3.14) the workers inherit the parent's modules as they stand, so
+    a monkeypatched fault fails its checks with any ``jobs``; under spawn
+    or forkserver each worker imports the package afresh and sees only
+    unpatched code.
     """
     names = [n for n in CHECK_NAMES if name_filter in n]
     if not names:

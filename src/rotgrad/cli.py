@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .harness import (
     MetricsRow,
     S2_METHOD_BY_NAME,
     fit_single_rotation,
+    single_thread_pool,
     train,
     train_s2,
 )
@@ -282,7 +282,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     started = _utc_now()
     if args.jobs > 1 and len(cells) > 1:
-        with multiprocessing.Pool(min(args.jobs, len(cells))) as pool:
+        with single_thread_pool(min(args.jobs, len(cells))) as pool:
             reports = pool.map(_run_cell, cells)
     else:
         reports = [_run_cell(cell) for cell in cells]

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+import multiprocessing
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -48,12 +50,12 @@ from .rpmg import (
     rpmg_gradient,
     rpmg_gradient_batch,
 )
-from .sphere import TAU_CONVERGE_S2, _s2_gradient_batch, _unit_rows
+from .sphere import TAU_CONVERGE_S2, _row_angles, _s2_gradient_batch, _unit_rows
 
 # what tau="auto" means for the point-set losses, which have no closed-form
 # converging step; _resolve_tau is the only reader.  The presets overshoot:
 # tau_probe (9d, seed 0) measures a mean goal step of 91 degrees for flow and
-# 41 for chamfer (ROADMAP item 3)
+# 41 for chamfer.
 DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 
 # largest goal step, in radians, that tau="auto" takes under l2 and
@@ -571,6 +573,28 @@ def train(config: ExperimentConfig) -> MetricsReport:
                           head_norm, eval_errors_deg, gradient)
 
 
+# environment variables that set a BLAS library's thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def single_thread_pool(processes: int):
+    """A spawn-started process pool whose workers run one BLAS thread each.
+
+    Forked workers keep the parent's BLAS threads: two of them ran the SO(3)
+    acceptance matrix more than twice as slowly as one serial process.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(processes)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
 # ---------------------------------------------------------------------------
 # network training on the unit sphere
 
@@ -600,10 +624,7 @@ def train_s2(config: ExperimentConfig) -> MetricsReport:
     lam = BLEND_LAM.get(method.value, config.lam)
 
     def eval_errors_deg(ys: np.ndarray, t_ev: np.ndarray) -> np.ndarray:
-        x_hat, _ = _unit_rows(ys)
-        cross = np.linalg.norm(np.cross(x_hat, t_ev), axis=1)
-        dot = np.sum(x_hat * t_ev, axis=1)
-        return np.degrees(np.arctan2(cross, dot))
+        return np.degrees(_row_angles(_unit_rows(ys)[0], t_ev))
 
     def gradient(ys: np.ndarray, t: np.ndarray, it: int, points: np.ndarray) -> np.ndarray:
         if method is S2Method.L2_WITH_NORM:

@@ -15,8 +15,9 @@ Per-sample projections map one vector; the ``*_batch`` helpers implement
 the same maps over a leading batch axis, which the training loops need for
 throughput.  Both routes compute the 9d and 10d maps with one
 ``np.linalg.svd``/``eigh`` call, the same guards and the same arithmetic,
-so their rotations agree byte for byte.  Tests pin the two routes against
-each other.
+so their rotations agree byte for byte.  Both reject a raw vector with an
+inf or NaN entry before any factorization, with ``DegenerateInputError``.
+Tests pin the two routes against each other.
 
 The batched route is a forward/backward pair, like ``nn.forward`` and
 ``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)`` returns
@@ -54,7 +55,7 @@ _EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
 
 
 class DegenerateInputError(ValueError):
-    """Raw vector lies too close to the projection's singular set."""
+    """Raw vector is not finite or lies too close to the projection's singular set."""
 
 
 class RepKind(enum.Enum):
@@ -115,6 +116,8 @@ def _check_dim(rep: RepKind, x) -> np.ndarray:
 def manifold_map(rep: RepKind, x) -> ManifoldPoint:
     """Project a raw ambient vector onto the representation manifold."""
     x = _check_dim(rep, x)
+    if not all(map(math.isfinite, x.tolist())):
+        raise DegenerateInputError(f"{rep.value}: raw vector is not finite")
     if rep in (RepKind.EULER3, RepKind.AXIS_ANGLE3):
         return ManifoldPoint(rep, x.copy())
 
@@ -373,6 +376,14 @@ _FORWARD = {
 }
 
 
+def _forward(rep: RepKind, xs: np.ndarray):
+    """``_FORWARD[rep]`` on finite rows; an inf entry can hang the 9d SVD."""
+    if not np.isfinite(xs).all():
+        bad = int(np.nonzero(~np.isfinite(xs).all(axis=1))[0][0])
+        raise DegenerateInputError(f"{rep.value}: non-finite raw output at sample {bad}")
+    return _FORWARD[rep](xs)
+
+
 def rotations_from_raw(rep: RepKind, xs: np.ndarray, return_factors: bool = False):
     """Batched ``baseline_rotation``: (B, n) raw vectors -> (B, 3, 3).
 
@@ -386,7 +397,7 @@ def rotations_from_raw(rep: RepKind, xs: np.ndarray, return_factors: bool = Fals
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != rep.ambient_dim:
         raise ValueError(f"{rep.value}: expected (B, {rep.ambient_dim}), got {xs.shape}")
-    rs, factors = _FORWARD[rep](xs)
+    rs, factors = _forward(rep, xs)
     return (rs, factors) if return_factors else rs
 
 
@@ -541,14 +552,15 @@ def vanilla_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray,
     ``rotations_from_raw(rep, xs, return_factors=True)`` returned for the
     same ``xs``; without them the backward factorizes ``xs`` through the
     same forward map, with the same result bit for bit.  Inputs the forward
-    map rejects raise the same ``DegenerateInputError``, as do 9d inputs
-    with det M < 0 and sigma2 = sigma3, where the projection is
-    discontinuous; that check runs on the factors too.
+    map rejects, non-finite rows among them, raise the same
+    ``DegenerateInputError``, as do 9d inputs with det M < 0 and
+    sigma2 = sigma3, where the projection is discontinuous; that check runs
+    on the factors too.
     """
     xs = np.asarray(xs, dtype=np.float64)
     gs = np.asarray(gs, dtype=np.float64)
     if factors is None:
-        _, factors = _FORWARD[rep](xs)
+        _, factors = _forward(rep, xs)
     return _BACKWARD[rep](xs, gs, factors)
 
 

@@ -7,14 +7,11 @@ the rotation case: step along the sphere toward the target, project the raw
 output onto the goal's ray, blend with weight ``lam`` through the rotation
 layer's own ``rpmg._blend``.
 
-``s2_rpmg_gradient`` computes that gradient for one raw vector and is the
-reference; ``_s2_gradient_batch`` is its vectorized twin over a training
-batch, with the same antipodal handling.
+The route is batched only.  ``train_s2`` and the ``tau-converge-s2`` check
+share its goal step, ``_s2_goal_batch``, and its angles, ``_row_angles``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,69 +40,6 @@ def reset_antipodal_event_count() -> None:
     _antipodal_events = 0
 
 
-def s2_map(x) -> np.ndarray:
-    """Normalize a raw 3-vector onto the unit sphere."""
-    x = np.asarray(x, dtype=np.float64)
-    n = float(np.linalg.norm(x))
-    if n <= _NORM_MIN:
-        raise DegenerateInputError(f"vector norm {n:.3e} below {_NORM_MIN:.0e}")
-    return x / n
-
-
-def s2_exp(x_hat, v) -> np.ndarray:
-    """Geodesic step on the sphere: cos(|v|) x_hat + sin(|v|) v/|v|.
-
-    ``v`` must be tangent at ``x_hat``; the arc length of the step equals
-    |v|.  A series branch keeps the map smooth through v = 0.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    t2 = float(v @ v)
-    t = math.sqrt(t2)
-    if t < _SMALL_STEP:
-        if t2 == 0.0:
-            return x_hat.copy()
-        # second-order series; the norm error it leaves is O(t^4)
-        return (1.0 - t2 / 2.0) * x_hat + (1.0 - t2 / 6.0) * v
-    return math.cos(t) * x_hat + (math.sin(t) / t) * v
-
-
-def s2_riemannian_grad(x_hat, x_hat_gt) -> np.ndarray:
-    """Tangent gradient of ||x_hat - x_hat_gt||^2 at x_hat on the sphere.
-
-    Equals the ambient gradient projected onto the tangent plane,
-    2((x_hat . x_hat_gt) x_hat - x_hat_gt), independent of any tangent basis
-    choice.  Antipodal targets are stationary: the result is zero and a
-    diagnostic counter is bumped.
-    """
-    global _antipodal_events
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    x_hat_gt = np.asarray(x_hat_gt, dtype=np.float64)
-    dot = float(x_hat @ x_hat_gt)
-    if dot <= -1.0 + _ANTIPODAL_TOL:
-        _antipodal_events += 1
-        return np.zeros(3)
-    return 2.0 * (dot * x_hat - x_hat_gt)
-
-
-def s2_rpmg_gradient(x, x_hat_gt, tau: float, lam: float) -> np.ndarray:
-    """Ambient gradient for a raw 3-vector regressing a unit target.
-
-    Pipeline: normalize, step the sphere toward the target by ``tau`` times
-    the tangent gradient, project x onto the goal's ray, blend:
-
-        g = x - x_gp + lam * (x_gp - x_hat_g)
-
-    through :func:`rotgrad.rpmg._blend`, so lam = 1 and lam = 0 give the
-    plain and projective manifold gradients exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = s2_map(x)
-    grad = s2_riemannian_grad(x_hat, x_hat_gt)
-    x_hat_g = s2_exp(x_hat, -tau * grad)
-    return _blend(x, x_hat_g, float(x @ x_hat_g) * x_hat_g, lam)
-
-
 def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a (B, 3) array normalized, and their norms."""
     norms = np.linalg.norm(ys, axis=1)
@@ -114,14 +48,13 @@ def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ys / norms[:, None], norms
 
 
-def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: float) -> np.ndarray:
-    """Vectorized :func:`s2_rpmg_gradient` over rows of (B, 3) arrays.
+def _s2_goal_batch(x_hat: np.ndarray, targets: np.ndarray, tau: float) -> np.ndarray:
+    """Goal points of (B, 3) unit rows: the geodesic step along v = -tau *
+    2((x_hat . t) x_hat - t), the tangent gradient of ||x_hat - t||^2.
 
-    Antipodal rows get the zero tangent gradient and bump the event counter
-    once each, as in :func:`s2_riemannian_grad`.
+    Antipodal rows are stationary; each bumps the event counter once.
     """
     global _antipodal_events
-    x_hat, _ = _unit_rows(ys)
     dots = np.sum(x_hat * targets, axis=1)
     antipodal = dots <= -1.0 + _ANTIPODAL_TOL
     _antipodal_events += int(np.count_nonzero(antipodal))
@@ -131,12 +64,21 @@ def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: flo
     small = theta < _SMALL_STEP
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(small, 1.0 - theta**2 / 6.0, np.sin(theta) / np.where(theta == 0.0, 1.0, theta))
-    x_hat_g = np.cos(theta)[:, None] * x_hat + sinc[:, None] * v
+    return np.cos(theta)[:, None] * x_hat + sinc[:, None] * v
+
+
+def _s2_gradient_batch(ys: np.ndarray, targets: np.ndarray, tau: float, lam: float) -> np.ndarray:
+    """Ambient gradients of raw (B, 3) rows regressing unit targets.
+
+    Normalize, take the goal step, project each row onto its goal's ray and
+    blend, g = x - x_gp + lam (x_gp - x_hat_g), through ``rpmg._blend``.
+    """
+    x_hat, _ = _unit_rows(ys)
+    x_hat_g = _s2_goal_batch(x_hat, targets, tau)
     return _blend(ys, x_hat_g, np.sum(ys * x_hat_g, axis=1)[:, None] * x_hat_g, lam)
 
 
-def angle_between(u, v) -> float:
-    """Angle between two nonzero 3-vectors, in [0, pi], stable at both ends."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+def _row_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] between the rows of two (B, 3) arrays, accurate at
+    both ends."""
+    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.sum(u * v, axis=1))

@@ -24,7 +24,6 @@ beside its median; see the README for the numbers under both protocols.
 """
 
 import math
-import multiprocessing
 import time
 
 import numpy as np
@@ -50,6 +49,7 @@ from rotgrad.harness import (
     LrSchedule,
     S2Method,
     fit_single_rotation,
+    single_thread_pool,
     train,
     train_s2,
 )
@@ -65,7 +65,6 @@ NORM_BAND = (0.5, 2.0)
 TRAIN_ITERS = 5000
 SEEDS = (0, 1, 2)
 POOL_WORKERS = 2
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _verdict(capsys, num, name, ok, detail):
@@ -92,14 +91,8 @@ def _run_pooled(jobs):
 
     Each run is independent and seeded by its config, so a worker returns
     the report a serial run would (test_pooled_runs_match_serial).  Each
-    worker starts with one BLAS thread: two workers with a BLAS thread per
-    core each oversubscribe the cores, which made the SO(3) matrix more
-    than twice as slow as a serial run on two cores."""
-    with pytest.MonkeyPatch.context() as env:
-        for var in BLAS_THREAD_VARS:
-            env.setenv(var, "1")
-        pool = multiprocessing.get_context("spawn").Pool(POOL_WORKERS)
-    with pool:
+    worker starts with one BLAS thread (``single_thread_pool``)."""
+    with single_thread_pool(POOL_WORKERS) as pool:
         return pool.map(_timed_run, jobs, chunksize=1)
 
 

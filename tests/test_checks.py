@@ -1,12 +1,14 @@
 """The verification registry itself: clean runs, filtering, fault injection."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import rotgrad.representations as reps
 import rotgrad.rpmg as rpmg
+import rotgrad.sphere as sphere
 from rotgrad.checks import (
     CHECK_NAMES,
     CHECKS,
@@ -85,6 +87,19 @@ def test_injected_sign_bug_fails_by_name(monkeypatch):
     assert all("excess" in r.detail for r in results)
 
 
+def test_injected_sphere_goal_bug_fails_by_name(monkeypatch):
+    orig = sphere._s2_goal_batch
+
+    def half_stepped(x_hat, targets, tau):
+        return orig(x_hat, targets, 0.5 * tau)
+
+    monkeypatch.setattr(sphere, "_s2_goal_batch", half_stepped)
+    [result] = run_checks("tau-converge-s2")
+    assert result.name == "tau-converge-s2"
+    assert not result.passed and not result.error
+    assert result.measured > 1.0
+
+
 def test_injected_vanilla_backward_bug_fails_by_name(monkeypatch):
     orig = reps.vanilla_backward_batch
 
@@ -141,6 +156,18 @@ def test_injected_exception_marks_error(monkeypatch):
     assert not results[0].passed
     assert results[0].error
     assert "FloatingPointError" in results[0].detail
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit a monkeypatch")
+def test_forked_workers_see_injected_faults(monkeypatch):
+    def broken(rep, x, r_g):
+        raise FloatingPointError("synthetic overflow")
+
+    monkeypatch.setattr(rpmg, "inverse_project", broken)
+    results = run_checks("projection-membership", jobs=2)
+    assert len(results) == 4
+    assert all(r.error and "FloatingPointError" in r.detail for r in results)
 
 
 def test_check_seconds_are_timed_but_not_compared():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from rotgrad import harness, nn, so3
 from rotgrad.harness import (
+    BLAS_THREAD_VARS,
     DEFAULT_TAU_BY_LOSS,
     ExperimentConfig,
     LrSchedule,
@@ -16,6 +18,7 @@ from rotgrad.harness import (
     fit_single_rotation,
     lr_at,
     make_dataset,
+    single_thread_pool,
     tau_probe,
     train,
     train_s2,
@@ -671,3 +674,13 @@ def test_spawned_streams_are_independent_and_reproducible():
     assert b1.standard_normal(4) == pytest.approx(b2.standard_normal(4))
     c1, c2 = _spawn_rngs(8, 2)
     assert not np.allclose(c1.standard_normal(4), c2.standard_normal(4))
+
+
+def test_single_thread_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with single_thread_pool(1) as pool:
+        assert pool.map(os.getenv, BLAS_THREAD_VARS) == ["1"] * len(BLAS_THREAD_VARS)
+    # the parent's own environment is left as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert "MKL_NUM_THREADS" not in os.environ

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotgrad
 from rotgrad import so3
 from rotgrad.checks import _forward_map_fd
+from rotgrad.harness import BLAS_THREAD_VARS
 from rotgrad.representations import (
     MANIFOLD_REPS,
     DegenerateInputError,
@@ -433,3 +439,102 @@ def test_inline_cross_matches_numpy_cross_byte_for_byte():
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         got, ref = _cross_batch(a, b), np.cross(a, b)
     assert got.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite raw vectors: each case runs in a child process under a timeout,
+# since np.linalg.svd can hang on a 3x3 matrix with an inf entry and a
+# regression must fail the suite rather than stall it
+
+_CHILD_TIMEOUT_S = 60.0
+
+_NON_FINITE_CHILD = """
+import sys
+import numpy as np
+from rotgrad.representations import (DegenerateInputError, RepKind, baseline_backward,
+    baseline_rotation, embed, manifold_map, representation_map, rotations_from_raw,
+    vanilla_backward_batch)
+
+rep = RepKind(sys.argv[1])
+base = embed(representation_map(np.eye(3), rep)) + 0.25
+routes = {
+    "manifold_map": lambda x: manifold_map(rep, x),
+    "baseline_rotation": lambda x: baseline_rotation(rep, x),
+    "baseline_backward": lambda x: baseline_backward(rep, x, np.ones((3, 3))),
+    "rotations_from_raw": lambda x: rotations_from_raw(rep, np.stack([base, x])),
+    "vanilla_backward_batch": lambda x: vanilla_backward_batch(
+        rep, np.stack([base, x]), np.ones((2, 3, 3))),
+}
+for value in map(float, sys.argv[2:]):
+    for slot in range(rep.ambient_dim):
+        x = base.copy()
+        x[slot] = value
+        for name, route in routes.items():
+            try:
+                route(x)
+                print(f"{name} {value} slot {slot}: returned")
+            except DegenerateInputError as exc:
+                batched = name in ("rotations_from_raw", "vanilla_backward_batch")
+                if batched and not str(exc).endswith("at sample 1"):
+                    print(f"{name} {value} slot {slot}: {exc}")
+            except Exception as exc:
+                print(f"{name} {value} slot {slot}: {type(exc).__name__}")
+print("done")
+"""
+
+_TRAIN_ABORT_CHILD = """
+import sys
+import numpy as np
+from rotgrad import Method, nn
+from rotgrad.harness import ExperimentConfig, train
+from rotgrad.representations import RepKind
+
+where, method = sys.argv[1], Method(sys.argv[2])
+config = ExperimentConfig(rep=RepKind.NINE_D, method=method, iters=4, eval_every=2,
+                          n_rotations=64)
+forward = nn.forward
+calls = []
+
+def overflowing(mlp, x):
+    ys, cache = forward(mlp, x)
+    calls.append(len(x))
+    # the first call calibrates the output head
+    if len(calls) > 1 and (where == "batch") == (len(x) == config.batch):
+        ys[-1, 0] = np.inf
+    return ys, cache
+
+nn.forward = overflowing
+report = train(config)
+print(report.aborted, report.diagnostic)
+"""
+
+
+def _run_child(code, *args):
+    """The child's output lines; the test fails if it runs past the timeout."""
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    src = str(Path(rotgrad.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env, text=True,
+                              capture_output=True, timeout=_CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no answer within {_CHILD_TIMEOUT_S} s for {args}", pytrace=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()
+
+
+@pytest.mark.parametrize("values", [("inf", "-inf"), ("nan",)], ids=["inf", "nan"])
+@pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.value)
+def test_non_finite_raw_vectors_raise_degenerate_on_both_routes(rep, values):
+    # every entry of a valid raw vector in turn, on the per-sample and the
+    # batched forward and backward maps
+    assert _run_child(_NON_FINITE_CHILD, rep.value, *values) == ["done"]
+
+
+@pytest.mark.parametrize("method", ["vanilla", "rpmg"])
+@pytest.mark.parametrize("where, diagnostic", [
+    ("eval", "degenerate raw output in evaluation at iteration 0: 9d: non-finite raw output at sample 12"),
+    ("batch", "degenerate sample at iteration 0: 9d: non-finite raw output at sample 31"),
+], ids=["eval", "batch"])
+def test_train_aborts_on_a_non_finite_nine_d_output(method, where, diagnostic):
+    assert _run_child(_TRAIN_ABORT_CHILD, where, method) == [f"True {diagnostic}"]

@@ -1,19 +1,79 @@
+"""The batched S^2 kernel against a per-sample reference kept here.
+
+The reference computes one raw vector at a time on the formulas of
+``rotgrad.sphere``'s docstrings; tests below check the reference against
+its own definitions, then the batched kernel against the reference.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 from rotgrad.representations import DegenerateInputError
+from rotgrad.rpmg import _blend
 from rotgrad.sphere import (
+    _row_angles,
+    _s2_goal_batch,
     _s2_gradient_batch,
-    angle_between,
+    _unit_rows,
     antipodal_event_count,
     reset_antipodal_event_count,
-    s2_exp,
-    s2_map,
-    s2_riemannian_grad,
-    s2_rpmg_gradient,
 )
+
+
+def s2_map(x):
+    """Normalize a raw 3-vector onto the unit sphere."""
+    x = np.asarray(x, dtype=np.float64)
+    n = float(np.linalg.norm(x))
+    if n <= 1e-8:
+        raise DegenerateInputError(f"vector norm {n:.3e} below 1e-8")
+    return x / n
+
+
+def s2_exp(x_hat, v):
+    """Geodesic step cos(|v|) x_hat + sin(|v|) v/|v| for v tangent at x_hat,
+    with a second-order series below |v| = 1e-6."""
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    t2 = float(v @ v)
+    t = math.sqrt(t2)
+    if t < 1e-6:
+        if t2 == 0.0:
+            return x_hat.copy()
+        return (1.0 - t2 / 2.0) * x_hat + (1.0 - t2 / 6.0) * v
+    return math.cos(t) * x_hat + (math.sin(t) / t) * v
+
+
+def s2_riemannian_grad(x_hat, x_hat_gt):
+    """Tangent gradient 2((x_hat . x_hat_gt) x_hat - x_hat_gt) of
+    ||x_hat - x_hat_gt||^2; zero at an antipodal target."""
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    x_hat_gt = np.asarray(x_hat_gt, dtype=np.float64)
+    dot = float(x_hat @ x_hat_gt)
+    if dot <= -1.0 + 1e-12:
+        return np.zeros(3)
+    return 2.0 * (dot * x_hat - x_hat_gt)
+
+
+def s2_rpmg_gradient(x, x_hat_gt, tau, lam):
+    """g = x - x_gp + lam (x_gp - x_hat_g) for one raw 3-vector."""
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = s2_map(x)
+    x_hat_g = s2_exp(x_hat, -tau * s2_riemannian_grad(x_hat, x_hat_gt))
+    return _blend(x, x_hat_g, float(x @ x_hat_g) * x_hat_g, lam)
+
+
+def angle_between(u, v):
+    """Angle between two nonzero 3-vectors, in [0, pi]."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+
+
+def gradient_row(x, gt, tau, lam):
+    """The batched kernel on one raw vector (B = 1)."""
+    return _s2_gradient_batch(np.asarray(x)[None], np.asarray(gt)[None], tau, lam)[0]
 
 
 def unit(rng):
@@ -110,8 +170,10 @@ def test_s2_grad_basis_independent():
 def test_s2_antipodal_counted():
     reset_antipodal_event_count()
     e3 = np.eye(3)[2]
-    g = s2_riemannian_grad(e3, -e3)
-    assert np.array_equal(g, np.zeros(3))
+    assert np.array_equal(s2_riemannian_grad(e3, -e3), np.zeros(3))
+    assert antipodal_event_count() == 0  # the reference does not count
+    goal = _s2_goal_batch(e3[None], -e3[None], 0.3)
+    assert np.array_equal(goal, e3[None])
     assert antipodal_event_count() == 1
     reset_antipodal_event_count()
     assert antipodal_event_count() == 0
@@ -149,7 +211,7 @@ def test_s2_rpmg_converged_is_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):
         gt = unit(rng)
-        g = s2_rpmg_gradient(gt, gt, tau=0.5, lam=0.01)
+        g = gradient_row(gt, gt, tau=0.5, lam=0.01)
         assert np.linalg.norm(g) <= 1e-12
 
 
@@ -158,7 +220,7 @@ def test_s2_rpmg_norm_contraction_at_lam0():
     for _ in range(500):
         x = rng.standard_normal(3) * rng.uniform(0.2, 3.0)
         gt = unit(rng)
-        g = s2_rpmg_gradient(x, gt, tau=rng.uniform(0.05, 0.5), lam=0.0)
+        g = gradient_row(x, gt, tau=rng.uniform(0.05, 0.5), lam=0.0)
         x_gp = x - g
         assert np.linalg.norm(x_gp) <= np.linalg.norm(x) + 1e-12
 
@@ -171,7 +233,7 @@ def test_s2_rpmg_goal_tangency():
         x_hat = s2_map(x)
         grad = s2_riemannian_grad(x_hat, gt)
         assert abs(float(grad @ x_hat)) <= 1e-9
-        x_hat_g = s2_exp(x_hat, -0.3 * grad)
+        x_hat_g = _s2_goal_batch(_unit_rows(x[None])[0], gt[None], 0.3)[0]
         assert abs(np.linalg.norm(x_hat_g) - 1.0) <= 1e-9
 
 
@@ -182,9 +244,20 @@ def test_s2_half_step_lands_on_target():
         c = tangent(rng, x)
         c /= np.linalg.norm(c)
         gt = s2_exp(x, theta * c)
-        grad = s2_riemannian_grad(x, gt)
-        landed = s2_exp(x, -0.5 * grad)
-        assert angle_between(landed, gt) <= theta ** 3
+        landed = _s2_goal_batch(x[None], gt[None], 0.5)
+        assert _row_angles(landed, gt[None])[0] <= theta ** 3
+
+
+def test_row_angles_match_reference():
+    rng = np.random.default_rng(10)
+    us = rng.standard_normal((50, 3))
+    vs = rng.standard_normal((50, 3))
+    vs[0] = us[0]
+    vs[1] = -2.0 * us[1]
+    angles = _row_angles(us, vs)
+    assert angles[0] == 0.0 and angles[1] == math.pi
+    for u, v, a in zip(us, vs, angles):
+        assert abs(a - angle_between(u, v)) <= 1e-15
 
 
 def test_s2_lambda_short_circuits():
@@ -193,8 +266,7 @@ def test_s2_lambda_short_circuits():
         x = rng.standard_normal(3)
         gt = unit(rng)
         tau = rng.uniform(0.05, 0.5)
-        x_hat = s2_map(x)
-        x_hat_g = s2_exp(x_hat, -tau * s2_riemannian_grad(x_hat, gt))
-        x_gp = float(x @ x_hat_g) * x_hat_g
-        assert np.array_equal(s2_rpmg_gradient(x, gt, tau, 1.0), x - x_hat_g)
-        assert np.array_equal(s2_rpmg_gradient(x, gt, tau, 0.0), x - x_gp)
+        x_hat_g = _s2_goal_batch(_unit_rows(x[None])[0], gt[None], tau)[0]
+        x_gp = np.sum(x * x_hat_g) * x_hat_g
+        assert np.array_equal(gradient_row(x, gt, tau, 1.0), x - x_hat_g)
+        assert np.array_equal(gradient_row(x, gt, tau, 0.0), x - x_gp)

@@ -14,8 +14,9 @@ vanilla ``train`` under geodesic, flow and chamfer for every rep.
 Per-sample route: ``fit_single_rotation`` for every manifold rep x
 {vanilla, mg, pmg, rpmg} x {l2, geodesic} at seed 1 (the vanilla fits reach
 the batched vanilla backward at B = 1), ``inverse_project`` over 200 fixed
-cases per manifold rep with goals out to pi, ``s2_rpmg_gradient`` over 100
-fixed cases at each of lam = 0, 0.01 and 1, ``euclid_grad`` under each loss
+cases per manifold rep with goals out to pi, the sphere's
+``_s2_gradient_batch`` one row at a time (B = 1) over 100 fixed cases at
+each of lam = 0, 0.01 and 1, ``euclid_grad`` under each loss
 over 100 fixed cases, one ``tau_probe``, and every ``run_checks()`` result.
 It hashes the ``repr`` of every result in that order, a fit's arrays byte
 for byte (numpy's repr rounds them).  It prints one short digest per run,
@@ -88,9 +89,9 @@ def _project_text(rep) -> str:
 
 
 def _s2_text(lam: float) -> str:
-    """Bytes of the per-sample sphere gradient over fixed cases."""
+    """Bytes of the sphere gradient over fixed cases, one row per call."""
     import numpy as np
-    from rotgrad.sphere import s2_rpmg_gradient
+    from rotgrad.sphere import _s2_gradient_batch
 
     rng = np.random.default_rng(LAYER_CASES_SEED)
     out = []
@@ -98,7 +99,8 @@ def _s2_text(lam: float) -> str:
         x = rng.standard_normal(3) * rng.uniform(0.5, 2.0)
         target = rng.standard_normal(3)
         target /= np.linalg.norm(target)
-        out.append(s2_rpmg_gradient(x, target, rng.uniform(0.0, 1.0), lam).tobytes().hex())
+        g = _s2_gradient_batch(x[None], target[None], rng.uniform(0.0, 1.0), lam)[0]
+        out.append(g.tobytes().hex())
     return "".join(out)
 
 
@@ -147,7 +149,7 @@ def runs() -> list:
         out.append((f"inverse_project {rep.value} seed {LAYER_CASES_SEED}",
                     lambda rep=rep: _project_text(rep)))
     for lam in (0.0, 0.01, 1.0):
-        out.append((f"s2_rpmg_gradient lam {lam} seed {LAYER_CASES_SEED}",
+        out.append((f"_s2_gradient_batch B=1 lam {lam} seed {LAYER_CASES_SEED}",
                     lambda lam=lam: _s2_text(lam)))
     for loss in ("l2", "geodesic", "flow", "chamfer"):
         out.append((f"euclid_grad {loss} seed {LAYER_CASES_SEED}",
