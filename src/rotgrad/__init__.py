@@ -16,7 +16,9 @@ The subpackages split as: representation mappings
 a small dense solver that only its own check still calls
 (:mod:`~rotgrad.lin_core`), a numpy MLP (:mod:`~rotgrad.nn`), experiment
 drivers (:mod:`~rotgrad.harness`), and the verification checks
-(:mod:`~rotgrad.checks`).
+(:mod:`~rotgrad.checks`).  The checks load on first use of
+``rotgrad.CheckResult`` or ``rotgrad.run_checks``, so importing the package
+for training does not compile or load them.
 """
 
 __version__ = "0.1.0"
@@ -70,7 +72,6 @@ from .harness import (
     train,
     train_s2,
 )
-from .checks import CheckResult, run_checks
 
 __all__ = [
     "__version__",
@@ -118,3 +119,10 @@ __all__ = [
     "CheckResult",
     "run_checks",
 ]
+
+
+def __getattr__(name):
+    if name in ("CheckResult", "run_checks"):
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,14 @@ def reset_antipodal_event_count() -> None:
 
 
 def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a (B, 3) array normalized, and their norms."""
+    """Rows of a (B, 3) array normalized, and their norms.
+
+    A row with an inf or NaN entry, or too close to the origin, raises
+    ``DegenerateInputError``.
+    """
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        raise DegenerateInputError(f"non-finite raw output at sample {int(np.argmin(finite))}")
     norms = np.linalg.norm(ys, axis=1)
     if np.any(norms <= _NORM_MIN):
         raise DegenerateInputError("raw output too close to the origin to normalize")

@@ -2,18 +2,28 @@
 
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotgrad
 import rotgrad.representations as reps
+import rotgrad.riemannian as riemannian
 import rotgrad.rpmg as rpmg
+import rotgrad.so3 as so3
 import rotgrad.sphere as sphere
 from rotgrad.checks import (
     CHECK_NAMES,
     CHECKS,
     TOL_PROJECTION_EXCESS,
     CheckResult,
+    _baseline_rotations,
+    _forward_map_9d_cases,
+    _haar_rotations,
     check_tau_converge,
     membership_residual,
     oracle_inverse_image_batch,
@@ -22,6 +32,19 @@ from rotgrad.checks import (
 )
 from rotgrad.representations import MANIFOLD_REPS, RepKind
 from rotgrad.riemannian import NoAnalyticTauError
+
+
+def test_importing_the_package_leaves_the_checks_unloaded():
+    code = ("import sys, rotgrad; unloaded = 'rotgrad.checks' not in sys.modules; "
+            "from rotgrad import CheckResult, run_checks; "
+            "print(unloaded, CheckResult.__module__, run_checks.__module__)")
+    src = str(Path(rotgrad.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.split() == ["True", "rotgrad.checks", "rotgrad.checks"]
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        rotgrad.not_a_name
 
 
 def test_registry_is_ordered_and_named():
@@ -131,6 +154,29 @@ def test_injected_forward_map_bugs_fail_by_name(monkeypatch):
     assert all(not r.passed and not r.error and r.measured >= 1.0 for r in results)
 
 
+# function: (its module, the fault built from the original, a check it breaks)
+_FAULTS = {
+    "euclid_grad": (riemannian, lambda orig: lambda loss, r: np.zeros((3, 3)), "gradient-fd-l2"),
+    "riemannian_grad": (riemannian, lambda orig: lambda r, g: -orig(r, g), "gradient-fd-geodesic"),
+    "goal_rotation": (riemannian, lambda orig: lambda r, phi, tau: orig(r, phi, -tau),
+                      "goal-direction-l2"),
+    "baseline_rotation": (reps, lambda orig: lambda rep, x: np.eye(3), "representation-round-trip"),
+    "embed": (reps, lambda orig: lambda point: orig(point)[::-1], "representation-round-trip"),
+    "representation_map": (reps, lambda orig: lambda r, rep: orig(np.asarray(r).T, rep),
+                           "representation-round-trip"),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_FAULTS))
+def test_injected_fault_in_a_verified_function_fails_its_check(monkeypatch, function):
+    module, fault, check = _FAULTS[function]
+    monkeypatch.setattr(module, function, fault(getattr(module, function)))
+    [result] = run_checks(check)
+    assert result.name == check
+    assert not result.passed and not result.error
+    assert result.measured > 1e-3
+
+
 def test_tau_converge_check_takes_the_loss_from_the_loss_table():
     assert check_tau_converge("l2").detail.endswith("(tau=0.25)")
     assert check_tau_converge("geodesic").detail.endswith("(tau=0.5)")
@@ -185,10 +231,82 @@ def test_check_result_is_frozen():
         r.passed = False
 
 
-def test_sample_projection_cases_deterministic():
-    a_x, a_r = sample_projection_cases(RepKind.SIX_D, 10, seed=7)
-    b_x, b_r = sample_projection_cases(RepKind.SIX_D, 10, seed=7)
-    assert (a_x == b_x).all() and (a_r == b_r).all()
+@pytest.mark.parametrize("regime", [{}, {"max_ambient_angle": math.inf, "goal_step": math.pi}],
+                         ids=["default", "wide"])
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_sample_projection_cases_deterministic(rep, regime):
+    bound = regime.get("max_ambient_angle", math.pi / 3)
+    goal_step = regime.get("goal_step", 0.5)
+    n = 300
+    xs, r_gs = sample_projection_cases(rep, n, 7, **regime)
+    assert xs.shape == (n, rep.ambient_dim) and r_gs.shape == (n, 3, 3)
+    assert np.isfinite(xs).all() and np.isfinite(r_gs).all()
+    b_x, b_r = sample_projection_cases(rep, n, 7, **regime)
+    assert np.array_equal(xs, b_x) and np.array_equal(r_gs, b_r)
+    c_x, c_r = sample_projection_cases(rep, n, 8, **regime)
+    assert not np.array_equal(xs, c_x) and not np.array_equal(r_gs, c_r)
+    # a smaller draw is a prefix of a larger one
+    d_x, d_r = sample_projection_cases(rep, 10, 7, **regime)
+    assert np.array_equal(d_x, xs[:10]) and np.array_equal(d_r, r_gs[:10])
+    for x, r_g in zip(xs, r_gs):
+        x_hat_g = reps.embed(reps.representation_map(r_g, rep))
+        cos = x @ x_hat_g / (np.linalg.norm(x) * np.linalg.norm(x_hat_g))
+        assert math.acos(min(1.0, max(-1.0, cos))) < bound
+        assert so3.geodesic_distance(reps.baseline_rotation(rep, x), r_g) <= goal_step + 1e-12
+
+
+def test_degenerate_rows_are_skipped_not_fatal():
+    xs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]])
+    rs, ok = _baseline_rotations(RepKind.QUAT4, xs)
+    assert ok.tolist() == [True, False, True]
+    for x, r in zip(xs[ok], rs[ok]):
+        assert np.array_equal(r, reps.baseline_rotation(RepKind.QUAT4, x))
+
+
+def test_batched_draws_are_the_per_case_draws():
+    # representation-round-trip and tau-converge-* take their rotations from
+    # one Gaussian block, forward-map-9d its matrices from one draw: the
+    # bits of the per-case loops they replace
+    rng = np.random.default_rng(449)
+    loop = np.array([so3.sample_uniform_rotation(rng) for _ in range(500)])
+    assert np.array_equal(_haar_rotations(np.random.default_rng(449).standard_normal((500, 4))), loop)
+    rng = np.random.default_rng(701)
+    loop = []
+    for i in range(500):
+        m = rng.standard_normal((3, 3))
+        if i % 5 == 0:
+            m[:, i % 3] = m[:, (i + 1) % 3] + 1e-9 * rng.standard_normal(3)
+        loop.append(m)
+    assert np.array_equal(_forward_map_9d_cases(np.random.default_rng(701), 500), np.array(loop))
+
+
+def _membership_residual_loop(rep, x_gp, r_g):
+    """One case of ``membership_residual``, as the per-case loop computed it."""
+    if rep is RepKind.QUAT4:
+        q = so3.rot_to_quat(r_g)
+        return float(np.linalg.norm(x_gp - (x_gp @ q) * q))
+    if rep is RepKind.SIX_D:
+        u, v = x_gp[:3], x_gp[3:]
+        u_g, v_g = r_g[:, 0], r_g[:, 1]
+        return float(max(np.linalg.norm(u - (u @ u_g) * u_g),
+                         np.linalg.norm(v - (v @ u_g) * u_g - (v @ v_g) * v_g)))
+    if rep is RepKind.NINE_D:
+        a = x_gp.reshape(3, 3) @ r_g.T
+        return float(np.linalg.norm(a - a.T))
+    q = so3.rot_to_quat(r_g)
+    a = reps.sym4_from_params(x_gp)
+    return float(np.linalg.norm(a @ q - float(q @ a @ q) * q))
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_membership_residual_stacks_match_the_per_case_loop(rep):
+    # raw vectors, not projections, so the residuals are O(1) and a
+    # relative tolerance sees the arithmetic
+    xs, r_gs = sample_projection_cases(rep, 50, seed=5)
+    stacked = membership_residual(rep, xs, r_gs)
+    assert stacked.shape == (50,)
+    loop = [_membership_residual_loop(rep, x, r_g) for x, r_g in zip(xs, r_gs)]
+    np.testing.assert_allclose(stacked, loop, rtol=1e-12)
 
 
 @pytest.mark.parametrize("rep", MANIFOLD_REPS)
@@ -200,8 +318,7 @@ def test_oracle_never_beats_closed_form(rep):
     d_oracle = np.linalg.norm(oracle - xs, axis=1)
     assert (d_closed <= d_oracle + 1e-6).all()
     # both satisfy the membership constraint, so they chase the same set
-    for x_gp, r_g in zip(oracle, r_gs):
-        assert membership_residual(rep, x_gp, r_g) <= 1e-5
+    assert (membership_residual(rep, oracle, r_gs) <= 1e-5).all()
 
 
 @pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
@@ -232,4 +349,4 @@ def test_oracle_converges_to_closed_form(rep):
 
 def test_membership_residual_rejects_non_manifold_rep():
     with pytest.raises(ValueError, match="no manifold inverse image"):
-        membership_residual(RepKind.EULER3, np.zeros(3), np.eye(3))
+        membership_residual(RepKind.EULER3, np.zeros((1, 3)), np.eye(3)[None])

@@ -631,6 +631,31 @@ def test_train_s2_rejects_rotation_method():
         train_s2(ExperimentConfig(method=Method.RPMG, iters=0, n_rotations=64))
 
 
+@pytest.mark.parametrize("method, where", [
+    (S2Method.RPMG, "eval"),
+    *((m, "batch") for m in (S2Method.MG, S2Method.PMG, S2Method.RPMG, S2Method.L2_WITHOUT_NORM)),
+], ids=lambda v: getattr(v, "value", v))
+def test_train_s2_aborts_on_a_non_finite_output(monkeypatch, method, where):
+    config = ExperimentConfig(method=method, iters=4, eval_every=2, n_rotations=64)
+    forward, calls = nn.forward, []
+
+    def overflowing(mlp, x):
+        ys, cache = forward(mlp, x)
+        calls.append(len(x))
+        # the first call calibrates the output head
+        if len(calls) > 1 and (where == "batch") == (len(x) == config.batch):
+            ys[-1, 0] = np.inf
+        return ys, cache
+
+    monkeypatch.setattr(nn, "forward", overflowing)
+    report = train_s2(config)
+    assert report.aborted
+    assert report.diagnostic == {
+        "eval": "degenerate raw output in evaluation at iteration 0: non-finite raw output at sample 12",
+        "batch": "degenerate sample at iteration 0: non-finite raw output at sample 31",
+    }[where]
+
+
 def test_train_s2_improves_over_initial():
     cfg = ExperimentConfig(method=S2Method.RPMG, iters=400, n_rotations=256, eval_every=200)
     report = train_s2(cfg)

@@ -260,6 +260,17 @@ def test_row_angles_match_reference():
         assert abs(a - angle_between(u, v)) <= 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_unit_rows_names_the_first_non_finite_row(bad):
+    ys = np.ones((4, 3))
+    ys[2, 1] = bad
+    ys[3, 0] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite raw output at sample 2"):
+        _unit_rows(ys)
+    with pytest.raises(DegenerateInputError, match="non-finite raw output at sample 2"):
+        _s2_gradient_batch(ys, np.tile([0.0, 0.0, 1.0], (4, 1)), 0.5, 0.01)
+
+
 def test_s2_lambda_short_circuits():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -78,14 +78,33 @@ def _fit_text(result) -> str:
 
 
 def _project_text(rep) -> str:
-    """Bytes of the closed-form inverse projection over fixed cases."""
+    """Bytes of the closed-form inverse projection over fixed cases.
+
+    The cases are built here one at a time, so that they do not move with
+    the library's case samplers: a raw vector is a noisy scaling of an
+    embedded uniform rotation, its goal a step of up to pi from the
+    forward rotation, and a raw vector the forward map rejects is skipped.
+    """
     import math
-    from rotgrad.checks import sample_projection_cases
+    import numpy as np
+    from rotgrad import so3
+    from rotgrad.representations import baseline_rotation, embed, representation_map
     from rotgrad.rpmg import inverse_project
 
-    xs, r_gs = sample_projection_cases(rep, 200, LAYER_CASES_SEED,
-                                       max_ambient_angle=math.inf, goal_step=math.pi)
-    return "".join(inverse_project(rep, x, r_g).tobytes().hex() for x, r_g in zip(xs, r_gs))
+    rng = np.random.default_rng(LAYER_CASES_SEED)
+    out = []
+    while len(out) < 200:
+        r0 = so3.sample_uniform_rotation(rng)
+        x = rng.uniform(0.5, 2.0) * embed(representation_map(r0, rep))
+        x = x + rng.normal(0.0, 0.3, rep.ambient_dim)
+        try:
+            r = baseline_rotation(rep, x)
+        except ValueError:
+            continue
+        delta = rng.standard_normal(3)
+        delta *= rng.uniform(0.0, math.pi) / np.linalg.norm(delta)
+        out.append(inverse_project(rep, x, so3.exp_so3(r, delta)).tobytes().hex())
+    return "".join(out)
 
 
 def _s2_text(lam: float) -> str:
