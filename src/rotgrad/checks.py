@@ -74,6 +74,11 @@ def _iterate_affine(step_fn: Callable[[np.ndarray], np.ndarray],
     return v[:, :d, 0]
 
 
+# cases handled at once: attempts drawn by sample_projection_cases, rows
+# descended by oracle_inverse_image_batch
+_CASE_BLOCK = 256
+
+
 def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
                                steps: int = _PGD_STEPS,
                                step: float = _PGD_STEP_SIZE) -> np.ndarray:
@@ -84,10 +89,21 @@ def oracle_inverse_image_batch(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
     factor for 9d; the linear eigen-feasibility set for 10d).  Each descent
     step is affine in the iterate, so the ``steps``-th iterate is taken by
     repeated squaring of that map (``_iterate_affine``) rather than by
-    looping.  Shares no code with the closed forms in :mod:`rotgrad.rpmg`.
+    looping.  Cases are independent and are descended ``_CASE_BLOCK`` at a
+    time, which bounds the step matrices held at once; the rows are the
+    bits of a whole-stack descent.  Shares no code with the closed forms in
+    :mod:`rotgrad.rpmg`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     r_gs = np.asarray(r_gs, dtype=np.float64)
+    return np.concatenate([_oracle_block(rep, xs[i:i + _CASE_BLOCK], r_gs[i:i + _CASE_BLOCK],
+                                         steps, step)
+                           for i in range(0, max(len(xs), 1), _CASE_BLOCK)])
+
+
+def _oracle_block(rep: RepKind, xs: np.ndarray, r_gs: np.ndarray,
+                  steps: int, step: float) -> np.ndarray:
+    """``oracle_inverse_image_batch`` of one block of cases."""
     n = xs.shape[0]
 
     if rep is RepKind.QUAT4:
@@ -203,10 +219,6 @@ def _baseline_rotations(rep: RepKind, xs: np.ndarray):
         except DegenerateInputError:
             pass
     return rs, ok
-
-
-# attempts drawn at once by sample_projection_cases
-_CASE_BLOCK = 256
 
 
 def sample_projection_cases(rep: RepKind, n: int, seed: int,

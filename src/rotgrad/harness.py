@@ -262,10 +262,15 @@ def _resolve_tau(spec: TauSpec,
         else:
             const, cap = tau_converge_for(loss_class(loss_name)), AUTO_MAX_GOAL_STEP
         return (lambda it: const), cap
-    if not isinstance(spec, numbers.Real) or isinstance(spec, bool) or not 0.0 < spec < math.inf:
+    if not _is_positive_real(spec):
         raise ValueError(f"tau must be 'auto', a positive real or a TauSchedule, got {spec!r}")
     const = float(spec)
     return (lambda it: const), None
+
+
+def _is_positive_real(value) -> bool:
+    """Whether a constant tau is a finite positive real (not a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,9 @@ def fit_single_rotation(
     of raising. Each step makes one per-sample ``rpmg_gradient`` call at
     the step ``_resolve_tau`` picks; under ``tau="auto"`` with l2 or
     geodesic its goal step is capped at ``AUTO_MAX_GOAL_STEP`` radians.
-    Bad ``iters``, ``lr`` or ``x_init`` raise ValueError before any step.
+    Bad ``iters``, ``lr`` or ``x_init``, or an ``r_gt`` that is not a
+    finite rotation (orthonormal to 1e-6, det > 0), raise ValueError
+    before any step.
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
@@ -369,6 +376,12 @@ def fit_single_rotation(
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if rep not in MANIFOLD_REPS and method is not Method.VANILLA:
         raise ValueError(f"{rep.value} supports only the vanilla method")
+    if r_gt is not None:
+        r_gt = np.asarray(r_gt, dtype=float)
+        if (r_gt.shape != (3, 3) or not np.isfinite(r_gt).all()
+                or not np.allclose(r_gt.T @ r_gt, np.eye(3), rtol=0.0, atol=1e-6)
+                or np.linalg.det(r_gt) <= 0.0):
+            raise ValueError(f"r_gt must be a finite (3, 3) rotation, got {r_gt!r}")
     data_rng, init_rng = _spawn_rngs(seed, 2)
     if x_init is not None:
         x = np.asarray(x_init, dtype=float).copy()
@@ -395,14 +408,12 @@ def fit_single_rotation(
         aborted = True
         diagnostic = f"degenerate raw vector at step 0: {exc}"
 
-    if r_gt is not None:
-        r_gt = np.asarray(r_gt, dtype=float)
-    elif r_start is not None:
+    if r_gt is None and r_start is not None:
         axis = data_rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         angle = data_rng.uniform(0.5, 2.5)
         r_gt = so3.exp_so3(r_start, angle * axis)
-    else:
+    elif r_gt is None:
         r_gt = np.eye(3)
     points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
     loss_inst = make_loss(loss, r_gt, points)
@@ -461,7 +472,7 @@ def _calibrate_head(mlp: nn.Mlp, inputs: np.ndarray, target_norm: float) -> None
     whatever scale the fan-in happens to produce; this puts every method
     at the same meaningful starting point.
     """
-    ys, _ = nn.forward(mlp, inputs)
+    ys, _ = nn.forward(mlp, inputs, keep_cache=False)
     current = float(np.linalg.norm(ys, axis=1).mean())
     if current <= 0.0 or not np.isfinite(current):
         raise RuntimeError("initial network outputs have no usable scale")
@@ -502,7 +513,7 @@ def _train_network(
     diagnostic = ""
     for it in range(config.iters + 1):
         if it % config.eval_every == 0 or it == config.iters:
-            ys, _ = nn.forward(mlp, x_ev)
+            ys, _ = nn.forward(mlp, x_ev, keep_cache=False)
             try:
                 errors_deg = eval_errors_deg(ys, t_ev)
             except DegenerateInputError as exc:
@@ -656,12 +667,21 @@ def tau_probe(
     Returns (tau, mean geodesic distance from the current rotation to the
     goal) pairs, useful for picking a step size when no analytic one
     exists. Distances grow monotonically with tau until the exponential
-    wraps, so look for the knee.
+    wraps, so look for the knee. Every tau must be a finite positive real,
+    ``n_samples`` at least 1 and ``n_points`` at least 4, as in
+    ``ExperimentConfig``; anything else raises ValueError before sampling.
     """
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold structure to probe")
     if not taus:
         raise ValueError("need at least one tau candidate")
+    for tau in taus:
+        if not _is_positive_real(tau):
+            raise ValueError(f"every tau must be a positive real, got {tau!r}")
+    if n_samples < 1:
+        raise ValueError(f"need at least 1 sample, got {n_samples}")
+    if n_points < 4:
+        raise ValueError(f"need at least 4 points, got {n_points}")
     rng = _spawn_rngs(seed, 1)[0]
     cases = []
     for _ in range(n_samples):

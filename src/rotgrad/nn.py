@@ -87,8 +87,15 @@ def _leaky_relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, h, out=h)
 
 
-def forward(mlp: Mlp, x) -> tuple:
-    """Batch forward pass; returns (output, cache for backward)."""
+def forward(mlp: Mlp, x, keep_cache: bool = True) -> tuple:
+    """Batch forward pass; returns (output, cache for backward).
+
+    With ``keep_cache=False`` it returns (output, None) for a pass that
+    feeds no backward (evaluation, calibration): each layer's input is
+    dropped before the activation is allocated, so at most two
+    layer-sized arrays are alive at once instead of every layer's input
+    and pre-activation.  The output is the same bits either way.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
         raise ValueError(f"expected (B, {mlp.weights[0].shape[0]}) input, got {x.shape}")
@@ -97,11 +104,14 @@ def forward(mlp: Mlp, x) -> tuple:
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = np.matmul(h, w)
+        del h
         z += b
-        pre.append(z)
         h = z if i == last else _leaky_relu(z)
-        activations.append(h)
-    return h, ForwardCache(activations, pre)
+        if keep_cache:
+            pre.append(z)
+            activations.append(h)
+        del z
+    return h, (ForwardCache(activations, pre) if keep_cache else None)
 
 
 def backward(mlp: Mlp, cache: ForwardCache, output_gradient) -> tuple:

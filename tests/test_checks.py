@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,15 @@ import rotgrad.sphere as sphere
 from rotgrad.checks import (
     CHECK_NAMES,
     CHECKS,
+    _CASE_BLOCK,
+    _PGD_STEP_SIZE,
+    _PGD_STEPS,
     TOL_PROJECTION_EXCESS,
     CheckResult,
     _baseline_rotations,
     _forward_map_9d_cases,
     _haar_rotations,
+    _oracle_block,
     check_tau_converge,
     membership_residual,
     oracle_inverse_image_batch,
@@ -345,6 +350,25 @@ def test_oracle_converges_to_closed_form(rep):
     d_closed = np.linalg.norm(closed - xs, axis=1)
     d_oracle = np.linalg.norm(oracle - xs, axis=1)
     assert np.max(np.abs(d_oracle - d_closed)) <= 1e-9
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_oracle_blocks_give_the_whole_stack_bits(rep):
+    xs, r_gs = sample_projection_cases(rep, _CASE_BLOCK + 100, seed=41)
+    whole = _oracle_block(rep, xs, r_gs, _PGD_STEPS, _PGD_STEP_SIZE)
+    assert oracle_inverse_image_batch(rep, xs, r_gs).tobytes() == whole.tobytes()
+
+
+def test_ten_d_oracle_holds_one_block_of_step_matrices():
+    xs, r_gs = sample_projection_cases(RepKind.TEN_D, 1000, seed=101)
+    tracemalloc.start()
+    try:
+        oracle_inverse_image_batch(RepKind.TEN_D, xs, r_gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole stack of 1000 cases peaks at about 4.1e6 bytes
+    assert peak <= 1.5e6
 
 
 def test_membership_residual_rejects_non_manifold_rep():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,24 @@ def test_fit_rejects_a_non_finite_x_init_before_any_step(rep, bad):
         fit_single_rotation(rep, x_init=x_init, iters=5)
 
 
+@pytest.mark.parametrize("bad", [np.eye(4), np.full((3, 3), np.nan), 2.0 * np.eye(3),
+                                 np.diag([1.0, 1.0, -1.0]), np.eye(3) + 1e-5],
+                         ids=["4x4", "nan", "2I", "reflection", "off-by-1e-5"])
+def test_fit_rejects_an_r_gt_that_is_not_a_rotation_before_any_step(monkeypatch, bad):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(harness, "rpmg_gradient", no_step)
+    with pytest.raises(ValueError, match="r_gt must be a finite"):
+        fit_single_rotation(RepKind.NINE_D, r_gt=bad, iters=5)
+
+
+def test_fit_accepts_an_r_gt_orthonormal_to_within_1e_minus_6():
+    r_gt = so3.sample_uniform_rotation(np.random.default_rng(3)) + 1e-8
+    fit = fit_single_rotation(RepKind.NINE_D, r_gt=r_gt, iters=5)
+    assert not fit.aborted and np.array_equal(fit.r_gt, r_gt)
+
+
 def test_config_rejects_a_schedule_that_steps_away_from_the_target():
     # both ends negative: training moved away from its targets, 139.8 -> 146.3 degrees
     with pytest.raises(ValueError, match="tau_init must be a finite positive real"):
@@ -571,9 +590,9 @@ def test_trainer_updates_one_network_in_place(monkeypatch, trainer, method):
         built.append(self)
         mlp_init(self, weights, biases)
 
-    def recording_forward(mlp, x):
+    def recording_forward(mlp, x, **kwargs):
         forwarded.append((mlp, mlp.params))
-        return forward(mlp, x)
+        return forward(mlp, x, **kwargs)
 
     def recording_step(state, params, grads):
         stepped.append(params)
@@ -639,8 +658,8 @@ def test_train_s2_aborts_on_a_non_finite_output(monkeypatch, method, where):
     config = ExperimentConfig(method=method, iters=4, eval_every=2, n_rotations=64)
     forward, calls = nn.forward, []
 
-    def overflowing(mlp, x):
-        ys, cache = forward(mlp, x)
+    def overflowing(mlp, x, **kwargs):
+        ys, cache = forward(mlp, x, **kwargs)
         calls.append(len(x))
         # the first call calibrates the output head
         if len(calls) > 1 and (where == "batch") == (len(x) == config.batch):
@@ -682,6 +701,38 @@ def test_tau_probe_validation():
         tau_probe(RepKind.EULER3, "l2", [1.0])
     with pytest.raises(ValueError):
         tau_probe(RepKind.NINE_D, "l2", [])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_samples": 0}, "at least 1 sample"),
+    ({"n_samples": -2}, "at least 1 sample"),
+    ({"n_points": 3}, "at least 4 points"),
+    ({"n_points": 0}, "at least 4 points"),
+    *(({"taus": [0.5, bad]}, "every tau must be a positive real")
+      for bad in (-1.0, 0.0, math.nan, math.inf, True, "1.0")),
+], ids=repr)
+def test_tau_probe_rejects_bad_inputs_before_sampling(monkeypatch, kwargs, match):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(harness, "_spawn_rngs", no_sampling)
+    args = {"taus": [0.5], **kwargs}
+    with pytest.raises(ValueError, match=match):
+        tau_probe(RepKind.NINE_D, "chamfer", **args)
+
+
+def test_calibrating_the_head_holds_at_most_two_hidden_layers():
+    rng = np.random.default_rng(4)
+    mlp = nn.init_mlp([48, 128, 128, 10], rng)
+    x = rng.standard_normal((1638, 48))
+    tracemalloc.start()
+    try:
+        harness._calibrate_head(mlp, x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pass that keeps a backward cache holds about 4.2 of them
+    assert peak <= 2.25 * x.shape[0] * 128 * 8
 
 
 def test_default_tau_presets():

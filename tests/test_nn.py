@@ -324,3 +324,19 @@ def test_weights_and_biases_are_views_of_one_parameter_vector():
     assert out is params and mlp.params is params
     assert not np.array_equal(params, before)
     assert np.array_equal(_flat(mlp.weights + mlp.biases), params)
+
+
+@pytest.mark.parametrize("out_dim", [3, 4, 6, 9, 10])
+@pytest.mark.parametrize("rows", [1, 32, 410, 1638])
+def test_forward_without_cache_gives_the_cached_output_bits(rows, out_dim):
+    rng = np.random.default_rng(rows * 16 + out_dim)
+    mlp = init_mlp([48, 128, 128, out_dim], rng)
+    x = rng.standard_normal((rows, 48))
+    # non-finite rows propagate NaN and inf through every layer
+    for row, value in zip(range(0, rows, 3), (np.nan, np.inf, -np.inf)):
+        x[row, row % 48] = value
+    with np.errstate(invalid="ignore"):  # inf - inf in the first layer
+        y, cache = forward(mlp, x)
+        y_free, none = forward(mlp, x, keep_cache=False)
+    assert none is None and isinstance(cache, ForwardCache)
+    assert _bits_equal(y_free, y)

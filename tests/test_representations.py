@@ -495,8 +495,8 @@ config = ExperimentConfig(rep=RepKind.NINE_D, method=method, iters=4, eval_every
 forward = nn.forward
 calls = []
 
-def overflowing(mlp, x):
-    ys, cache = forward(mlp, x)
+def overflowing(mlp, x, **kwargs):
+    ys, cache = forward(mlp, x, **kwargs)
     calls.append(len(x))
     # the first call calibrates the output head
     if len(calls) > 1 and (where == "batch") == (len(x) == config.batch):
