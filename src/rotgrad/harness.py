@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import multiprocessing
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -33,6 +32,9 @@ from .representations import (
     rotations_from_raw,
 )
 from .riemannian import (
+    _check_count,
+    _check_positive_real,
+    _check_weight,
     CutLocusError,
     TauSchedule,
     euclid_grad,
@@ -64,6 +66,10 @@ DEFAULT_TAU_BY_LOSS = {"flow": 50.0, "chamfer": 2.0}
 # to the cut locus; the l2 auto step, tau |phi| = sin(theta), never exceeds it.
 AUTO_MAX_GOAL_STEP = 1.0
 
+# the fewest points of a non-coplanar cloud, and rotations for a holdout split
+_MIN_POINTS = 4
+_MIN_ROTATIONS = 5
+
 TauSpec = Union[str, float, TauSchedule]
 
 
@@ -90,11 +96,9 @@ class LrSchedule:
     milestones: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.base < math.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.base}")
+        _check_positive_real("base", self.base)
         for m in self.milestones:
-            if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-                raise ValueError(f"milestones must be non-negative integers, got {self.milestones!r}")
+            _check_count("milestone", m, 0)
         if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing, got {self.milestones!r}")
 
@@ -117,7 +121,10 @@ def lr_at(spec: LrSpec, iteration: int) -> float:
 class ExperimentConfig:
     """Everything a training run depends on.  Frozen so it can be hashed
     into a manifest; two runs with equal configs produce equal reports.
-    Construction rejects what its trainer cannot run, tau included."""
+    Construction rejects what its trainer cannot run, by shared rules:
+    integer counts (``iters`` and ``seed`` >= 0, ``n_points`` >= 4,
+    ``n_rotations`` >= 5, the rest >= 1), a float ``lr`` that is a finite
+    positive real, ``lam`` in [0, 1], and a tau ``_resolve_tau`` accepts."""
 
     rep: RepKind = RepKind.NINE_D
     method: Union[Method, S2Method] = Method.RPMG
@@ -142,25 +149,15 @@ class ExperimentConfig:
             raise ValueError(f"the sphere experiment has only the l2 loss, got {self.loss!r}")
         if not sphere and self.method is not Method.VANILLA and self.rep not in MANIFOLD_REPS:
             raise ValueError(f"{self.rep.value} supports only the vanilla method")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
-        for name in ("iters", "batch", "n_points", "n_rotations", "eval_every"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.iters < 0:
-            raise ValueError(f"iters must be >= 0, got {self.iters}")
-        for name in ("batch", "eval_every"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_points < 4:
-            raise ValueError(f"need at least 4 points, got {self.n_points}")
-        if self.n_rotations < 5:
-            raise ValueError(f"need at least 5 rotations for a holdout split, got {self.n_rotations}")
-        if not 0.0 < lr_at(self.lr, 0) < math.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if not self.hidden or any(int(h) <= 0 for h in self.hidden):
-            raise ValueError(f"hidden sizes must be positive, got {self.hidden!r}")
+        _check_weight("lam", self.lam)
+        for name, minimum in (("iters", 0), ("seed", 0), ("batch", 1), ("eval_every", 1),
+                              ("n_points", _MIN_POINTS), ("n_rotations", _MIN_ROTATIONS)):
+            _check_count(name, getattr(self, name), minimum)
+        if not isinstance(self.lr, LrSchedule):
+            _check_positive_real("lr", self.lr)
+        _check_count("number of hidden layers", len(self.hidden), 1)
+        for h in self.hidden:
+            _check_count("hidden size", h, 1)
         _resolve_tau(self.tau, None if sphere else self.loss)
 
 
@@ -222,10 +219,8 @@ def _spawn_rngs(seed: int, n: int) -> List[np.random.Generator]:
 
 def make_dataset(n_points: int, n_rotations: int, rng: np.random.Generator) -> SyntheticDataset:
     """Sample a non-coplanar cloud and uniformly random rotations of it."""
-    if n_points < 4:
-        raise ValueError(f"need at least 4 points, got {n_points}")
-    if n_rotations < 5:
-        raise ValueError(f"need at least 5 rotations, got {n_rotations}")
+    _check_count("n_points", n_points, _MIN_POINTS)
+    _check_count("n_rotations", n_rotations, _MIN_ROTATIONS)
     while True:
         points = rng.uniform(-1.0, 1.0, size=(n_points, 3))
         centered = points - points.mean(axis=0)
@@ -262,15 +257,9 @@ def _resolve_tau(spec: TauSpec,
         else:
             const, cap = tau_converge_for(loss_class(loss_name)), AUTO_MAX_GOAL_STEP
         return (lambda it: const), cap
-    if not _is_positive_real(spec):
-        raise ValueError(f"tau must be 'auto', a positive real or a TauSchedule, got {spec!r}")
+    _check_positive_real("tau other than 'auto' or a TauSchedule", spec)
     const = float(spec)
     return (lambda it: const), None
-
-
-def _is_positive_real(value) -> bool:
-    """Whether a constant tau is a finite positive real (not a bool)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +355,16 @@ def fit_single_rotation(
     of raising. Each step makes one per-sample ``rpmg_gradient`` call at
     the step ``_resolve_tau`` picks; under ``tau="auto"`` with l2 or
     geodesic its goal step is capped at ``AUTO_MAX_GOAL_STEP`` radians.
-    Bad ``iters``, ``lr`` or ``x_init``, or an ``r_gt`` that is not a
-    finite rotation (orthonormal to 1e-6, det > 0), raise ValueError
-    before any step.
+    Bad ``iters``, ``seed``, ``lr``, ``lam`` or ``tau`` (by
+    ``ExperimentConfig``'s rules), a bad ``x_init``, or an ``r_gt`` that is
+    not a finite rotation (orthonormal to 1e-6, det > 0), raise ValueError
+    before any sampling.
     """
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
-    if not 0.0 < lr < math.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    _check_count("iters", iters, 0)
+    _check_count("seed", seed, 0)
+    _check_positive_real("lr", lr)
+    params = RpmgParams(method=method, lam=lam)
+    tau_fn, max_step = _resolve_tau(tau, loss)
     if rep not in MANIFOLD_REPS and method is not Method.VANILLA:
         raise ValueError(f"{rep.value} supports only the vanilla method")
     if r_gt is not None:
@@ -417,8 +408,6 @@ def fit_single_rotation(
         r_gt = np.eye(3)
     points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
     loss_inst = make_loss(loss, r_gt, points)
-    tau_fn, max_step = _resolve_tau(tau, loss)
-    params = RpmgParams(method=method, lam=lam)
 
     if not aborted:
         r = r_start
@@ -667,21 +656,19 @@ def tau_probe(
     Returns (tau, mean geodesic distance from the current rotation to the
     goal) pairs, useful for picking a step size when no analytic one
     exists. Distances grow monotonically with tau until the exponential
-    wraps, so look for the knee. Every tau must be a finite positive real,
-    ``n_samples`` at least 1 and ``n_points`` at least 4, as in
-    ``ExperimentConfig``; anything else raises ValueError before sampling.
+    wraps, so look for the knee. By ``ExperimentConfig``'s rules ``taus``
+    holds finite positive reals (a list or an array, not empty), and
+    ``n_samples``, ``n_points`` and ``seed`` are integers >= 1, 4 and 0;
+    anything else raises ValueError before sampling.
     """
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold structure to probe")
-    if not taus:
-        raise ValueError("need at least one tau candidate")
+    _check_count("number of taus", len(taus), 1)
     for tau in taus:
-        if not _is_positive_real(tau):
-            raise ValueError(f"every tau must be a positive real, got {tau!r}")
-    if n_samples < 1:
-        raise ValueError(f"need at least 1 sample, got {n_samples}")
-    if n_points < 4:
-        raise ValueError(f"need at least 4 points, got {n_points}")
+        _check_positive_real("every tau", tau)
+    _check_count("n_samples", n_samples, 1)
+    _check_count("n_points", n_points, _MIN_POINTS)
+    _check_count("seed", seed, 0)
     rng = _spawn_rngs(seed, 1)[0]
     cases = []
     for _ in range(n_samples):

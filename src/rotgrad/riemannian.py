@@ -261,6 +261,23 @@ def tau_gt_l2(theta: float) -> float:
     return theta / (4.0 * math.sin(theta))
 
 
+# the construction-time rules of every entry point; bools pass none of them
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive_real(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+
+
+def _check_weight(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a real in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class TauSchedule:
     """Staircase ramp from tau_init to tau_converge over total_iters."""
@@ -270,12 +287,10 @@ class TauSchedule:
     n_steps: int = 10
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.total_iters < 0:
-            raise ValueError("schedule needs n_steps >= 1 and total_iters >= 0")
-        # each end obeys harness._resolve_tau's rule for a constant tau
-        for name, end in (("tau_init", self.tau_init), ("tau_converge", self.tau_converge)):
-            if not isinstance(end, numbers.Real) or isinstance(end, bool) or not 0.0 < end < math.inf:
-                raise ValueError(f"{name} must be a finite positive real, got {end!r}")
+        _check_positive_real("tau_init", self.tau_init)
+        _check_positive_real("tau_converge", self.tau_converge)
+        _check_count("total_iters", self.total_iters, 0)
+        _check_count("n_steps", self.n_steps, 1)
 
 
 def tau_at(schedule: TauSchedule, iteration: int) -> float:

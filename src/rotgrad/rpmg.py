@@ -47,6 +47,7 @@ from .representations import (
     vanilla_backward_batch,
 )
 from .riemannian import (
+    _check_weight,
     LossKind,
     euclid_grad,
     euclid_grad_batch,
@@ -80,8 +81,7 @@ class RpmgParams:
     lam: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+        _check_weight("lam", self.lam)
 
     @property
     def blend_lam(self) -> float:

@@ -40,7 +40,7 @@ from rotgrad.riemannian import NoAnalyticTauError
 
 
 def test_importing_the_package_leaves_the_checks_unloaded():
-    code = ("import sys, rotgrad; unloaded = 'rotgrad.checks' not in sys.modules; "
+    code = ("import sys, rotgrad, rotgrad.cli; unloaded = 'rotgrad.checks' not in sys.modules; "
             "from rotgrad import CheckResult, run_checks; "
             "print(unloaded, CheckResult.__module__, run_checks.__module__)")
     src = str(Path(rotgrad.__file__).resolve().parents[1])

@@ -75,8 +75,8 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fit", "--iters", "-1"], "iters must be >= 0"),
-    (["fit", "--lr", "-1"], "learning rate must be positive"),
+    (["fit", "--iters", "-1"], "iters must be an integer >= 0"),
+    (["fit", "--lr", "-1"], "lr must be a finite positive real"),
     (["train", "--sphere", "--loss", "chamfer", "--iters", "1"], "only the l2 loss"),
     (["train", "--rep", "euler", "--method", "rpmg"], "supports only the vanilla method"),
     (["fit", "--loss", "hinge"], "unknown loss"),
@@ -84,7 +84,7 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
      "tau_init must be a finite positive real"),
     (["train", "--tau-init", "0.1", "--tau-converge", "inf", "--iters", "1"],
      "tau_converge must be a finite positive real"),
-    (["fit", "--lr", "inf"], "learning rate must be positive and finite"),
+    (["fit", "--lr", "inf"], "lr must be a finite positive real"),
 ])
 def test_invalid_values_exit_2_without_a_run_directory(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2

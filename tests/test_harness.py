@@ -70,6 +70,13 @@ def rot_xyz(rng):
         {"rep": "9d"},
         {"method": "rpmg"},
         {"lr": math.inf},
+        {"seed": 2.5},
+        {"seed": -1},
+        {"seed": True},
+        {"hidden": (127.5,)},
+        {"hidden": (True,)},
+        {"lr": True},
+        {"lam": True},
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -86,6 +93,23 @@ def test_config_accepts_every_run_train_and_train_s2_can_make():
     ExperimentConfig(tau=TauSchedule(0.05, 0.5, 100))
 
 
+def test_every_edge_value_is_accepted_and_runs_one_iteration():
+    one = np.int64(1)
+    edges = dict(seed=np.int64(0), iters=one, batch=one, eval_every=one, n_points=np.int32(4),
+                 n_rotations=np.int64(5), hidden=(one,), lr=LrSchedule(np.float64(1e-3), (one,)),
+                 tau=TauSchedule(np.float64(0.1), 0.25, total_iters=one, n_steps=one))
+    for lam in (0.0, 1.0):
+        for run, method in ((train, Method.RPMG), (train_s2, S2Method.RPMG)):
+            report = run(ExperimentConfig(method=method, lam=lam, **edges))
+            assert not report.aborted and [row.iteration for row in report.rows] == [0, 1]
+        fit = fit_single_rotation(RepKind.NINE_D, lam=lam, seed=np.int64(0), iters=one,
+                                  lr=np.float64(1e-2), tau=edges["tau"])
+        assert not fit.aborted and len(fit.errors) == 2
+    (tau, step), = tau_probe(RepKind.NINE_D, "l2", np.array([0.25]), seed=np.int64(0),
+                             n_samples=one, n_points=np.int64(4))
+    assert tau == 0.25 and math.isfinite(step)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -96,6 +120,8 @@ def test_config_accepts_every_run_train_and_train_s2_can_make():
         {"base": 0.0, "milestones": ()},
         {"base": math.inf, "milestones": (5,)},
         {"base": math.nan, "milestones": ()},
+        {"base": True, "milestones": ()},
+        {"base": "1e-3", "milestones": ()},
     ],
 )
 def test_lr_schedule_rejects_invalid(kwargs):
@@ -269,23 +295,40 @@ def test_fit_vanilla_supports_euclidean_reps():
         fit_single_rotation(RepKind.EULER3, Method.RPMG, seed=0, iters=10)
 
 
-def test_fit_rejects_bad_arguments():
+def test_fit_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError):
         fit_single_rotation(RepKind.QUAT4, loss="nope")
     with pytest.raises(ValueError):
         fit_single_rotation(RepKind.QUAT4, x_init=np.zeros(3))
 
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(harness, "_spawn_rngs", no_sampling)
+    for kwargs, match in [({"iters": True}, "iters must be an integer >= 0"),
+                          ({"iters": 2.5}, "iters must be an integer >= 0"),
+                          ({"seed": -1}, "seed must be an integer >= 0"),
+                          ({"seed": 2.5}, "seed must be an integer >= 0"),
+                          ({"seed": True}, "seed must be an integer >= 0"),
+                          ({"lr": True}, "lr must be a finite positive real"),
+                          ({"lam": True}, "lam must be a real in"),
+                          ({"lam": 1.5}, "lam must be a real in"),
+                          ({"tau": "warmup"}, "tau .* must be a finite positive real"),
+                          ({"tau": -0.5}, "tau .* must be a finite positive real")]:
+        with pytest.raises(ValueError, match=match):
+            fit_single_rotation(RepKind.QUAT4, **kwargs)
+
 
 def test_fit_rejects_negative_iters_and_non_positive_lr():
-    with pytest.raises(ValueError, match="iters must be >= 0"):
+    with pytest.raises(ValueError, match="iters must be an integer >= 0"):
         fit_single_rotation(RepKind.QUAT4, iters=-1)
     for lr in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="learning rate must be positive"):
+        with pytest.raises(ValueError, match="lr must be a finite positive real"):
             fit_single_rotation(RepKind.QUAT4, lr=lr)
 
 
 def test_fit_rejects_an_infinite_lr_before_any_step():
-    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+    with pytest.raises(ValueError, match="lr must be a finite positive real"):
         fit_single_rotation(RepKind.QUAT4, lr=math.inf, iters=5)
 
 
@@ -701,15 +744,23 @@ def test_tau_probe_validation():
         tau_probe(RepKind.EULER3, "l2", [1.0])
     with pytest.raises(ValueError):
         tau_probe(RepKind.NINE_D, "l2", [])
+    # a numpy array of taus is a sequence like a list
+    taus = [0.1, 0.2]
+    assert tau_probe(RepKind.NINE_D, "l2", np.array(taus)) == tau_probe(RepKind.NINE_D, "l2", taus)
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"n_samples": 0}, "at least 1 sample"),
-    ({"n_samples": -2}, "at least 1 sample"),
-    ({"n_points": 3}, "at least 4 points"),
-    ({"n_points": 0}, "at least 4 points"),
-    *(({"taus": [0.5, bad]}, "every tau must be a positive real")
+    ({"n_samples": 0}, "n_samples must be an integer >= 1"),
+    ({"n_samples": -2}, "n_samples must be an integer >= 1"),
+    ({"n_points": 3}, "n_points must be an integer >= 4"),
+    ({"n_points": 0}, "n_points must be an integer >= 4"),
+    *(({"taus": [0.5, bad]}, "every tau must be a finite positive real")
       for bad in (-1.0, 0.0, math.nan, math.inf, True, "1.0")),
+    ({"n_samples": 2.5}, "n_samples must be an integer >= 1"),
+    ({"n_samples": True}, "n_samples must be an integer >= 1"),
+    ({"n_points": 4.5}, "n_points must be an integer >= 4"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"seed": 2.5}, "seed must be an integer >= 0"),
 ], ids=repr)
 def test_tau_probe_rejects_bad_inputs_before_sampling(monkeypatch, kwargs, match):
     def no_sampling(*args, **kwargs):

@@ -339,8 +339,13 @@ def test_tau_schedule_monotone_and_bounded(i):
 
 
 def test_tau_schedule_validation():
-    with pytest.raises(ValueError):
-        TauSchedule(0.1, 0.2, total_iters=10, n_steps=0)
+    for kwargs, match in [({"n_steps": 0}, "n_steps must be an integer >= 1"),
+                          ({"n_steps": 2.5}, "n_steps must be an integer >= 1"),
+                          ({"n_steps": True}, "n_steps must be an integer >= 1"),
+                          ({"total_iters": 2.5}, "total_iters must be an integer >= 0"),
+                          ({"total_iters": True}, "total_iters must be an integer >= 0")]:
+        with pytest.raises(ValueError, match=match):
+            TauSchedule(0.1, 0.2, **{"total_iters": 10, **kwargs})
 
 
 @pytest.mark.parametrize("ends", [(-0.5, -0.25), (0.0, 0.25), (0.1, -0.2), (math.nan, 0.25),
