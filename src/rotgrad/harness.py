@@ -90,12 +90,14 @@ S2_METHOD_BY_NAME = {m.value: m for m in S2Method}
 class LrSchedule:
     """Step decay of the Adam learning rate: ``base``, multiplied by 0.1 at
     each milestone iteration.  The update made at iteration ``it`` uses
-    ``base * 0.1**k`` where k counts the milestones <= it."""
+    ``base * 0.1**k`` where k counts the milestones <= it.  ``milestones``
+    is kept as a tuple, so a schedule built from a list hashes."""
 
     base: float
     milestones: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "milestones", tuple(self.milestones))
         _check_positive_real("base", self.base)
         for m in self.milestones:
             _check_count("milestone", m, 0)
@@ -124,7 +126,8 @@ class ExperimentConfig:
     Construction rejects what its trainer cannot run, by shared rules:
     integer counts (``iters`` and ``seed`` >= 0, ``n_points`` >= 4,
     ``n_rotations`` >= 5, the rest >= 1), a float ``lr`` that is a finite
-    positive real, ``lam`` in [0, 1], and a tau ``_resolve_tau`` accepts."""
+    positive real, ``lam`` in [0, 1], and a tau ``_resolve_tau`` accepts.
+    ``hidden`` is kept as a tuple, so a config built from a list hashes."""
 
     rep: RepKind = RepKind.NINE_D
     method: Union[Method, S2Method] = Method.RPMG
@@ -155,6 +158,7 @@ class ExperimentConfig:
             _check_count(name, getattr(self, name), minimum)
         if not isinstance(self.lr, LrSchedule):
             _check_positive_real("lr", self.lr)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         _check_count("number of hidden layers", len(self.hidden), 1)
         for h in self.hidden:
             _check_count("hidden size", h, 1)
@@ -355,7 +359,7 @@ def fit_single_rotation(
     of raising. Each step makes one per-sample ``rpmg_gradient`` call at
     the step ``_resolve_tau`` picks; under ``tau="auto"`` with l2 or
     geodesic its goal step is capped at ``AUTO_MAX_GOAL_STEP`` radians.
-    Bad ``iters``, ``seed``, ``lr``, ``lam`` or ``tau`` (by
+    Bad ``iters``, ``seed``, ``lr``, ``lam``, ``loss`` or ``tau`` (by
     ``ExperimentConfig``'s rules), a bad ``x_init``, or an ``r_gt`` that is
     not a finite rotation (orthonormal to 1e-6, det > 0), raise ValueError
     before any sampling.
@@ -363,6 +367,7 @@ def fit_single_rotation(
     _check_count("iters", iters, 0)
     _check_count("seed", seed, 0)
     _check_positive_real("lr", lr)
+    loss_class(loss)
     params = RpmgParams(method=method, lam=lam)
     tau_fn, max_step = _resolve_tau(tau, loss)
     if rep not in MANIFOLD_REPS and method is not Method.VANILLA:
@@ -656,13 +661,14 @@ def tau_probe(
     Returns (tau, mean geodesic distance from the current rotation to the
     goal) pairs, useful for picking a step size when no analytic one
     exists. Distances grow monotonically with tau until the exponential
-    wraps, so look for the knee. By ``ExperimentConfig``'s rules ``taus``
-    holds finite positive reals (a list or an array, not empty), and
-    ``n_samples``, ``n_points`` and ``seed`` are integers >= 1, 4 and 0;
-    anything else raises ValueError before sampling.
+    wraps, so look for the knee. By ``ExperimentConfig``'s rules ``loss``
+    is a trainer loss name, ``taus`` holds finite positive reals (a list or
+    an array, not empty), and ``n_samples``, ``n_points`` and ``seed`` are
+    integers >= 1, 4 and 0; anything else raises ValueError before sampling.
     """
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold structure to probe")
+    loss_class(loss)
     _check_count("number of taus", len(taus), 1)
     for tau in taus:
         _check_positive_real("every tau", tau)

@@ -13,16 +13,17 @@ Euclidean baselines (Euler angles, axis-angle) have trivial projections.
 
 Per-sample projections map one vector; the ``*_batch`` helpers implement
 the same maps over a leading batch axis, which the training loops need for
-throughput.  Both routes compute the 9d and 10d maps with one
-``np.linalg.svd``/``eigh`` call, the same guards and the same arithmetic,
-so their rotations agree byte for byte.  Both reject a raw vector with an
+throughput.  The 9d map, the special orthogonalization of x.reshape(3, 3),
+is the 10d map of theta = L x (``_NINE_TO_TEN``), so both routes compute 9d
+and 10d with one ``eigh`` call, the same guards and the same arithmetic,
+and their rotations agree byte for byte.  Both reject a raw vector with an
 inf or NaN entry before any factorization, with ``DegenerateInputError``.
 Tests pin the two routes against each other.
 
 The batched route is a forward/backward pair, like ``nn.forward`` and
 ``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)`` returns
 the rotations with the factorization that produced them (normalized
-quaternion, Gram-Schmidt frame, signed SVD, eigen-decomposition), and
+quaternion, Gram-Schmidt frame, eigen-decomposition of A(theta)), and
 ``vanilla_backward_batch`` reads those factors instead of factorizing the
 batch a second time.
 """
@@ -52,6 +53,29 @@ _SYM4_ROWS, _SYM4_COLS = (np.array(a) for a in zip(*_SYM4_INDEX))
 _SYM4_GATHER = np.empty((4, 4), dtype=np.intp)
 _SYM4_GATHER[_SYM4_ROWS, _SYM4_COLS] = _SYM4_GATHER[_SYM4_COLS, _SYM4_ROWS] = np.arange(10)
 _EYE4_SYM = np.eye(4)[_SYM4_ROWS, _SYM4_COLS]
+
+# Davenport's q-method: for a unit quaternion q and M = x.reshape(3, 3),
+# tr(R(q)^T M) = q^T K(M) q with K(M) symmetric and linear in M, so the
+# rotation nearest M (its special-orthogonal polar factor) is the rotation of
+# K's top eigenvector, the smallest one of A(theta) = -K(M).  Row k of L
+# below is the k-th 10d parameter of A, written from K(M)'s entries.  K's
+# eigenvalues are s1+s2+d s3, s1-s2-d s3, -s1+s2-d s3 and -s1-s2+d s3 (s the
+# singular values of M, d = sign det M), so A's smallest eigengap is
+# 2 (s2 + d s3), and 9d rejects a gap at most 2 SIGMA_SUM_MIN.
+_NINE_TO_TEN = np.array([
+    # columns: m00 m01 m02 m10 m11 m12 m20 m21 m22, the entries of x
+    [-1,  0,  0,  0, -1,  0,  0,  0, -1],   # A00 = -(m00 + m11 + m22)
+    [0,   0,  0,  0,  0,  1,  0, -1,  0],   # A01 = m12 - m21
+    [0,   0, -1,  0,  0,  0,  1,  0,  0],   # A02 = m20 - m02
+    [0,   1,  0, -1,  0,  0,  0,  0,  0],   # A03 = m01 - m10
+    [-1,  0,  0,  0,  1,  0,  0,  0,  1],   # A11 = -m00 + m11 + m22
+    [0,  -1,  0, -1,  0,  0,  0,  0,  0],   # A12 = -(m01 + m10)
+    [0,   0, -1,  0,  0,  0, -1,  0,  0],   # A13 = -(m02 + m20)
+    [1,   0,  0,  0, -1,  0,  0,  0,  1],   # A22 = m00 - m11 + m22
+    [0,   0,  0,  0,  0, -1,  0, -1,  0],   # A23 = -(m12 + m21)
+    [1,   0,  0,  0,  1,  0,  0,  0, -1],   # A33 = m00 + m11 - m22
+], dtype=np.float64)
+_NINE_D_GAP_MIN = 2.0 * SIGMA_SUM_MIN
 
 
 class DegenerateInputError(ValueError):
@@ -139,22 +163,16 @@ def manifold_map(rep: RepKind, x) -> ManifoldPoint:
             raise DegenerateInputError(f"6d Gram-Schmidt residual {nw:.3e} below {GRAM_RESIDUAL_MIN:.0e}")
         return ManifoldPoint(rep, np.stack([u_hat, w / nw]))
 
-    if rep is RepKind.NINE_D:
-        # the arithmetic and guard of _nine_d_forward_batch
-        u, s, vt = np.linalg.svd(x.reshape(3, 3))
-        if s[1] + s[2] <= SIGMA_SUM_MIN:
-            raise DegenerateInputError(
-                f"9d singular values sigma2+sigma3 = {s[1] + s[2]:.3e} below {SIGMA_SUM_MIN:.0e}")
-        u[:, 2] *= np.linalg.det(u @ vt)
-        return ManifoldPoint(rep, u @ vt)
-
-    # TEN_D: unit eigenvector of the smallest eigenvalue of A(x), as in
-    # _ten_d_forward_batch
-    vals, vecs = np.linalg.eigh(sym4_from_params(x))
+    # 9d and 10d: unit eigenvector of the smallest eigenvalue of A(theta),
+    # as in _ten_d_forward_batch; 9d's theta is L x and its point the rotation
+    nine = rep is RepKind.NINE_D
+    gap_min = _NINE_D_GAP_MIN if nine else EIGENGAP_MIN
+    vals, vecs = np.linalg.eigh(sym4_from_params(_NINE_TO_TEN @ x if nine else x))
     gap = float(vals[1] - vals[0])
-    if gap <= EIGENGAP_MIN:
-        raise DegenerateInputError(f"10d smallest-eigenvalue gap {gap:.3e} below {EIGENGAP_MIN:.0e}")
-    return ManifoldPoint(rep, so3.canonical_quat(vecs[:, 0]))
+    if gap <= gap_min:
+        raise DegenerateInputError(f"{rep.value} smallest-eigenvalue gap {gap:.3e} below {gap_min:.0e}")
+    q = so3.canonical_quat(vecs[:, 0])
+    return ManifoldPoint(rep, so3.quat_to_rot(q) if nine else q)
 
 
 def rotation_map(point: ManifoldPoint) -> np.ndarray:
@@ -296,41 +314,23 @@ def _sym4_batch(xs: np.ndarray) -> np.ndarray:
     return np.take(xs, _SYM4_GATHER.ravel(), axis=1).reshape(-1, 4, 4)
 
 
-def _ten_d_forward_batch(xs: np.ndarray):
-    """Rotation of the smallest eigenvector of A(x), gap-guarded.
+def _ten_d_forward_batch(thetas: np.ndarray, name: str = "10d", gap_min: float = EIGENGAP_MIN):
+    """Rotation of the smallest eigenvector of A(theta), gap-guarded.
 
-    The eigenvector takes its canonical sign; the factors are A's ascending
-    eigenvalues and its eigenvector columns, as ``eigh`` returns them.
+    9d passes x L^T with its own name and threshold.  The eigenvector takes
+    its canonical sign; the factors are A's ascending eigenvalues and its
+    eigenvector columns, as ``eigh`` returns them.
     """
-    vals, vecs = np.linalg.eigh(_sym4_batch(xs))
+    vals, vecs = np.linalg.eigh(_sym4_batch(thetas))
     gap = vals[:, 1] - vals[:, 0]
-    bad = gap <= EIGENGAP_MIN
+    bad = gap <= gap_min
     if bad.any():
         raise DegenerateInputError(
-            f"10d smallest-eigenvalue gap below {EIGENGAP_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+            f"{name} smallest-eigenvalue gap below {gap_min:.0e} at sample {int(np.nonzero(bad)[0][0])}")
     q = vecs[:, :, 0] * np.where(vecs[:, 0, 0] < 0.0, -1.0, 1.0)[:, None]
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = so3.canonical_quat(q[i])
     return _quat_to_rot_batch(q), (vals, vecs)
-
-
-def _nine_d_forward_batch(xs: np.ndarray):
-    """Special orthogonalization through the SVD of M = x.reshape(3, 3).
-
-    The factors are (U', s', Vt): U' is U with its third column scaled by
-    d = det(U Vt), and s' is (s1, s2, d s3), so M = U' diag(s') Vt and
-    the projection is U' Vt.
-    """
-    u, s, vt = np.linalg.svd(xs.reshape(-1, 3, 3))
-    bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
-    if bad.any():
-        raise DegenerateInputError(
-            f"9d sigma2+sigma3 below {SIGMA_SUM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    d = np.linalg.det(u @ vt)
-    u = u.copy()
-    u[:, :, 2] *= d[:, None]
-    s[:, 2] *= d
-    return u @ vt, (u, s, vt)
 
 
 def _euler_to_rot_batch(xs: np.ndarray) -> np.ndarray:
@@ -363,13 +363,13 @@ def _axis_angle_forward_batch(xs: np.ndarray):
 # rep's backward map reads, so one training step factorizes its batch once:
 #   quat               (q, |x|)
 #   6d                 (u_hat, v_hat, |u|, |w|, v . u_hat)
-#   9d                 (U', s', Vt)
-#   10d                (ascending eigenvalues, eigenvector columns) of A(x)
+#   9d, 10d            (ascending eigenvalues, eigenvector columns) of
+#                      A(theta), theta = L x for 9d and x for 10d
 #   euler, axis-angle  (R,)
 _FORWARD = {
     RepKind.QUAT4: _quat_forward_batch,
     RepKind.SIX_D: _six_d_forward_batch,
-    RepKind.NINE_D: _nine_d_forward_batch,
+    RepKind.NINE_D: lambda xs: _ten_d_forward_batch(xs @ _NINE_TO_TEN.T, "9d", _NINE_D_GAP_MIN),
     RepKind.TEN_D: _ten_d_forward_batch,
     RepKind.EULER3: _euler_forward_batch,
     RepKind.AXIS_ANGLE3: _axis_angle_forward_batch,
@@ -377,7 +377,8 @@ _FORWARD = {
 
 
 def _forward(rep: RepKind, xs: np.ndarray):
-    """``_FORWARD[rep]`` on finite rows; an inf entry can hang the 9d SVD."""
+    """``_FORWARD[rep]`` on finite rows: a non-finite row would pass the quat
+    and 6d guards as NaN and make the 9d/10d ``eigh`` raise ``LinAlgError``."""
     if not np.isfinite(xs).all():
         bad = int(np.nonzero(~np.isfinite(xs).all(axis=1))[0][0])
         raise DegenerateInputError(f"{rep.value}: non-finite raw output at sample {bad}")
@@ -389,8 +390,8 @@ def rotations_from_raw(rep: RepKind, xs: np.ndarray, return_factors: bool = Fals
 
     With ``return_factors`` it returns ``(rotations, factors)``, where
     ``factors`` is the rep's factorization of the batch (the normalized
-    quaternion, the 6d frame, the signed SVD, the eigen-decomposition).
-    Pass them to :func:`vanilla_backward_batch` or
+    quaternion, the 6d frame, the eigen-decomposition of A(theta) for 9d
+    and 10d).  Pass them to :func:`vanilla_backward_batch` or
     ``rpmg_gradient_batch`` to differentiate the same batch without
     factorizing it again.
     """
@@ -457,27 +458,6 @@ def _six_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray
     return np.concatenate([gu, gv], axis=1)
 
 
-def _nine_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:
-    """Derivative of SVD special orthogonalization R = U' Vt.
-
-    With M = U' diag(s') Vt, a perturbation turns R by U' W Vt with W skew,
-    W_ij = (C_ij - C_ji) / (s'_i + s'_j) and C = U'^T dM V.  The adjoint is
-    dL/dM = U' K Vt with K_ij = (B_ij - B_ji) / (s'_i + s'_j), B = U'^T G V.
-    """
-    u, s, vt = factors
-    # when det M < 0 the smallest pair sum is s2 - s3, which the forward
-    # guard on s2 + s3 does not see; the projection jumps where it vanishes
-    bad = s[:, 1] + s[:, 2] <= SIGMA_SUM_MIN
-    if bad.any():
-        raise DegenerateInputError(
-            f"9d sigma2+det*sigma3 below {SIGMA_SUM_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
-    b = np.swapaxes(u, 1, 2) @ gs @ np.swapaxes(vt, 1, 2)
-    denom = s[:, :, None] + s[:, None, :]
-    denom[:, [0, 1, 2], [0, 1, 2]] = 1.0  # diagonal of B - B^T is zero
-    k = (b - np.swapaxes(b, 1, 2)) / denom
-    return (u @ k @ vt).reshape(-1, 9)
-
-
 # a diagonal parameter counts once in A and an off-diagonal one twice, so
 # (w_i q_j + w_j q_i) is halved on the diagonal
 _SYM4_HALF_MULT = np.where(_SYM4_ROWS == _SYM4_COLS, 0.5, 1.0)
@@ -534,7 +514,8 @@ def _axis_angle_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.nd
 _BACKWARD = {
     RepKind.QUAT4: _quat_backward_batch,
     RepKind.SIX_D: _six_d_backward_batch,
-    RepKind.NINE_D: _nine_d_backward_batch,
+    # theta = L x, so dL/dx = L^T dL/dtheta
+    RepKind.NINE_D: lambda xs, gs, factors: _ten_d_backward_batch(xs, gs, factors) @ _NINE_TO_TEN,
     RepKind.TEN_D: _ten_d_backward_batch,
     RepKind.EULER3: _euler_backward_batch,
     RepKind.AXIS_ANGLE3: _axis_angle_backward_batch,
@@ -547,15 +528,14 @@ def vanilla_backward_batch(rep: RepKind, xs: np.ndarray, gs: np.ndarray,
 
     ``gs`` holds per-sample Euclidean loss gradients dL/dR of shape (B, 3, 3);
     the result is dL/dx of shape (B, n).  Every rep has a closed form: the
-    9d map is differentiated through its SVD, the 10d map by eigenvector
-    perturbation.  ``factors`` are those that
+    10d map is differentiated by eigenvector perturbation, and the 9d map,
+    the 10d map of theta = L x, by the same closed form times L.
+    ``factors`` are those that
     ``rotations_from_raw(rep, xs, return_factors=True)`` returned for the
     same ``xs``; without them the backward factorizes ``xs`` through the
     same forward map, with the same result bit for bit.  Inputs the forward
     map rejects, non-finite rows among them, raise the same
-    ``DegenerateInputError``, as do 9d inputs with det M < 0 and
-    sigma2 = sigma3, where the projection is discontinuous; that check runs
-    on the factors too.
+    ``DegenerateInputError``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     gs = np.asarray(gs, dtype=np.float64)
@@ -568,7 +548,7 @@ def baseline_backward(rep: RepKind, x, dl_dr) -> np.ndarray:
     """Chain rule dL/dx for a single sample given dL/dR.
 
     A B = 1 call of :func:`vanilla_backward_batch`: closed forms for every
-    rep, including the SVD (9d) and eigenvector (10d) projections.
+    rep, including the eigenvector projections of 9d and 10d.
     """
     x = _check_dim(rep, x)
     dl_dr = np.asarray(dl_dr, dtype=np.float64)

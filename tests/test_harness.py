@@ -91,6 +91,10 @@ def test_config_accepts_every_run_train_and_train_s2_can_make():
     ExperimentConfig(rep=RepKind.EULER3, method=S2Method.RPMG)
     ExperimentConfig(tau=np.float64(0.3))
     ExperimentConfig(tau=TauSchedule(0.05, 0.5, 100))
+    # lists are stored as tuples: the config hashes like its tuple twin
+    listed = ExperimentConfig(hidden=[64, 64], lr=LrSchedule(1e-3, [10]))
+    tupled = ExperimentConfig(hidden=(64, 64), lr=LrSchedule(1e-3, (10,)))
+    assert listed == tupled and hash(listed) == hash(tupled)
 
 
 def test_every_edge_value_is_accepted_and_runs_one_iteration():
@@ -314,7 +318,8 @@ def test_fit_rejects_bad_arguments(monkeypatch):
                           ({"lam": True}, "lam must be a real in"),
                           ({"lam": 1.5}, "lam must be a real in"),
                           ({"tau": "warmup"}, "tau .* must be a finite positive real"),
-                          ({"tau": -0.5}, "tau .* must be a finite positive real")]:
+                          ({"tau": -0.5}, "tau .* must be a finite positive real"),
+                          ({"loss": "nope", "tau": 0.3}, "unknown loss 'nope'")]:
         with pytest.raises(ValueError, match=match):
             fit_single_rotation(RepKind.QUAT4, **kwargs)
 
@@ -380,12 +385,13 @@ def test_sphere_config_rejects_losses_other_than_l2(loss):
 
 
 def test_fit_vanilla_nine_d_aborts_on_negative_det_sigma_tie():
-    # the forward map accepts det M < 0 with sigma2 = sigma3; its backward does not
+    # the forward map rejects det M < 0 with sigma2 = sigma3, so the start
+    # gives no error row
     fit = fit_single_rotation(RepKind.NINE_D, Method.VANILLA, seed=0, iters=10,
                               x_init=np.diag([2.0, 1.0, -1.0]).ravel())
     assert fit.aborted
-    assert fit.diagnostic.startswith("degenerate raw vector at step 0:")
-    assert len(fit.errors) == 1
+    assert fit.diagnostic.startswith("degenerate raw vector at step 0: 9d smallest-eigenvalue gap")
+    assert len(fit.errors) == 0
 
 
 def test_fit_abort_on_degenerate_start():
@@ -448,18 +454,17 @@ def test_train_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("rep, routine", [(RepKind.NINE_D, "svd"), (RepKind.TEN_D, "eigh")],
-                         ids=["9d", "10d"])
-def test_vanilla_train_factorizes_once_per_step(monkeypatch, rep, routine):
+@pytest.mark.parametrize("rep", [RepKind.NINE_D, RepKind.TEN_D], ids=lambda r: r.value)
+def test_vanilla_train_factorizes_once_per_step(monkeypatch, rep):
     calls = []
-    original = getattr(np.linalg, routine)
+    original = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         if np.ndim(a) == 3:  # make_dataset's rank check factorizes one (n_points, 3) cloud
             calls.append(len(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, routine, counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     cfg = ExperimentConfig(rep=rep, method=Method.VANILLA, iters=7, eval_every=3, n_rotations=64)
     report = train(cfg)
     assert not report.aborted and len(report.rows) == 4  # iterations 0, 3, 6, 7
@@ -761,15 +766,16 @@ def test_tau_probe_validation():
     ({"n_points": 4.5}, "n_points must be an integer >= 4"),
     ({"seed": -1}, "seed must be an integer >= 0"),
     ({"seed": 2.5}, "seed must be an integer >= 0"),
+    ({"loss": "nope"}, "unknown loss 'nope'"),
 ], ids=repr)
 def test_tau_probe_rejects_bad_inputs_before_sampling(monkeypatch, kwargs, match):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
     monkeypatch.setattr(harness, "_spawn_rngs", no_sampling)
-    args = {"taus": [0.5], **kwargs}
+    args = {"loss": "chamfer", "taus": [0.5], **kwargs}
     with pytest.raises(ValueError, match=match):
-        tau_probe(RepKind.NINE_D, "chamfer", **args)
+        tau_probe(RepKind.NINE_D, **args)
 
 
 def test_calibrating_the_head_holds_at_most_two_hidden_layers():

@@ -57,6 +57,42 @@ def assert_rotation(r, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# 9d reference: special orthogonalization through the SVD of M (Levinson et
+# al. 2020), against which the library's eigen route is tested
+
+def svd_special_orthogonalization(xs):
+    """R = U diag(1, 1, d) V^T with d = det(U V^T), for (B, 9) rows, and the
+    signed factors (U', s', V^T): U' is U with its third column times d and
+    s' = (s1, s2, d s3), so M = U' diag(s') V^T and R = U' V^T."""
+    u, s, vt = np.linalg.svd(np.reshape(xs, (-1, 3, 3)))
+    d = np.linalg.det(u @ vt)
+    u[:, :, 2] *= d[:, None]
+    s[:, 2] *= d
+    return u @ vt, (u, s, vt)
+
+
+def svd_nine_d_backward(xs, gs):
+    """dL/dx of R = U' V^T: a perturbation turns R by U' W V^T with W skew,
+    W_ij = (C_ij - C_ji) / (s'_i + s'_j) and C = U'^T dM V, so
+    dL/dM = U' K V^T with K_ij = (B_ij - B_ji) / (s'_i + s'_j), B = U'^T G V."""
+    _, (u, s, vt) = svd_special_orthogonalization(xs)
+    b = np.swapaxes(u, 1, 2) @ gs @ np.swapaxes(vt, 1, 2)
+    denom = s[:, :, None] + s[:, None, :]
+    denom[:, [0, 1, 2], [0, 1, 2]] = 1.0  # diagonal of B - B^T is zero
+    k = (b - np.swapaxes(b, 1, 2)) / denom
+    return (u @ k @ vt).reshape(-1, 9)
+
+
+def nine_d_cases(rng, n):
+    """n raw 9d rows, the first half with det M < 0 and the rest det M > 0."""
+    xs = rng.standard_normal((n, 9))
+    want = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    xs[:, :3] *= (np.sign(np.linalg.det(xs.reshape(-1, 3, 3))) * want)[:, None]
+    assert np.array_equal(np.sign(np.linalg.det(xs.reshape(-1, 3, 3))), want)
+    return xs
+
+
+# ---------------------------------------------------------------------------
 # projections
 
 def test_quat_projection_is_normalization():
@@ -92,6 +128,29 @@ def test_nine_d_projection_is_nearest_rotation():
         for _ in range(200):
             r = so3.sample_uniform_rotation(rng)
             assert float((m * r).sum()) <= best + 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 32, 4096])
+def test_nine_d_map_is_svd_special_orthogonalization(batch):
+    # both routes, det M of both signs
+    xs = nine_d_cases(np.random.default_rng(30 + batch), batch)
+    want, _ = svd_special_orthogonalization(xs)
+    rs = rotations_from_raw(RepKind.NINE_D, xs)
+    assert np.abs(rs - want).max() <= 1e-12
+    for x, r in zip(xs[:64], want):
+        assert np.abs(baseline_rotation(RepKind.NINE_D, x) - r).max() <= 1e-12
+
+
+def test_nine_d_backward_is_the_svd_closed_form():
+    # relative to max(1, |dL/dx|), as vanilla-backward-fd reads it; the eigen
+    # and SVD closed forms agree to about 2e-13 on these rows
+    rng = np.random.default_rng(31)
+    xs = nine_d_cases(rng, 4096)
+    gs = rng.standard_normal((len(xs), 3, 3))
+    got = vanilla_backward_batch(RepKind.NINE_D, xs, gs)
+    want = svd_nine_d_backward(xs, gs)
+    rel = np.linalg.norm(got - want, axis=1) / np.maximum(1.0, np.linalg.norm(want, axis=1))
+    assert rel.max() <= 1e-11
 
 
 def test_nine_d_projection_negative_determinant():
@@ -161,8 +220,11 @@ def test_degenerate_inputs_raise():
         manifold_map(RepKind.SIX_D, np.array([0.0, 0, 0, 1, 0, 0]))
     with pytest.raises(DegenerateInputError, match="Gram-Schmidt"):
         manifold_map(RepKind.SIX_D, np.array([1.0, 0, 0, 2.0, 0, 0]))
-    with pytest.raises(DegenerateInputError, match="sigma2"):
+    with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap"):
         manifold_map(RepKind.NINE_D, np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel())
+    # det M < 0 with sigma2 = sigma3: the eigengap 2 (sigma2 - sigma3) is 0
+    with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap"):
+        manifold_map(RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel())
     with pytest.raises(DegenerateInputError, match="eigengap|gap"):
         manifold_map(RepKind.TEN_D, params_from_sym4(np.eye(4)))
 
@@ -245,11 +307,12 @@ def test_nine_ten_d_forward_is_the_batched_map_byte_for_byte(rep, batch):
 
 
 def test_nine_d_negative_det_sigma_tie_is_the_same_on_both_routes():
-    # det M < 0 with sigma2 = sigma3: neither forward route guards the tie
+    # det M < 0 with sigma2 = sigma3: both forward routes reject the tie,
+    # where the eigengap 2 (sigma2 - sigma3) vanishes and the projection jumps
     m = np.diag([2.0, 1.0, -1.0]).ravel()
-    r = baseline_rotation(RepKind.NINE_D, m)
-    assert_rotation(r)
-    assert np.array_equal(r, rotations_from_raw(RepKind.NINE_D, m[None])[0])
+    text = _message(lambda: baseline_rotation(RepKind.NINE_D, m))
+    assert text.startswith("9d smallest-eigenvalue gap 0.000e+00")
+    assert _message(lambda: rotations_from_raw(RepKind.NINE_D, m[None])).endswith("sample 0")
 
 
 def test_batched_forward_rejects_degenerate():
@@ -352,16 +415,18 @@ def test_vanilla_backward_makes_no_forward_call(monkeypatch):
 
 
 def test_nine_d_backward_rejects_negative_det_sigma_tie():
-    # det M < 0 with sigma2 = sigma3: R = U diag(1, 1, -1) V^T jumps here
+    # det M < 0 with sigma2 = sigma3: R = U diag(1, 1, -1) V^T jumps here,
+    # and the backward raises the forward's guard
     xs = np.stack([np.eye(3).ravel(), np.diag([2.0, 1.0, -1.0]).ravel()])
-    assert rotations_from_raw(RepKind.NINE_D, xs).shape == (2, 3, 3)
-    with pytest.raises(DegenerateInputError, match="9d sigma2\\+det\\*sigma3 .* sample 1"):
+    with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap .* sample 1"):
+        rotations_from_raw(RepKind.NINE_D, xs)
+    with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap .* sample 1"):
         vanilla_backward_batch(RepKind.NINE_D, xs, np.ones((2, 3, 3)))
 
 
 def test_closed_form_backward_keeps_forward_guards():
     xs9 = np.stack([np.eye(3).ravel(), np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()])
-    with pytest.raises(DegenerateInputError, match="9d sigma2\\+sigma3 .* sample 1"):
+    with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap .* sample 1"):
         vanilla_backward_batch(RepKind.NINE_D, xs9, np.ones((2, 3, 3)))
     xs10 = np.stack([params_from_sym4(np.diag([0.0, 1.0, 2.0, 3.0])), params_from_sym4(np.eye(4))])
     with pytest.raises(DegenerateInputError, match="10d smallest-eigenvalue gap .* sample 1"):
@@ -410,8 +475,10 @@ def _message(fn):
     (RepKind.SIX_D, np.array([0.0, 0, 0, 1, 0, 0])),
     (RepKind.SIX_D, np.array([1.0, 0, 0, 2, 0, 0])),
     (RepKind.NINE_D, np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()),
+    (RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel()),
     (RepKind.TEN_D, params_from_sym4(np.eye(4))),
-], ids=["quat-norm", "6d-first-column", "6d-gram-schmidt", "9d-sigma-sum", "10d-eigengap"])
+], ids=["quat-norm", "6d-first-column", "6d-gram-schmidt", "9d-sigma-sum", "9d-negative-det-tie",
+        "10d-eigengap"])
 def test_factors_raise_every_forward_guard_with_the_same_text(rep, bad):
     xs = np.stack([embed(representation_map(np.eye(3), rep)), bad])
     gs = np.ones((2, 3, 3))
@@ -421,11 +488,11 @@ def test_factors_raise_every_forward_guard_with_the_same_text(rep, bad):
 
 
 def test_factors_keep_the_nine_d_negative_det_sigma_tie_guard():
+    # the forward rejects the tie, so no factors of it reach a backward
     xs = np.stack([np.eye(3).ravel(), np.diag([2.0, 1.0, -1.0]).ravel()])
     gs = np.ones((2, 3, 3))
-    _, factors = rotations_from_raw(RepKind.NINE_D, xs, return_factors=True)
-    text = _message(lambda: vanilla_backward_batch(RepKind.NINE_D, xs, gs, factors))
-    assert text.startswith("9d sigma2+det*sigma3") and text.endswith("sample 1")
+    text = _message(lambda: rotations_from_raw(RepKind.NINE_D, xs, return_factors=True))
+    assert text.startswith("9d smallest-eigenvalue gap") and text.endswith("sample 1")
     assert _message(lambda: vanilla_backward_batch(RepKind.NINE_D, xs, gs)) == text
 
 
@@ -443,8 +510,8 @@ def test_inline_cross_matches_numpy_cross_byte_for_byte():
 
 # ---------------------------------------------------------------------------
 # non-finite raw vectors: each case runs in a child process under a timeout,
-# since np.linalg.svd can hang on a 3x3 matrix with an inf entry and a
-# regression must fail the suite rather than stall it
+# since a LAPACK call can hang on a matrix with an inf entry (OpenBLAS's 3x3
+# SVD did) and a regression must fail the suite rather than stall it
 
 _CHILD_TIMEOUT_S = 60.0
 
