@@ -2,20 +2,21 @@
 
 Only what the desk-scale experiments need: a stack of affine layers with a
 leaky rectifier (slope 0.01) on the hidden ones, a linear output, explicit
-gradient propagation from an injected output gradient, and a standard Adam
-update.  Parameter gradients are plain sums over the batch rows; callers
-that want mean-over-batch semantics scale the output gradient by 1/B.
+gradient propagation from an injected output gradient, and Adam in its
+efficient form.  Parameter gradients are plain sums over the batch rows;
+callers that want mean-over-batch semantics scale the output gradient by 1/B.
 
 Every weight and bias lives in one float64 parameter vector
 (``Mlp.params``); ``weights[i]`` and ``biases[i]`` are views of it.
 ``backward`` writes into a gradient vector of the same layout
-(``Mlp.grad``), and ``adam_step`` updates the parameter vector in place
-with two preallocated scratch vectors, so a training step allocates no
-parameter-sized array.
+(``Mlp.grad``) through the rectifier slopes that ``forward`` caches, and
+``adam_step`` updates the parameter vector in place through one scratch
+vector, so a training step allocates no parameter-sized array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +63,7 @@ class Mlp:
 
 class ForwardCache(NamedTuple):
     activations: list  # layer inputs, activations[0] is the network input
-    pre: list          # pre-activation values per layer
+    slopes: list       # hidden layers' rectifier slopes: 1 where z > 0, else LEAKY_SLOPE
 
 
 def init_mlp(layer_sizes, rng: np.random.Generator) -> Mlp:
@@ -77,41 +78,38 @@ def init_mlp(layer_sizes, rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases)
 
 
-def _leaky_relu(z: np.ndarray) -> np.ndarray:
-    """z where z > 0, LEAKY_SLOPE * z elsewhere, as a new array.
-
-    max(z, slope * z) gives the same bits as selecting on z > 0, signed
-    zeros, infinities, NaN and subnormals included.
-    """
-    h = np.multiply(z, LEAKY_SLOPE)
-    return np.maximum(z, h, out=h)
-
-
 def forward(mlp: Mlp, x, keep_cache: bool = True) -> tuple:
     """Batch forward pass; returns (output, cache for backward).
 
-    With ``keep_cache=False`` it returns (output, None) for a pass that
-    feeds no backward (evaluation, calibration): each layer's input is
-    dropped before the activation is allocated, so at most two
-    layer-sized arrays are alive at once instead of every layer's input
-    and pre-activation.  The output is the same bits either way.
+    A hidden layer rectifies z in place, ``z *= slope`` with slope 1 where
+    z > 0 and ``LEAKY_SLOPE`` elsewhere: the bits of selecting z or
+    ``LEAKY_SLOPE * z``, signed zeros, infinities, NaN and subnormals
+    included; the cache keeps the slopes.  With ``keep_cache=False`` it
+    returns (output, None) for a pass that feeds no backward (evaluation,
+    calibration): each layer's input and slopes are dropped before the next
+    product is allocated, so at most two layer-sized arrays are alive at
+    once.  The output is the same bits either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
         raise ValueError(f"expected (B, {mlp.weights[0].shape[0]}) input, got {x.shape}")
-    activations, pre = [x], []
+    activations, slopes = [x], []
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(h, w)
-        del h
-        z += b
-        h = z if i == last else _leaky_relu(z)
+        h = np.matmul(h, w)
+        h += b
+        if i < last:
+            # max(z > 0, LEAKY_SLOPE) in one array: np.where's mask would take the
+            # freed input's memory, and a 1638-row pass's heap grew by a layer
+            slopes.append(np.greater(h, 0.0, out=np.empty_like(h)))
+            np.maximum(slopes[-1], LEAKY_SLOPE, out=slopes[-1])
+            h *= slopes[-1]
         if keep_cache:
-            pre.append(z)
             activations.append(h)
-        del z
-    return h, (ForwardCache(activations, pre) if keep_cache else None)
+        else:
+            slopes.clear()
+    return h, (ForwardCache(activations, slopes) if keep_cache else None)
 
 
 def backward(mlp: Mlp, cache: ForwardCache, output_gradient) -> tuple:
@@ -134,16 +132,16 @@ def backward(mlp: Mlp, cache: ForwardCache, output_gradient) -> tuple:
         np.add.reduce(g, axis=0, out=dbs[i])
         if i > 0:
             g = g @ mlp.weights[i].T
-            g *= np.where(cache.pre[i - 1] > 0.0, 1.0, LEAKY_SLOPE)
+            g *= cache.slopes[i - 1]
     return dws, dbs
 
 
 @dataclass
 class AdamState:
-    """Moments and two scratch vectors, each shaped like the parameters."""
+    """Moments and one scratch vector, each shaped like the parameters."""
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple
+    scratch: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -153,36 +151,34 @@ class AdamState:
 
 def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
     return AdamState(m=np.zeros_like(params), v=np.zeros_like(params),
-                     scratch=(np.empty_like(params), np.empty_like(params)), lr=lr)
+                     scratch=np.empty_like(params), lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update of ``params``, in place; returns it.
 
-    Mutates the moment accumulators and overwrites the scratch vectors.
-    The arithmetic is, operation for operation,
-    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment updates.
+    Kingma and Ba's efficient form (arXiv:1412.6980, end of Section 2):
+    ``p -= lr_t * m / (sqrt(v) + eps_hat)`` with lr_t = lr sqrt(c2) / c1 and
+    eps_hat = eps sqrt(c2), c1 = 1 - beta1**t, c2 = 1 - beta2**t, the textbook
+    update up to rounding.  Mutates the moments and overwrites the scratch vector.
     """
     if not (params.shape == grads.shape == state.m.shape):
         raise ValueError("params, grads and optimizer state must align")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    m, v = state.m, state.v
-    s1, s2 = state.scratch
+    root_c2 = math.sqrt(1.0 - state.beta2 ** state.step)
+    lr_t = state.lr * root_c2 / (1.0 - state.beta1 ** state.step)
+    eps_hat = state.eps * root_c2
+    m, v, s = state.m, state.v, state.scratch
     m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=s1)
-    m += s1
+    np.multiply(grads, 1.0 - state.beta1, out=s)
+    m += s
     v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=s1)
-    s1 *= grads
-    v += s1
-    np.divide(m, c1, out=s1)
-    s1 *= state.lr
-    np.divide(v, c2, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += state.eps
-    s1 /= s2
-    params -= s1
+    np.multiply(grads, 1.0 - state.beta2, out=s)
+    s *= grads
+    v += s
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= lr_t
+    params -= s
     return params

@@ -44,6 +44,9 @@ QUAT_NORM_MIN = 1e-8
 GRAM_RESIDUAL_MIN = 1e-8
 SIGMA_SUM_MIN = 1e-8
 EIGENGAP_MIN = 1e-10
+# 9d and 10d also reject a gap at most this times max(|l0|, |l3|), where eigh's
+# rounding sets the gap; O(1) rows never reach it (it exceeds 1e-10 at |l| > 450).
+EIGENGAP_REL_MIN = 1e3 * float(np.finfo(np.float64).eps)
 
 # row-major upper-triangle order used to pack a symmetric 4x4 matrix into
 # the ten free parameters of the 10-dim representation
@@ -168,9 +171,10 @@ def manifold_map(rep: RepKind, x) -> ManifoldPoint:
     nine = rep is RepKind.NINE_D
     gap_min = _NINE_D_GAP_MIN if nine else EIGENGAP_MIN
     vals, vecs = np.linalg.eigh(sym4_from_params(_NINE_TO_TEN @ x if nine else x))
-    gap = float(vals[1] - vals[0])
-    if gap <= gap_min:
-        raise DegenerateInputError(f"{rep.value} smallest-eigenvalue gap {gap:.3e} below {gap_min:.0e}")
+    l0, l1, _, l3 = vals.tolist()  # ascending, so max(|l0|, |l3|) = max(-l0, l3)
+    gap, floor = l1 - l0, max(gap_min, EIGENGAP_REL_MIN * max(-l0, l3))
+    if gap <= floor:
+        raise DegenerateInputError(f"{rep.value} smallest-eigenvalue gap {gap:.3e} below {floor:.0e}")
     q = so3.canonical_quat(vecs[:, 0])
     return ManifoldPoint(rep, so3.quat_to_rot(q) if nine else q)
 
@@ -322,11 +326,11 @@ def _ten_d_forward_batch(thetas: np.ndarray, name: str = "10d", gap_min: float =
     eigenvector columns, as ``eigh`` returns them.
     """
     vals, vecs = np.linalg.eigh(_sym4_batch(thetas))
-    gap = vals[:, 1] - vals[:, 0]
-    bad = gap <= gap_min
+    floor = np.maximum(gap_min, EIGENGAP_REL_MIN * np.maximum(-vals[:, 0], vals[:, 3]))
+    bad = vals[:, 1] - vals[:, 0] <= floor
     if bad.any():
-        raise DegenerateInputError(
-            f"{name} smallest-eigenvalue gap below {gap_min:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+        i = int(np.nonzero(bad)[0][0])
+        raise DegenerateInputError(f"{name} smallest-eigenvalue gap below {floor[i]:.0e} at sample {i}")
     q = vecs[:, :, 0] * np.where(vecs[:, 0, 0] < 0.0, -1.0, 1.0)[:, None]
     for i in np.nonzero(q[:, 0] == 0.0)[0]:
         q[i] = so3.canonical_quat(q[i])

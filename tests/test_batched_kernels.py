@@ -24,6 +24,7 @@ from rotgrad import representations as reps
 from rotgrad import rpmg
 from rotgrad.representations import (
     EIGENGAP_MIN,
+    EIGENGAP_REL_MIN,
     MANIFOLD_REPS,
     DegenerateInputError,
     ManifoldPoint,
@@ -138,10 +139,11 @@ def _ref_sym4_batch(xs: np.ndarray) -> np.ndarray:
 def _ref_ten_d_forward_batch(xs: np.ndarray):
     vals, vecs = np.linalg.eigh(_ref_sym4_batch(xs))
     gap = vals[:, 1] - vals[:, 0]
-    bad = gap <= EIGENGAP_MIN
+    floor = np.maximum(EIGENGAP_MIN, EIGENGAP_REL_MIN * np.abs(vals[:, [0, 3]]).max(axis=1))
+    bad = gap <= floor
     if bad.any():
-        raise DegenerateInputError(
-            f"10d smallest-eigenvalue gap below {EIGENGAP_MIN:.0e} at sample {int(np.nonzero(bad)[0][0])}")
+        i = int(np.nonzero(bad)[0][0])
+        raise DegenerateInputError(f"10d smallest-eigenvalue gap below {floor[i]:.0e} at sample {i}")
     q = vecs[:, :, 0].copy()
     q[q[:, 0] < 0.0] *= -1.0
     for i in np.nonzero(q[:, 0] == 0.0)[0]:

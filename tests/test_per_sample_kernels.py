@@ -14,9 +14,10 @@ and strided views.
 
 The 9d map is the exception.  It runs through the 10d eigen route, so its
 reference is the SVD special orthogonalization of ``test_representations``
-with the 9d guard on sigma2 + det(M) sigma3, and the 9d rows of the map and
-of the fit loop are compared at a stated tolerance instead of byte for byte
-(``_check_nine_d``, ``_NINE_D_ULPS``, ``_NINE_D_FIT_TOL``).
+with the 9d guard on sigma2 + det(M) sigma3 (``_nine_d_pair_floor``), and
+the 9d rows of the map and of the fit loop are compared at a stated
+tolerance instead of byte for byte (``_check_nine_d``, ``_NINE_D_ULPS``,
+``_NINE_D_FIT_TOL``).
 
 A NaN result matches any NaN.  Where an add or a multiply has two NaN
 operands, the sign bit the result keeps depends on the operand order of the
@@ -36,6 +37,7 @@ from rotgrad.harness import FitResult, _resolve_tau, _spawn_rngs, fit_single_rot
 from rotgrad.representations import (
     GRAM_RESIDUAL_MIN,
     EIGENGAP_MIN,
+    EIGENGAP_REL_MIN,
     MANIFOLD_REPS,
     QUAT_NORM_MIN,
     SIGMA_SUM_MIN,
@@ -150,6 +152,16 @@ def _ref_check_dim(rep: RepKind, x) -> np.ndarray:
     return x
 
 
+def _nine_d_pair_floor(s):
+    """The 9d guard on the pair sum s2 + d s3 of signed singular values s.
+
+    The 9d map's eigengap is 2 (s2 + d s3) and its largest eigenvalue
+    magnitude s1 + s2 + s3, so the guard on the gap (at most 2 SIGMA_SUM_MIN
+    or EIGENGAP_REL_MIN times that magnitude) is this on the sum."""
+    scale = float(s[0] + s[1] + abs(s[2]))
+    return max(SIGMA_SUM_MIN, EIGENGAP_REL_MIN * scale / 2.0)
+
+
 def _ref_manifold_map(rep: RepKind, x) -> ManifoldPoint:
     x = _ref_check_dim(rep, x)
     if rep in (RepKind.EULER3, RepKind.AXIS_ANGLE3):
@@ -175,15 +187,16 @@ def _ref_manifold_map(rep: RepKind, x) -> ManifoldPoint:
 
     if rep is RepKind.NINE_D:
         r, (_, s, _) = svd_special_orthogonalization(x)
-        pair = float(s[0, 1] + s[0, 2])
-        if pair <= SIGMA_SUM_MIN:
-            raise DegenerateInputError(f"9d sigma2+det*sigma3 = {pair:.3e} below {SIGMA_SUM_MIN:.0e}")
+        pair, floor = float(s[0, 1] + s[0, 2]), _nine_d_pair_floor(s[0])
+        if pair <= floor:
+            raise DegenerateInputError(f"9d sigma2+det*sigma3 = {pair:.3e} below {floor:.0e}")
         return ManifoldPoint(rep, r[0])
 
     vals, vecs = np.linalg.eigh(reps.sym4_from_params(x))
     gap = float(vals[1] - vals[0])
-    if gap <= EIGENGAP_MIN:
-        raise DegenerateInputError(f"10d smallest-eigenvalue gap {gap:.3e} below {EIGENGAP_MIN:.0e}")
+    floor = max(EIGENGAP_MIN, EIGENGAP_REL_MIN * max(abs(vals[0]), abs(vals[3])))
+    if gap <= floor:
+        raise DegenerateInputError(f"10d smallest-eigenvalue gap {gap:.3e} below {floor:.0e}")
     return ManifoldPoint(rep, _ref_canonical_quat(vecs[:, 0]))
 
 
@@ -384,8 +397,7 @@ def _check_nine_d(fn, ref_fn, x):
     """fn(NINE_D, x) against ref_fn(NINE_D, x): rotations of the same dtype
     and shape within _NINE_D_ULPS eps times the condition number, or both
     raise DegenerateInputError.  A row whose pair sum s2 + d s3 lies within
-    that rounding of SIGMA_SUM_MIN may be rejected by one route only; rows
-    with a 1e200 entry among small ones are such rows."""
+    that rounding of the guard's floor may be rejected by one route only."""
     _, (_, s, _) = svd_special_orthogonalization(x)
     pair = float(s[0, 1] + s[0, 2])
     eps = np.finfo(float).eps
@@ -399,7 +411,7 @@ def _check_nine_d(fn, ref_fn, x):
             results.append(None)
     got, want = results
     if (got is None) != (want is None):
-        assert abs(pair - SIGMA_SUM_MIN) <= slack, (x, got, want)
+        assert abs(pair - _nine_d_pair_floor(s[0])) <= slack, (x, got, want)
         return
     if want is not None:
         got, want = (getattr(v, "value", v) for v in (got, want))

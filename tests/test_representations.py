@@ -227,6 +227,39 @@ def test_degenerate_inputs_raise():
         manifold_map(RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel())
     with pytest.raises(DegenerateInputError, match="eigengap|gap"):
         manifold_map(RepKind.TEN_D, params_from_sym4(np.eye(4)))
+    # a gap within rounding of the eigenvalue scale, though far above the
+    # absolute floors
+    for rep, x in _ROUNDING_GAP_ROWS:
+        with pytest.raises(DegenerateInputError, match=f"{rep.value} smallest-eigenvalue gap"):
+            manifold_map(rep, x)
+
+
+def _large_entry_row(n, big):
+    """[1, 2, ..., n - 1, big]: ordinary entries and one large one."""
+    x = np.arange(1.0, n + 1.0)
+    x[-1] = big
+    return x
+
+
+# rows whose eigengap is O(1) to 1e184 but at most 1e3 eps times A's largest
+# eigenvalue magnitude; each returned a rotation set by rounding
+_ROUNDING_GAP_ROWS = [(RepKind.TEN_D, _large_entry_row(10, 1e16)),
+                      (RepKind.TEN_D, _large_entry_row(10, 1e200)),
+                      (RepKind.NINE_D, _large_entry_row(9, 1e16)),
+                      (RepKind.NINE_D, _large_entry_row(9, 1e50))]
+
+
+@pytest.mark.parametrize("rep", [RepKind.NINE_D, RepKind.TEN_D], ids=lambda r: r.value)
+def test_large_entry_rows_below_the_rounding_floor_reach_their_limit(rep):
+    # as the last entry grows, the rotation tends to a limit; the rows at
+    # 1e8 and 1e12 keep their gaps at 2.8e3 (10d) and 5.7e4 (9d) times the
+    # rounding floor's eps scale and agree on that limit on both routes
+    n = rep.ambient_dim
+    xs = np.stack([_large_entry_row(n, 1e8), _large_entry_row(n, 1e12)])
+    rs = rotations_from_raw(rep, xs)
+    for x, r in zip(xs, rs):
+        assert np.array_equal(rotation_map(manifold_map(rep, x)), r)
+    assert np.abs(rs[0] - rs[1]).max() <= 2e-4
 
 
 def test_wrong_dimension_raises():
@@ -477,8 +510,10 @@ def _message(fn):
     (RepKind.NINE_D, np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()),
     (RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel()),
     (RepKind.TEN_D, params_from_sym4(np.eye(4))),
+    *_ROUNDING_GAP_ROWS,
 ], ids=["quat-norm", "6d-first-column", "6d-gram-schmidt", "9d-sigma-sum", "9d-negative-det-tie",
-        "10d-eigengap"])
+        "10d-eigengap", "10d-rounding-gap-1e16", "10d-rounding-gap-1e200", "9d-rounding-gap-1e16",
+        "9d-rounding-gap-1e50"])
 def test_factors_raise_every_forward_guard_with_the_same_text(rep, bad):
     xs = np.stack([embed(representation_map(np.eye(3), rep)), bad])
     gs = np.ones((2, 3, 3))
