@@ -21,6 +21,12 @@ The per-sample ``rpmg_gradient`` (the reference) and the batched
 ``rpmg_gradient_batch`` each get both pullbacks from one goal kernel,
 ``_goal_terms`` and its row twin ``_goal_terms_batch``, and emit them
 through the one ``_blend`` that the sphere's rules also use.
+
+The quat and 10d pullbacks read the goal as a unit quaternion, so for them
+the goal step is composed as one: q_g = q (x) exp(-tau phi / 2), where q is
+the forward's own quaternion (``so3._quat_step``).  6d and 9d read the goal
+matrix, R_g = R Rodrigues(-tau phi).  ``inverse_project``, which is given a
+goal rotation, takes its quaternion with ``so3.rot_to_quat``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .representations import (
     _SYM4_COLS,
     _SYM4_GATHER,
     _SYM4_ROWS,
+    _forward,
     _sym4_batch,
     _ten_d_embedding,
     MANIFOLD_REPS,
@@ -68,6 +75,10 @@ METHOD_BY_NAME = {m.value: m for m in Method}
 # the blend weight each named method fixes, by method value; RPMG (and the
 # sphere's rule of the same name) uses its own lam
 BLEND_LAM = {"mg": 1.0, "pmg": 0.0}
+
+# the reps whose goal terms read the goal as a unit quaternion; 6d and 9d
+# read the goal rotation matrix
+_QUAT_GOAL_REPS = (RepKind.QUAT4, RepKind.TEN_D)
 
 
 @dataclass(frozen=True)
@@ -112,39 +123,43 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     x = _finite_ambient(rep, x)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold inverse image")
-    return _goal_terms(rep, x, np.asarray(r_g, dtype=np.float64))[1]
+    r_g = np.asarray(r_g, dtype=np.float64)
+    return _goal_terms(rep, x, so3.rot_to_quat(r_g) if rep in _QUAT_GOAL_REPS else r_g)[1]
 
 
-def _goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
-    """(x_hat_g, x_gp) for one goal rotation: a row of :func:`_goal_terms_batch`.
+def _goal_terms(rep: RepKind, x: np.ndarray, goal: np.ndarray):
+    """(x_hat_g, x_gp) for one goal: a row of :func:`_goal_terms_batch`.
 
-    x_hat_g is the embedded canonical representation of r_g (for quat, the
-    sheet nearer x); x_gp is :func:`inverse_project`'s point.
+    The goal is a unit quaternion (either sign) for quat and 10d and the
+    goal rotation matrix for 6d and 9d.  x_hat_g is the embedded canonical
+    representation of the goal (for quat, the sheet nearer x); x_gp is
+    :func:`inverse_project`'s point.
     """
     if rep is RepKind.QUAT4:
-        q = so3.rot_to_quat(r_g)
+        q = goal
         dot = float(x.dot(q))
         if dot < 0.0:  # nearer sheet of the double cover
             q = -q
         return q, abs(dot) * q
 
     if rep is RepKind.SIX_D:
-        u_g, v_g = r_g[:, 0], r_g[:, 1]
+        u_g, v_g = goal[:, 0], goal[:, 1]
         k1, k2, k3 = float(x[:3].dot(u_g)), float(x[3:].dot(u_g)), float(x[3:].dot(v_g))
-        (a0, b0, _), (a1, b1, _), (a2, b2, _) = r_g.tolist()
+        (a0, b0, _), (a1, b1, _), (a2, b2, _) = goal.tolist()
         return np.array([a0, a1, a2, b0, b1, b2]), np.array([
             k1 * a0, k1 * a1, k1 * a2,
             k2 * a0 + k3 * b0, k2 * a1 + k3 * b1, k2 * a2 + k3 * b2])
 
     if rep is RepKind.NINE_D:
         m = x.reshape(3, 3)
-        s = 0.5 * (m @ r_g.T + r_g @ m.T)
-        return r_g.reshape(9), (s @ r_g).reshape(9)
+        s = 0.5 * (m @ goal.T + goal @ m.T)
+        return goal.reshape(9), (s @ goal).reshape(9)
 
     # [s t] = M^T (M M^T)^{-1} [q, A(x) q]; for a unit q, M M^T is
     # diag(1 - q*q) + q q^T, positive definite with eigenvalues <= 2, so
-    # |s|^2 = q^T (M M^T)^{-1} q >= 1/2
-    q = so3.rot_to_quat(r_g)
+    # |s|^2 = q^T (M M^T)^{-1} q >= 1/2.  M and [q, A(x) q] are odd in q, so
+    # either sign of the goal gives the same bits.
+    q = goal
     x_hat = _ten_d_embedding(q)
     m = constraint_rows(q)
     w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
@@ -173,7 +188,9 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
     require a representation with a nontrivial projection and a finite
     ``x``.  With ``max_step`` (radians), a goal step tau |phi| past it is
     scaled down to exactly ``max_step``; a step within it keeps ``tau`` as
-    given.
+    given.  For quat and 10d the goal is composed as a quaternion, q (x)
+    exp(-tau phi / 2), from the forward's own q: x / |x| for quat and the
+    quaternion of ``r`` for 10d.
     """
     r = np.asarray(r, dtype=np.float64)
     dl_dr = euclid_grad(loss, r)
@@ -188,8 +205,13 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
         norm = math.sqrt(phi.dot(phi))
         if tau * norm > max_step:
             tau = max_step / norm
-    r_g = goal_rotation(r, phi, tau)
-    x_hat_g, x_gp = _goal_terms(rep, x, r_g)
+    if rep is RepKind.QUAT4:
+        goal = so3._quat_step(x / math.sqrt(x.dot(x)), -tau * phi)
+    elif rep is RepKind.TEN_D:
+        goal = so3._quat_step(so3.rot_to_quat(r), -tau * phi)
+    else:
+        goal = goal_rotation(r, phi, tau)
+    x_hat_g, x_gp = _goal_terms(rep, x, goal)
     return _blend(x, x_hat_g, x_gp, params.blend_lam)
 
 
@@ -205,18 +227,19 @@ def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
     return m
 
 
-def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
-    """(x_hat_g, x_gp) for a batch of goal rotations."""
+def _goal_terms_batch(rep: RepKind, xs: np.ndarray, goal: np.ndarray):
+    """(x_hat_g, x_gp) for a batch of goals: C-contiguous (B, 4) unit
+    quaternions (either sign) for quat and 10d, (B, 3, 3) goal rotations
+    for 6d and 9d."""
     if rep is RepKind.QUAT4:
-        q = so3._rot_to_quat_batch(r_g)
-        dots = np.einsum('bi,bi->b', xs, q)
-        q *= np.where(dots < 0.0, -1.0, 1.0)[:, None]
+        dots = np.einsum('bi,bi->b', xs, goal)
+        q = goal * np.where(dots < 0.0, -1.0, 1.0)[:, None]
         # after the sign flip the dot product is exactly |dots|
         return q, np.abs(dots)[:, None] * q
 
     if rep is RepKind.SIX_D:
         u, v = xs[:, :3], xs[:, 3:]
-        u_g, v_g = r_g[:, :, 0], r_g[:, :, 1]
+        u_g, v_g = goal[:, :, 0], goal[:, :, 1]
         x_hat = np.concatenate([u_g, v_g], axis=1)
         k1 = np.einsum('bi,bi->b', u, u_g)[:, None]
         k2 = np.einsum('bi,bi->b', v, u_g)[:, None]
@@ -225,11 +248,11 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, r_g: np.ndarray):
 
     if rep is RepKind.NINE_D:
         m = xs.reshape(-1, 3, 3)
-        mrt = m @ r_g.transpose(0, 2, 1)
+        mrt = m @ goal.transpose(0, 2, 1)
         s = 0.5 * (mrt + mrt.transpose(0, 2, 1))
-        return r_g.reshape(-1, 9), (s @ r_g).reshape(-1, 9)
+        return goal.reshape(-1, 9), (s @ goal).reshape(-1, 9)
 
-    q = so3._rot_to_quat_batch(r_g)
+    q = goal
     # _ten_d_embedding by rows; np.take keeps it C-contiguous, q[..., idx] would not
     x_hat = _EYE4_SYM - np.take(q, _SYM4_ROWS, axis=1) * np.take(q, _SYM4_COLS, axis=1)
     m = _constraint_rows_batch(q)
@@ -252,11 +275,13 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
     ``loss`` defaults to the squared-Frobenius loss; flow and chamfer need
     the shared (K, 3) point set ``points`` (see :func:`euclid_grad_batch`).
     ``factors``, from ``rotations_from_raw(rep, xs, return_factors=True)``,
-    spare the vanilla method a second factorization of ``xs`` (see
-    :func:`vanilla_backward_batch`); the manifold methods need only ``rs``.
-    Row i equals :func:`rpmg_gradient` under the per-sample loss for
-    ``r_gts[i]`` and the same ``max_step``, which caps each row's goal
-    step on its own.
+    spare a second factorization of ``xs``: the vanilla method reads them
+    for every rep (see :func:`vanilla_backward_batch`), and the manifold
+    methods for quat and 10d, whose goals are the forward's quaternions
+    (the normalized x, the smallest eigenvector) times exp(-tau phi / 2).
+    Without them both compute them through the forward map.  Row i equals
+    :func:`rpmg_gradient` under the per-sample loss for ``r_gts[i]`` and
+    the same ``max_step``, which caps each row's goal step on its own.
     """
     xs = np.asarray(xs, dtype=np.float64)
     rs = np.asarray(rs, dtype=np.float64)
@@ -273,6 +298,13 @@ def rpmg_gradient_batch(rep: RepKind, xs, rs, r_gts, tau: float,
         over = tau * norms > max_step
         if over.any():
             step[over] = (-max_step / norms[over])[:, None] * phi[over]
-    r_g = rs @ so3._rodrigues_batch(step)
-    x_hat, x_gp = _goal_terms_batch(rep, xs, r_g)
+    if rep in _QUAT_GOAL_REPS:
+        if factors is None:
+            _, factors = _forward(rep, xs)
+        # 10d's eigenvector column is strided; einsum's bits follow strides
+        q = factors[0] if rep is RepKind.QUAT4 else np.ascontiguousarray(factors[1][:, :, 0])
+        goal = so3._quat_step_batch(q, step)
+    else:
+        goal = rs @ so3._rodrigues_batch(step)
+    x_hat, x_gp = _goal_terms_batch(rep, xs, goal)
     return _blend(xs, x_hat, x_gp, params.blend_lam)

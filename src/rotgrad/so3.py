@@ -6,7 +6,15 @@ Conventions used throughout the package:
 * quaternions are scalar-first ``(q0, q1, q2, q3)`` with ``q0 >= 0`` after
   canonicalization (both signs encode the same rotation);
 * tangent vectors live in the body frame: a step ``phi`` from ``R`` lands at
-  ``R @ rodrigues(phi)``.
+  ``R @ rodrigues(phi)``, and from the quaternion ``q`` of ``R`` at
+  ``q (x) (cos(|phi|/2), sin(|phi|/2) phi/|phi|)`` (``_quat_step`` and its
+  batched twin, one Hamilton product), which the rpmg layer uses for the
+  reps whose goals it reads as quaternions.
+
+Angles (``geodesic_distance`` and its batched twin) are read from the
+trace and the skew part of r1^T r2, atan2(|vee(C - C^T)|, tr(C) - 1), as
+``sphere._row_angles`` reads them from a cross and a dot product: no
+quaternion extraction, and accurate to about eps at both 0 and pi.
 
 Per-sample functions read their scalars once with ``tolist()`` and compute
 on Python floats with the bits of numpy scalars: squares stay ``x ** 2``
@@ -14,7 +22,9 @@ on Python floats with the bits of numpy scalars: squares stay ``x ** 2``
 overflow unhandled (Python raises, numpy gives inf); ``@``, ``.dot`` (for
 1-D, ``@``'s ddot at a third of its cost) and ``numpy.linalg`` stay numpy
 calls, as OpenBLAS fuses multiply-adds; and ``math.sqrt(v.dot(v))`` is
-``np.linalg.norm(v)`` only for a contiguous ``v``.
+``np.linalg.norm(v)`` only for a contiguous ``v``.  The angle and the
+quaternion step take their norms with ``math.hypot``, which neither
+overflows nor underflows.
 """
 
 from __future__ import annotations
@@ -124,12 +134,31 @@ def log_so3(r1, r2) -> np.ndarray:
 def geodesic_distance(r1, r2) -> float:
     """Rotation angle of r1^T r2, in radians within [0, pi].
 
-    Equivalent to acos((trace(r1^T r2) - 1) / 2) but computed from the
-    quaternion, which keeps precision near both 0 and pi.
+    Reads the angle as atan2(|v|, tr(C) - 1) of C = r1^T r2, where v =
+    vee(C - C^T) = 2 sin(theta) axis and tr(C) - 1 = 2 cos(theta): no
+    quaternion extraction, and accurate to about eps at both 0 and pi,
+    where acos((tr(C) - 1) / 2) loses half the digits.
     """
-    q = rot_to_quat(np.asarray(r1).T @ np.asarray(r2))
-    v = q[1:]
-    return 2.0 * math.atan2(math.sqrt(v.dot(v)), q[0])
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (np.asarray(r1).T @ np.asarray(r2)).tolist()
+    return math.atan2(math.hypot(c21 - c12, c02 - c20, c10 - c01), c00 + c11 + c22 - 1.0)
+
+
+def _quat_step(q: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """q (x) (cos(theta/2), sin(theta/2) phi/theta), theta = |phi|: the
+    Hamilton product whose rotation is quat_to_rot(q) @ _rodrigues(phi)."""
+    a0, a1, a2, a3 = q.tolist()
+    x, y, z = phi.tolist()
+    theta = math.hypot(x, y, z)
+    if theta < _SMALL_ANGLE:
+        theta2 = theta ** 2
+        c, k = 1.0 - theta2 / 8.0, 0.5 - theta2 / 48.0
+    else:
+        c, k = math.cos(0.5 * theta), math.sin(0.5 * theta) / theta
+    b1, b2, b3 = k * x, k * y, k * z
+    return np.array([a0 * c - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * c + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * c + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * c])
 
 
 def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -215,10 +244,35 @@ def _rot_to_quat_batch(rs: np.ndarray) -> np.ndarray:
 
 
 def geodesic_distance_batch(r1s, r2s) -> np.ndarray:
-    """Vectorized :func:`geodesic_distance` over (B, 3, 3) stacks."""
+    """Vectorized :func:`geodesic_distance` over (B, 3, 3) stacks: the
+    trace and ``_vee_batch`` of C = r1^T r2, one einsum on the inputs."""
     rel = np.einsum("bji,bjk->bik", r1s, r2s)
-    q = _rot_to_quat_batch(rel)
-    return 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
+    flat = rel.reshape(-1, 9)
+    return np.arctan2(np.linalg.norm(_vee_batch(rel), axis=1),
+                      flat[:, 0] + flat[:, 4] + flat[:, 8] - 1.0)
+
+
+# row-major slots of the left-multiplication matrix L(q), L(q) p = q (x) p,
+# as indices into q and their signs
+_HAMILTON_GATHER = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+_HAMILTON_SIGN = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0,
+                           1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+
+
+def _quat_step_batch(qs: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_quat_step` over rows of (B, 4) and (B, 3) arrays,
+    through the left-multiplication matrices L(q); C-contiguous operands."""
+    theta2 = np.einsum('bi,bi->b', phis, phis)
+    theta = np.sqrt(theta2)
+    small = theta < _SMALL_ANGLE
+    half = 0.5 * theta
+    e = np.empty((phis.shape[0], 4))
+    e[:, 0] = np.where(small, 1.0 - theta2 / 8.0, np.cos(half))
+    k = np.where(small, 0.5 - theta2 / 48.0, np.sin(half) / np.where(small, 1.0, theta))
+    np.multiply(k[:, None], phis, out=e[:, 1:])
+    left = np.take(qs, _HAMILTON_GATHER, axis=1)
+    left *= _HAMILTON_SIGN
+    return np.einsum('bij,bj->bi', left.reshape(-1, 4, 4), e)
 
 
 def rot_x(a: float) -> np.ndarray:

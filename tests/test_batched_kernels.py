@@ -11,6 +11,12 @@ arrays, since einsum's summation order, and so its bits, follow the strides
 of its operands.  The exception is the checks' descent oracle, whose
 per-step loop is now taken by repeated squaring: it is held to its loop
 within 1e-12 relative.
+
+Two rewrites changed the arithmetic and are held to their references at
+stated bounds: ``geodesic_distance_batch`` reads the angle from the trace
+and the skew part of r1^T r2 (``_ANGLE_ATOL``), and ``rpmg_gradient_batch``
+composes the quat and 10d goals as quaternions from the forward's factors
+(``_GRAD_RTOL``).  Rows that neither reaches keep their bytes.
 """
 
 import itertools
@@ -33,6 +39,7 @@ from rotgrad.representations import (
     rotations_from_raw,
 )
 from rotgrad.riemannian import LOSS_NAMES, Chamfer, CutLocusError
+from rotgrad.rpmg import _QUAT_GOAL_REPS
 from rotgrad.rpmg import Method, RpmgParams
 from rotgrad.so3 import _SMALL_ANGLE, canonical_quat
 
@@ -387,6 +394,24 @@ _REF_ORACLES = {
 
 BATCHES = (1, 32)
 
+# the trace-skew angle against the quaternion angle on rotations: measured
+# up to 1.1e-15 apart over 50,000 random pairs
+_ANGLE_ATOL = 4e-15
+# a gradient row that reads the angle or a quaternion goal against the
+# reference's row, relative to the larger of the row's and x's largest
+# entries: measured up to 1.3e-15
+_GRAD_RTOL = 1e-14
+
+
+def _moves(rep, method, loss) -> bool:
+    """Whether the trace-skew angle or the quaternion goal reaches a row."""
+    return loss == "geodesic" or (method is not Method.VANILLA and rep in _QUAT_GOAL_REPS)
+
+
+def _goal_batch_of(rep, r_g):
+    """The goal ``_goal_terms_batch`` reads for the reference's rotations."""
+    return _ref_rot_to_quat_batch(r_g) if rep in _QUAT_GOAL_REPS else r_g
+
 
 def _same(got, ref):
     """Byte equality of arrays (or tuples of them), each C-contiguous."""
@@ -488,6 +513,57 @@ def test_hat_and_rodrigues_edge_rows():
                      [5e-7, 5e-7, 5e-7], [1e-6, 0.0, 0.0], [5e-324, -5e-324, 1e-310]])
     _same(so3._hat_batch(phis), _ref_hat_batch(phis))
     _same(so3._rodrigues_batch(phis), _ref_rodrigues_batch(phis))
+
+
+@pytest.mark.parametrize("b", BATCHES)
+def test_geodesic_distance_random(b):
+    rng = np.random.default_rng(b + 30)
+    r1s, r2s = _random_rotations(rng, b), _random_rotations(rng, b)
+    got = so3.geodesic_distance_batch(r1s, r2s)
+    assert got.flags.c_contiguous and got.shape == (b,)
+    assert np.abs(got - _ref_geodesic_distance_batch(r1s, r2s)).max() <= _ANGLE_ATOL
+
+
+def test_geodesic_distance_edge_rows():
+    """Half turns with tied diagonals read exactly pi, equal rotations of
+    the cube exactly 0, and angles below 1e-8 keep their relative accuracy."""
+    eye = np.tile(np.eye(3), (len(EDGE_ROTATIONS), 1, 1))
+    got = so3.geodesic_distance_batch(eye, EDGE_ROTATIONS)
+    assert np.abs(got - _ref_geodesic_distance_batch(eye, EDGE_ROTATIONS)).max() <= _ANGLE_ATOL
+    half = np.array([np.array_equal(r, r.T) and not np.array_equal(r, np.eye(3)) for r in EDGE_ROTATIONS])
+    assert (got[half] == math.pi).all()
+    assert (_ref_geodesic_distance_batch(eye, EDGE_ROTATIONS)[half] == math.pi).all()
+    cube = np.isin(np.abs(EDGE_ROTATIONS), (0.0, 1.0)).all(axis=(1, 2))
+    assert (so3.geodesic_distance_batch(EDGE_ROTATIONS, EDGE_ROTATIONS)[cube] == 0.0).all()
+    rng = np.random.default_rng(31)
+    thetas = np.array([1e-8, 1e-9, 1e-12, 1e-100, 0.0])
+    axes = rng.standard_normal((len(thetas), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    small = _ref_rodrigues_batch(thetas[:, None] * axes)
+    eye = np.tile(np.eye(3), (len(small), 1, 1))
+    got = so3.geodesic_distance_batch(eye, small)
+    assert (np.abs(got - thetas) <= 4.0 * np.finfo(float).eps * thetas).all()
+    r1s = _random_rotations(rng, len(thetas))
+    got = so3.geodesic_distance_batch(r1s, r1s @ small)
+    assert np.abs(got - _ref_geodesic_distance_batch(r1s, r1s @ small)).max() <= _ANGLE_ATOL
+
+
+def test_quat_step_zero_step_and_rodrigues():
+    """A zero step returns the quaternions themselves; any other is the
+    quaternion of R(q) Rodrigues(phi)."""
+    rng = np.random.default_rng(32)
+    qs = rng.standard_normal((32, 4))
+    qs /= np.linalg.norm(qs, axis=1, keepdims=True)
+    for zero in (np.zeros((32, 3)), np.full((32, 3), -0.0)):
+        assert np.array_equal(so3._quat_step_batch(qs, zero), qs)
+    phis = np.concatenate([rng.standard_normal((24, 3)) * 2.0,
+                           np.array([[1e-7, 0.0, -1e-7], [5e-7, 5e-7, 5e-7], [math.pi, 0.0, -0.0],
+                                     [0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [0.0, 2.0 * math.pi, 0.0],
+                                     [1e-6, 0.0, 0.0], [3.0, -4.0, 0.0]])])
+    got = so3._quat_step_batch(qs, phis)
+    assert got.flags.c_contiguous
+    want = _ref_quat_to_rot_batch(qs) @ _ref_rodrigues_batch(phis)
+    assert np.abs(_ref_quat_to_rot_batch(got) - want).max() <= 2e-14
 
 
 def test_vee_inverts_hat_and_matches_stacked_differences():
@@ -595,7 +671,7 @@ def test_goal_terms_random(rep, b):
     rng = np.random.default_rng(b + 7)
     xs = rng.standard_normal((b, rep.ambient_dim))
     r_g = _random_rotations(rng, b)
-    _same(rpmg._goal_terms_batch(rep, xs, r_g), _ref_goal_terms_batch(rep, xs, r_g))
+    _same(rpmg._goal_terms_batch(rep, xs, _goal_batch_of(rep, r_g)), _ref_goal_terms_batch(rep, xs, r_g))
 
 
 @pytest.mark.parametrize("rep", (RepKind.QUAT4, RepKind.TEN_D), ids=lambda r: r.value)
@@ -608,7 +684,7 @@ def test_goal_terms_edge_rotations(rep):
         q = _ref_rot_to_quat_batch(r_g)
         xs[::2] = -q[::2] * 1.7
         xs[1] = np.array([-q[1, 1], q[1, 0], -q[1, 3], q[1, 2]])
-    _same(rpmg._goal_terms_batch(rep, xs, r_g), _ref_goal_terms_batch(rep, xs, r_g))
+    _same(rpmg._goal_terms_batch(rep, xs, _goal_batch_of(rep, r_g)), _ref_goal_terms_batch(rep, xs, r_g))
 
 
 @pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
@@ -623,7 +699,43 @@ def test_rpmg_gradient_batch(rep, loss, b):
     for method in (Method.MG, Method.PMG, Method.RPMG):
         params = RpmgParams(method)
         got = rpmg.rpmg_gradient_batch(rep, xs, rs, r_gts, 0.05, params, loss, points)
-        _same(got, _ref_rpmg_gradient_batch(rep, xs, rs, r_gts, 0.05, params, loss, points))
+        want = _ref_rpmg_gradient_batch(rep, xs, rs, r_gts, 0.05, params, loss, points)
+        if _moves(rep, method, loss):
+            # relative to the row's scale: the larger of x's and the row's largest entry
+            scale = np.maximum(np.abs(want).max(axis=1), np.abs(xs).max(axis=1))
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert (np.abs(got - want).max(axis=1) <= _GRAD_RTOL * scale).all()
+        else:
+            _same(got, want)
+
+
+@pytest.mark.parametrize("rep", list(RepKind), ids=lambda r: r.value)
+def test_rpmg_gradient_batch_same_bits_with_and_without_factors(rep):
+    rng = np.random.default_rng(33)
+    xs = rng.standard_normal((32, rep.ambient_dim))
+    rs, factors = rotations_from_raw(rep, xs, return_factors=True)
+    r_gts = _random_rotations(rng, 32)
+    methods = list(Method) if rep in MANIFOLD_REPS else [Method.VANILLA]
+    for method, loss in itertools.product(methods, ("l2", "geodesic")):
+        params = RpmgParams(method)
+        got = rpmg.rpmg_gradient_batch(rep, xs, rs, r_gts, 0.2, params, loss)
+        want = rpmg.rpmg_gradient_batch(rep, xs, rs, r_gts, 0.2, params, loss, factors=factors)
+        assert (got.strides, got.tobytes()) == (want.strides, want.tobytes())
+
+
+@pytest.mark.parametrize("rep", _QUAT_GOAL_REPS, ids=lambda r: r.value)
+def test_zero_goal_step_keeps_the_forward_quaternion(rep):
+    """At tau = 0 the goal is the forward's quaternion, the factor itself:
+    MG emits x minus the embedded forward point, bit for bit."""
+    xs = np.random.default_rng(34).standard_normal((32, rep.ambient_dim))
+    rs, factors = rotations_from_raw(rep, xs, return_factors=True)
+    q = factors[0] if rep is RepKind.QUAT4 else factors[1][:, :, 0]
+    got = rpmg.rpmg_gradient_batch(rep, xs, rs, _random_rotations(np.random.default_rng(35), 32),
+                                   0.0, RpmgParams(Method.MG), factors=factors)
+    if rep is RepKind.QUAT4:  # the sheet of q, nearer x
+        assert np.array_equal(got, xs - q)
+    else:
+        assert np.array_equal(got, xs - np.stack([reps._ten_d_embedding(v) for v in q]))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +749,58 @@ def test_forward_rotations_and_factors_are_c_contiguous(rep, b):
                                      return_factors=True)
     for a in (rs,) + tuple(factors):
         assert a.flags.c_contiguous, (a.shape, a.strides)
+
+
+def _einsum_operands(monkeypatch, fn, *args):
+    """The operands of every np.einsum call that fn(*args) makes."""
+    seen = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        seen.extend(operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", spy)
+        fn(*args)
+    return seen
+
+
+@pytest.mark.parametrize("rep", _QUAT_GOAL_REPS, ids=lambda r: r.value)
+def test_goal_quaternions_are_c_contiguous(monkeypatch, rep):
+    """The forward's quaternion (10d's eigenvector column is strided) and
+    the composed goal reach the quaternion step and the goal terms, and so
+    their einsum calls, C-contiguous, with or without the factors."""
+    rng = np.random.default_rng(36)
+    xs = rng.standard_normal((32, rep.ambient_dim))
+    rs, factors = rotations_from_raw(rep, xs, return_factors=True)
+    r_gts = _random_rotations(rng, 32)
+    seen = []
+
+    def spy(fn, slot):
+        def wrapped(*args):
+            seen.append(args[slot])
+            return fn(*args)
+        return wrapped
+
+    # the quaternion step's q and the goal terms' goal
+    monkeypatch.setattr(so3, "_quat_step_batch", spy(so3._quat_step_batch, 0))
+    monkeypatch.setattr(rpmg, "_goal_terms_batch", spy(rpmg._goal_terms_batch, 2))
+    for method, given in itertools.product((Method.MG, Method.PMG, Method.RPMG), (None, factors)):
+        rpmg.rpmg_gradient_batch(rep, xs, rs, r_gts, 0.2, RpmgParams(method), "l2", None, given)
+    assert len(seen) == 12 and all(q.shape == (32, 4) and q.flags.c_contiguous for q in seen)
+
+
+def test_quat_step_and_angle_einsum_operands_are_c_contiguous(monkeypatch):
+    rng = np.random.default_rng(37)
+    rs, (_, vecs) = rotations_from_raw(RepKind.TEN_D, rng.standard_normal((32, 10)),
+                                          return_factors=True)
+    qs = np.ascontiguousarray(vecs[:, :, 0])
+    for fn, args in ((so3.geodesic_distance_batch, (rs, _random_rotations(rng, 32))),
+                     (so3._quat_step_batch, (qs, rng.standard_normal((32, 3))))):
+        operands = _einsum_operands(monkeypatch, fn, *args)
+        assert operands and all(a.flags.c_contiguous for a in operands), [a.strides for a in operands]
+    assert so3._quat_step_batch(qs, rng.standard_normal((32, 3))).flags.c_contiguous
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)

@@ -132,6 +132,30 @@ def test_geodesic_grad_cut_locus_raises():
         euclid_grad(GeodesicSquared(r_gt), r)
 
 
+@pytest.mark.parametrize("angle,raises", [
+    (math.pi, True), (math.pi - 1e-12, True), (math.pi - 1e-10, True),
+    (math.pi - 1e-8, False), (math.pi - 1e-6, False),
+], ids=["pi", "pi-1e-12", "pi-1e-10", "pi-1e-8", "pi-1e-6"])
+def test_geodesic_cut_locus_boundary_on_both_routes(angle, raises):
+    """The cut locus sits at pi - 1e-9: the angle must read a rotation
+    1e-10 short of pi past it and one 1e-8 short before it, per sample
+    and batched, about any axis and from any start."""
+    rng = np.random.default_rng(16)
+    axes = np.concatenate([np.eye(3), rng.standard_normal((5, 3))])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    r_gts = np.stack([np.eye(3)] * 3 + rotations(17, 5))
+    rs = np.stack([r_gt @ so3.exp_so3(np.eye(3), angle * axis) for r_gt, axis in zip(r_gts, axes)])
+    for r, r_gt in zip(rs, r_gts):
+        if raises:
+            with pytest.raises(CutLocusError):
+                euclid_grad(GeodesicSquared(r_gt), r)
+            with pytest.raises(CutLocusError, match="sample 0,"):
+                euclid_grad_batch("geodesic", r[None], r_gt[None])
+        else:
+            assert np.isfinite(euclid_grad(GeodesicSquared(r_gt), r)).all()
+            assert np.isfinite(euclid_grad_batch("geodesic", r[None], r_gt[None])).all()
+
+
 # ---------------------------------------------------------------------------
 # batched Euclidean gradient
 

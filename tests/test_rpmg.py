@@ -206,9 +206,10 @@ def test_goal_terms_rows_match_batch(rep):
     # the quaternion and reduce differently, so rows agree to rounding only
     xs, r_gs = sample_projection_cases(rep, 300, seed=41, max_ambient_angle=math.inf,
                                        goal_step=math.pi)
-    batch = rpmg._goal_terms_batch(rep, xs, r_gs)
+    quat_goal = rep in rpmg._QUAT_GOAL_REPS  # these take the goal as a quaternion
+    batch = rpmg._goal_terms_batch(rep, xs, so3._rot_to_quat_batch(r_gs) if quat_goal else r_gs)
     for i, (x, r_g) in enumerate(zip(xs, r_gs)):
-        for one, rows in zip(rpmg._goal_terms(rep, x, r_g), batch):
+        for one, rows in zip(rpmg._goal_terms(rep, x, so3.rot_to_quat(r_g) if quat_goal else r_g), batch):
             scale = max(np.linalg.norm(rows[i]), np.linalg.norm(x))
             assert np.linalg.norm(one - rows[i]) <= 1e-12 * scale, i
 
