@@ -1,9 +1,10 @@
 """Command-line front end: experiments, sweeps, and the verification suite.
 
 Three subcommands.  ``fit`` descends from a single raw output to a single
-target rotation, ``train`` runs the synthetic point-cloud regression task
-(optionally as a method sweep), ``check`` runs the named verification
-checks.  Every run writes a JSON report that validates against the schema
+target rotation (optionally over a seed sweep, counted into aborted and
+stalled fits), ``train`` runs the synthetic point-cloud regression task
+(optionally as a method and seed sweep), ``check`` runs the named
+verification checks.  Every run writes a JSON report that validates against the schema
 shipped next to this module plus a CSV error trace with a fixed header.
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 numeric
@@ -46,6 +47,11 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
 
 CSV_HEADER = ("iteration", "mean_deg", "median_deg", "acc5", "acc3", "mean_norm")
+FITS_CSV_HEADER = ("seed", "final_error_rad", "iters_run", "aborted", "stalled", "diagnostic")
+
+# a fit that runs to the end above this final error (radians) has stalled:
+# acceptance criterion 5's tolerance
+FIT_TOLERANCE_RAD = 1e-4
 
 
 class CliConfigError(Exception):
@@ -154,6 +160,26 @@ def _parse_rep(name: str) -> RepKind:
         raise CliConfigError(f"unknown rep {name!r}; valid values: {valid}") from None
 
 
+def _parse_seeds(text: str) -> List[int]:
+    """Seeds from comma-separated integers and inclusive ranges ``A-B``."""
+    seeds: List[int] = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        first, dash, last = item.partition("-")
+        try:
+            lo = int(first)
+            hi = int(last) if dash else lo
+        except ValueError:
+            raise CliConfigError(f"bad seed {item!r}; expected an integer or a range A-B") from None
+        if hi < lo:
+            raise CliConfigError(f"empty seed range {item!r}")
+        seeds.extend(range(lo, hi + 1))
+    if not seeds:
+        raise CliConfigError("--seeds needs at least one seed")
+    return seeds
+
+
 def _tau_spec(tau: Optional[float], tau_init: Optional[float],
               tau_converge: Optional[float], iters: int):
     if tau is not None:
@@ -170,18 +196,76 @@ def _tau_spec(tau: Optional[float], tau_init: Optional[float],
 # ---------------------------------------------------------------------------
 # fit
 
+def _run_fit(payload: Tuple) -> Tuple[float, int, bool, str]:
+    """(final error, iterations run, aborted, diagnostic) of one fit."""
+    rep, method, loss, tau, lam, seed, iters, lr = payload
+    result = fit_single_rotation(rep, method, loss=loss, tau=tau, lam=lam,
+                                 seed=seed, iters=iters, lr=lr)
+    return result.final_error, len(result.errors) - 1, result.aborted, result.diagnostic
+
+
+def _fit_sweep(args: argparse.Namespace, rep: RepKind, method, tau, seeds: List[int]) -> int:
+    """One fit per seed, one CSV row per fit, one summary line for the cell."""
+    echo = {"rep": rep.value, "method": method.value, "loss": args.loss,
+            "lambda": args.lam, "tau": _tau_echo(tau), "seeds": seeds,
+            "iters": args.iters, "lr": args.lr}
+    digest = config_hash(echo)
+    started = _utc_now()
+    payloads = [(rep, method, args.loss, tau, args.lam, seed, args.iters, args.lr) for seed in seeds]
+    if args.jobs > 1:
+        with single_thread_pool(min(args.jobs, len(payloads))) as pool:
+            results = pool.map(_run_fit, payloads)
+    else:
+        results = [_run_fit(p) for p in payloads]
+
+    # made after the fits, so that a config the fits reject leaves no directory
+    run_dir = _out_root(args.out_dir) / f"fit-sweep-{digest[:8]}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    fits_path = run_dir / "fits.csv"
+    aborted = stalled = 0
+    with open(fits_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FITS_CSV_HEADER)
+        for seed, (final, iters_run, was_aborted, diagnostic) in zip(seeds, results):
+            # NaN (an abort at step 0) compares False: only finished fits stall
+            is_stalled = not was_aborted and not final <= FIT_TOLERANCE_RAD
+            aborted += was_aborted
+            stalled += is_stalled
+            writer.writerow([seed, repr(float(final)), iters_run, int(was_aborted),
+                             int(is_stalled), diagnostic])
+    counts = (f"{len(seeds)} fits, {aborted} aborted, {stalled} stalled "
+              f"(final error above {FIT_TOLERANCE_RAD:g} rad)")
+    report_path = run_dir / "report.json"
+    summary = {"rep": rep.value, "method": method.value, "loss": args.loss,
+               "aborted": aborted > 0, "diagnostic": counts}
+    manifest = RunManifest(echo, digest, started, _utc_now(), __version__,
+                           [str(report_path), str(fits_path)])
+    _write_report(report_path, "fit", manifest, summary)
+
+    print(f"fit {rep.value} {method.value} {args.loss} seeds {args.seeds}: {counts}")
+    print(f"fits: {fits_path}")
+    print(f"report: {report_path}")
+    if aborted:
+        print(f"numeric failure: {aborted} of {len(seeds)} fits aborted", file=sys.stderr)
+        return EXIT_NUMERIC_FAILURE
+    return EXIT_OK
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     rep = _parse_rep(args.rep)
     method = _parse_method(args.method, sphere=False)
     tau = args.tau if args.tau is not None else "auto"
+    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    if len(seeds) > 1:
+        return _fit_sweep(args, rep, method, tau, seeds)
 
     echo = {"rep": rep.value, "method": method.value, "loss": args.loss,
-            "lambda": args.lam, "tau": _tau_echo(tau), "seed": args.seed,
+            "lambda": args.lam, "tau": _tau_echo(tau), "seed": seeds[0],
             "iters": args.iters, "lr": args.lr}
     digest = config_hash(echo)
     started = _utc_now()
     result = fit_single_rotation(rep, method, loss=args.loss, tau=tau, lam=args.lam,
-                                 seed=args.seed, iters=args.iters, lr=args.lr)
+                                 seed=seeds[0], iters=args.iters, lr=args.lr)
 
     run_dir = _out_root(args.out_dir) / f"fit-{digest[:8]}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +288,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                            [str(report_path), str(trace_path)])
     _write_report(report_path, "fit", manifest, summary)
 
-    print(f"fit {rep.value} {method.value} {args.loss} seed {args.seed}: "
+    print(f"fit {rep.value} {method.value} {args.loss} seed {seeds[0]}: "
           f"final error {result.final_error:.3e} rad "
           f"({len(result.errors) - 1} iters)")
     print(f"report: {report_path}")
@@ -260,8 +344,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                     if args.methods else [args.method])
     if not method_names:
         raise CliConfigError("--methods needs at least one method name")
-    seeds = ([int(s) for s in args.seeds.split(",") if s.strip()]
-             if args.seeds else [args.seed])
+    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     sweep = args.methods is not None or len(seeds) > 1
 
     cells = [(_cell_config(args, m, s, sphere), sphere)
@@ -363,8 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tau", type=float, default=None,
                      help="constant step size (default: analytic or preset)")
     fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seeds", default=None,
+                     help="sweep: comma-separated seeds and inclusive ranges A-B, "
+                          "one CSV row per fit (default: --seed)")
     fit.add_argument("--iters", type=int, default=2000)
     fit.add_argument("--lr", type=float, default=1e-2)
+    fit.add_argument("--jobs", type=int, default=1,
+                     help="parallel workers for the sweep's fits")
     fit.add_argument("--out-dir", default=None,
                      help="output root (default: $ROTGRAD_OUT_DIR or ./runs)")
 
@@ -383,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="staircase schedule end (with --tau-init)")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--seeds", default=None,
-                    help="comma-separated seeds for sweeps (default: --seed)")
+                    help="comma-separated seeds and inclusive ranges A-B for sweeps "
+                         "(default: --seed)")
     tr.add_argument("--iters", type=int, default=5000)
     tr.add_argument("--batch", type=int, default=32)
     tr.add_argument("--sphere", action="store_true",

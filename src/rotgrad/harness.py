@@ -25,7 +25,9 @@ from .representations import (
     MANIFOLD_REPS,
     DegenerateInputError,
     RepKind,
+    _forward_one,
     _quat_to_rot_batch,
+    baseline_backward,
     baseline_rotation,
     embed,
     representation_map,
@@ -35,6 +37,7 @@ from .riemannian import (
     _check_count,
     _check_positive_real,
     _check_weight,
+    _euclid_grad,
     CutLocusError,
     TauSchedule,
     euclid_grad,
@@ -49,7 +52,8 @@ from .rpmg import (
     BLEND_LAM,
     Method,
     RpmgParams,
-    rpmg_gradient,
+    _manifold_gradient,
+    rpmg_gradient,  # unused here: perfbench's tracer binds harness.rpmg_gradient
     rpmg_gradient_batch,
 )
 from .sphere import TAU_CONVERGE_S2, _row_angles, _s2_gradient_batch, _unit_rows
@@ -356,9 +360,12 @@ def fit_single_rotation(
     next to the critical set of the loss where every first-order rule
     crawls. A degenerate raw vector, or a geodesic step from the cut
     locus, aborts the run and is reported through the diagnostic instead
-    of raising. Each step makes one per-sample ``rpmg_gradient`` call at
-    the step ``_resolve_tau`` picks; under ``tau="auto"`` with l2 or
-    geodesic its goal step is capped at ``AUTO_MAX_GOAL_STEP`` radians.
+    of raising. Each step runs one forward map and the per-sample
+    gradient on Python floats (the kernels behind ``baseline_rotation``
+    and ``rpmg_gradient``, which the step calls directly, without their
+    array round trips) at the step ``_resolve_tau`` picks; under
+    ``tau="auto"`` with l2 or geodesic its goal step is capped at
+    ``AUTO_MAX_GOAL_STEP`` radians.
     Bad ``iters``, ``seed``, ``lr``, ``lam``, ``loss`` or ``tau`` (by
     ``ExperimentConfig``'s rules), a bad ``x_init``, or an ``r_gt`` that is
     not a finite rotation (orthonormal to 1e-6, det > 0), raise ValueError
@@ -398,7 +405,7 @@ def fit_single_rotation(
     aborted = False
     diagnostic = ""
     try:
-        r_start: Optional[np.ndarray] = baseline_rotation(rep, x)
+        r_start, q = baseline_rotation(rep, x, return_factors=True)
     except DegenerateInputError as exc:
         r_start = None
         aborted = True
@@ -415,14 +422,20 @@ def fit_single_rotation(
     loss_inst = make_loss(loss, r_gt, points)
 
     if not aborted:
-        r = r_start
+        # the step runs on Python floats: x, R and the target as lists
+        x, r, gt = x.tolist(), so3._rows(r_start), so3._rows(r_gt)
+        q = None if q is None else q.tolist()
         for it in range(iters + 1):
-            errors.append(so3.geodesic_distance(r, r_gt))
-            norms.append(math.sqrt(x.dot(x)))
+            errors.append(so3._geodesic_distance(r, gt))
+            norms.append(math.hypot(*x))
             if it == iters:
                 break
             try:
-                g = rpmg_gradient(rep, x, r, loss_inst, tau_fn(it), params, max_step=max_step)
+                dl_dr = _euclid_grad(loss_inst, r, gt)
+                if method is Method.VANILLA:
+                    g = baseline_backward(rep, np.array(x), np.reshape(dl_dr, (3, 3))).tolist()
+                else:
+                    g = _manifold_gradient(rep, x, r, q, dl_dr, tau_fn(it), params.blend_lam, max_step)
             except DegenerateInputError as exc:
                 aborted = True
                 diagnostic = f"degenerate raw vector at step {it}: {exc}"
@@ -431,17 +444,18 @@ def fit_single_rotation(
                 aborted = True
                 diagnostic = f"cut locus at step {it}: {exc}"
                 break
-            if not all(map(math.isfinite, g.tolist())):
+            if not all(map(math.isfinite, g)):
                 aborted = True
                 diagnostic = f"non-finite gradient at step {it}"
                 break
-            x = x - lr * g
+            x = [a - lr * b for a, b in zip(x, g)]
             try:
-                r = baseline_rotation(rep, x)
+                r, q = _forward_one(rep, x)
             except DegenerateInputError as exc:
                 aborted = True
                 diagnostic = f"degenerate raw vector at step {it + 1}: {exc}"
                 break
+        x = np.array(x)
     return FitResult(
         rep=rep,
         method=method,

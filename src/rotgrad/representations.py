@@ -11,21 +11,26 @@ Each representation is a pair of maps:
 ``embed`` re-injects a manifold point into ambient coordinates.  The two
 Euclidean baselines (Euler angles, axis-angle) have trivial projections.
 
-Per-sample projections map one vector; the ``*_batch`` helpers implement
-the same maps over a leading batch axis, which the training loops need for
-throughput.  The 9d map, the special orthogonalization of x.reshape(3, 3),
-is the 10d map of theta = L x (``_NINE_TO_TEN``), so both routes compute 9d
-and 10d with one ``eigh`` call, the same guards and the same arithmetic,
-and their rotations agree byte for byte.  Both reject a raw vector with an
-inf or NaN entry before any factorization, with ``DegenerateInputError``.
-Tests pin the two routes against each other.
+Per-sample projections map one vector, on Python floats (``_project``,
+``_rotation`` and ``_forward_one``, wrapped by ``manifold_map``,
+``rotation_map`` and ``baseline_rotation``); the ``*_batch`` helpers
+implement the same maps over a leading batch axis, which the training loops
+need for throughput.  The 9d map, the special orthogonalization of
+x.reshape(3, 3), is the 10d map of theta = L x (``_NINE_TO_TEN``), so both
+routes compute 9d and 10d with one ``eigh`` call, the same guards and the
+same arithmetic, and their rotations agree byte for byte.  Both reject a
+raw vector with an inf or NaN entry before any factorization, with
+``DegenerateInputError``.  Tests pin the two routes against each other.
 
-The batched route is a forward/backward pair, like ``nn.forward`` and
-``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)`` returns
-the rotations with the factorization that produced them (normalized
-quaternion, Gram-Schmidt frame, eigen-decomposition of A(theta)), and
-``vanilla_backward_batch`` reads those factors instead of factorizing the
-batch a second time.
+Both routes are forward/backward pairs, like ``nn.forward`` and
+``nn.backward``.  ``rotations_from_raw(rep, xs, return_factors=True)``
+returns the rotations with the factorization that produced them
+(normalized quaternion, Gram-Schmidt frame, eigen-decomposition of
+A(theta)), and ``vanilla_backward_batch`` and ``rpmg_gradient_batch`` read
+those factors instead of factorizing the batch a second time.
+``baseline_rotation(rep, x, return_factors=True)`` returns the rotation
+with the forward's unit quaternion (quat and 10d), which ``rpmg_gradient``
+reads as its goal's starting point.
 """
 
 from __future__ import annotations
@@ -127,10 +132,18 @@ def params_from_sym4(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)[_SYM4_ROWS, _SYM4_COLS]
 
 
-def _ten_d_embedding(q: np.ndarray) -> np.ndarray:
+def _ten_d_params(q) -> list:
     """Packed parameters of I - q q^T, the 10d embedding of a unit quaternion
-    q: the symmetric form with eigenvalue 0 exactly on q (either sign)."""
-    return _EYE4_SYM - q[_SYM4_ROWS] * q[_SYM4_COLS]
+    q (4 floats): the symmetric form with eigenvalue 0 exactly on q (either
+    sign)."""
+    q0, q1, q2, q3 = q
+    return [1.0 - q0 * q0, 0.0 - q0 * q1, 0.0 - q0 * q2, 0.0 - q0 * q3, 1.0 - q1 * q1,
+            0.0 - q1 * q2, 0.0 - q1 * q3, 1.0 - q2 * q2, 0.0 - q2 * q3, 1.0 - q3 * q3]
+
+
+def _ten_d_embedding(q) -> np.ndarray:
+    """:func:`_ten_d_params` of a quaternion array, as an array."""
+    return np.array(_ten_d_params(np.asarray(q, dtype=np.float64).tolist()))
 
 
 def _check_dim(rep: RepKind, x) -> np.ndarray:
@@ -140,43 +153,94 @@ def _check_dim(rep: RepKind, x) -> np.ndarray:
     return x
 
 
-def manifold_map(rep: RepKind, x) -> ManifoldPoint:
-    """Project a raw ambient vector onto the representation manifold."""
-    x = _check_dim(rep, x)
-    if not all(map(math.isfinite, x.tolist())):
+def _check_finite(rep: RepKind, x: list) -> None:
+    if not all(map(math.isfinite, x)):
         raise DegenerateInputError(f"{rep.value}: raw vector is not finite")
-    if rep in (RepKind.EULER3, RepKind.AXIS_ANGLE3):
-        return ManifoldPoint(rep, x.copy())
 
+
+def _project(rep: RepKind, x: list) -> list:
+    """The point of a finite raw vector x (a list of floats) on a manifold
+    rep, flat: the unit quaternion for quat, 9d and 10d (for 9d, the
+    quaternion of the rotation that is its point), (u_hat, v_hat) for 6d."""
     if rep is RepKind.QUAT4:
-        n = math.sqrt(x.ravel().dot(x.ravel()))  # norm's operand: contiguous if x is strided
+        x0, x1, x2, x3 = x
+        n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
         if n <= QUAT_NORM_MIN:
             raise DegenerateInputError(f"quat norm {n:.3e} below {QUAT_NORM_MIN:.0e}")
-        return ManifoldPoint(rep, x / n)
+        return [x0 / n, x1 / n, x2 / n, x3 / n]
 
     if rep is RepKind.SIX_D:
-        u, v = x[:3], x[3:]
-        nu = math.sqrt(u.ravel().dot(u.ravel()))
+        u0, u1, u2, v0, v1, v2 = x
+        nu = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         if nu <= GRAM_RESIDUAL_MIN:
             raise DegenerateInputError(f"6d first-column norm {nu:.3e} below {GRAM_RESIDUAL_MIN:.0e}")
-        u_hat = u / nu
-        w = v - float(v.dot(u_hat)) * u_hat
-        nw = math.sqrt(w.dot(w))
+        a0, a1, a2 = u0 / nu, u1 / nu, u2 / nu
+        d = v0 * a0 + v1 * a1 + v2 * a2
+        w0, w1, w2 = v0 - d * a0, v1 - d * a1, v2 - d * a2
+        nw = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
         if nw <= GRAM_RESIDUAL_MIN:
             raise DegenerateInputError(f"6d Gram-Schmidt residual {nw:.3e} below {GRAM_RESIDUAL_MIN:.0e}")
-        return ManifoldPoint(rep, np.stack([u_hat, w / nw]))
+        return [a0, a1, a2, w0 / nw, w1 / nw, w2 / nw]
 
     # 9d and 10d: unit eigenvector of the smallest eigenvalue of A(theta),
-    # as in _ten_d_forward_batch; 9d's theta is L x and its point the rotation
+    # as in _ten_d_forward_batch; 9d's theta is L x, each row summed in
+    # column order from +0.0 as the batched product x L^T sums it
     nine = rep is RepKind.NINE_D
-    gap_min = _NINE_D_GAP_MIN if nine else EIGENGAP_MIN
-    vals, vecs = np.linalg.eigh(sym4_from_params(_NINE_TO_TEN @ x if nine else x))
+    if nine:
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = x
+        t0, t1, t2, t3 = 0.0 - m00 - m11 - m22, 0.0 + m12 - m21, 0.0 - m02 + m20, 0.0 + m01 - m10
+        t4, t5, t6 = 0.0 - m00 + m11 + m22, 0.0 - m01 - m10, 0.0 - m02 - m20
+        t7, t8, t9 = 0.0 + m00 - m11 + m22, 0.0 - m12 - m21, 0.0 + m00 + m11 - m22
+        gap_min = _NINE_D_GAP_MIN
+    else:
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = x
+        gap_min = EIGENGAP_MIN
+    vals, vecs = np.linalg.eigh(np.array([t0, t1, t2, t3, t1, t4, t5, t6,
+                                          t2, t5, t7, t8, t3, t6, t8, t9]).reshape(4, 4))
     l0, l1, _, l3 = vals.tolist()  # ascending, so max(|l0|, |l3|) = max(-l0, l3)
     gap, floor = l1 - l0, max(gap_min, EIGENGAP_REL_MIN * max(-l0, l3))
     if gap <= floor:
         raise DegenerateInputError(f"{rep.value} smallest-eigenvalue gap {gap:.3e} below {floor:.0e}")
-    q = so3.canonical_quat(vecs[:, 0])
-    return ManifoldPoint(rep, so3.quat_to_rot(q) if nine else q)
+    q = vecs[:, 0].tolist()
+    return q if so3._canonical_sign(q) > 0.0 else [-v for v in q]
+
+
+def _rotation(rep: RepKind, point: list) -> list:
+    """Row-major entries of the rotation of a manifold point given as
+    :func:`_project` returns it."""
+    if rep is RepKind.SIX_D:
+        u0, u1, u2, v0, v1, v2 = point
+        # np.cross's multiply, multiply, subtract per component
+        return [u0, v0, u1 * v2 - u2 * v1,
+                u1, v1, u2 * v0 - u0 * v2,
+                u2, v2, u0 * v1 - u1 * v0]
+    return so3._quat_to_rot(point)
+
+
+def _forward_one(rep: RepKind, x: list):
+    """The per-sample forward map on a raw vector x given as a list of
+    floats: (R as nine row-major floats, the forward's unit quaternion for
+    quat and 10d, else None).  A non-finite x raises DegenerateInputError."""
+    _check_finite(rep, x)
+    if rep not in MANIFOLD_REPS:
+        return rotation_map(ManifoldPoint(rep, np.array(x))).ravel().tolist(), None
+    point = _project(rep, x)
+    return _rotation(rep, point), (point if rep in (RepKind.QUAT4, RepKind.TEN_D) else None)
+
+
+def manifold_map(rep: RepKind, x) -> ManifoldPoint:
+    """Project a raw ambient vector onto the representation manifold."""
+    x = _check_dim(rep, x)
+    xs = x.tolist()
+    _check_finite(rep, xs)
+    if rep in (RepKind.EULER3, RepKind.AXIS_ANGLE3):
+        return ManifoldPoint(rep, x.copy())
+    point = _project(rep, xs)
+    if rep is RepKind.SIX_D:
+        return ManifoldPoint(rep, np.array(point).reshape(2, 3))
+    if rep is RepKind.NINE_D:
+        return ManifoldPoint(rep, np.array(so3._quat_to_rot(point)).reshape(3, 3))
+    return ManifoldPoint(rep, np.array(point))
 
 
 def rotation_map(point: ManifoldPoint) -> np.ndarray:
@@ -185,11 +249,7 @@ def rotation_map(point: ManifoldPoint) -> np.ndarray:
     if rep in (RepKind.QUAT4, RepKind.TEN_D):
         return so3.quat_to_rot(val)
     if rep is RepKind.SIX_D:
-        (u0, u1, u2), (v0, v1, v2) = np.asarray(val).tolist()
-        # np.cross's multiply, multiply, subtract per component
-        return np.array([[u0, v0, u1 * v2 - u2 * v1],
-                         [u1, v1, u2 * v0 - u0 * v2],
-                         [u2, v2, u0 * v1 - u1 * v0]])
+        return np.array(_rotation(rep, np.asarray(val).ravel().tolist())).reshape(3, 3)
     if rep is RepKind.NINE_D:
         return val.copy()
     if rep is RepKind.EULER3:
@@ -227,9 +287,21 @@ def embed(point: ManifoldPoint) -> np.ndarray:
     return val.copy()
 
 
-def baseline_rotation(rep: RepKind, x) -> np.ndarray:
-    """Full forward map: raw ambient vector -> rotation matrix."""
-    return rotation_map(manifold_map(rep, x))
+def baseline_rotation(rep: RepKind, x, return_factors: bool = False):
+    """Full forward map: raw ambient vector -> rotation matrix.
+
+    With ``return_factors`` it returns ``(R, q)``, where q is the forward's
+    unit quaternion for quat (x / |x|) and 10d (the canonical smallest
+    eigenvector of A(x)), and None for every other rep.  Pass it to
+    :func:`rpmg.rpmg_gradient` to differentiate the same x without
+    projecting it again.
+    """
+    x = _check_dim(rep, x)
+    r, q = _forward_one(rep, x.tolist())
+    r = np.array(r).reshape(3, 3)
+    if not return_factors:
+        return r
+    return r, (None if q is None else np.array(q))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +553,11 @@ def _ten_d_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray
     rest = vecs[:, :, 1:]
     coef = (gq[:, None, :] @ rest)[:, 0] / (vals[:, 1:] - vals[:, :1])
     w = (rest @ coef[:, :, None])[:, :, 0]
+    # np.take gathers C-ordered rows, w[:, idx] F-ordered ones
     i, j = _SYM4_ROWS, _SYM4_COLS
-    return -(w[:, i] * q[:, j] + w[:, j] * q[:, i]) * _SYM4_HALF_MULT
+    wi, wj = np.take(w, i, axis=1), np.take(w, j, axis=1)
+    qi, qj = np.take(q, i, axis=1), np.take(q, j, axis=1)
+    return -(wi * qj + wj * qi) * _SYM4_HALF_MULT
 
 
 def _euler_backward_batch(xs: np.ndarray, gs: np.ndarray, factors) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -154,18 +154,28 @@ def loss_value(loss: LossKind, r) -> float:
     raise TypeError(f"unknown loss {type(loss).__name__}")
 
 
-def euclid_grad(loss: LossKind, r) -> np.ndarray:
-    """Euclidean gradient dL/dR, treating R as nine free entries."""
-    r = np.asarray(r, dtype=np.float64)
-    if isinstance(loss, L2Frobenius):
-        return 2.0 * (r - loss.r_gt)
-    if isinstance(loss, GeodesicSquared):
-        theta = so3.geodesic_distance(r, loss.r_gt)
+def _euclid_grad(loss: LossKind, r: list, gt: Optional[list] = None) -> list:
+    """:func:`euclid_grad` on row-major lists of nine floats: R and, for l2
+    and geodesic, the target (read off the loss when ``gt`` is None)."""
+    if isinstance(loss, (L2Frobenius, GeodesicSquared)):
+        if gt is None:
+            gt = so3._rows(loss.r_gt)
+        if isinstance(loss, L2Frobenius):
+            return [2.0 * (a - b) for a, b in zip(r, gt)]
+        theta = so3._geodesic_distance(r, gt)
         if theta > _CUT_LOCUS:
             raise CutLocusError("squared-geodesic gradient is undefined at the cut locus")
         # d/dR of acos((tr(r_gt^T R) - 1) / 2) squared
         factor = 1.0 + theta * theta / 6.0 if theta < 1e-6 else theta / math.sin(theta)
-        return -factor * loss.r_gt
+        return [-factor * v for v in gt]
+    return euclid_grad(loss, np.reshape(r, (3, 3))).ravel().tolist()
+
+
+def euclid_grad(loss: LossKind, r) -> np.ndarray:
+    """Euclidean gradient dL/dR, treating R as nine free entries."""
+    if isinstance(loss, (L2Frobenius, GeodesicSquared)):
+        return np.array(_euclid_grad(loss, so3._rows(r))).reshape(3, 3)
+    r = np.asarray(r, dtype=np.float64)
     if isinstance(loss, Flow):
         return 2.0 * (r - loss.r_gt) @ loss.gram
     if isinstance(loss, Chamfer):
@@ -230,10 +240,19 @@ def euclid_grad_batch(loss: str, rs, r_gts, points=None) -> np.ndarray:
     return out
 
 
+def _riemannian_grad(r: list, g: list) -> list:
+    """:func:`riemannian_grad` of R and dL/dR given as nine row-major floats:
+    the skew part of C = R^T dL/dR, c_ij = sum_k r_ki g_kj."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g
+    return [(r02 * g01 + r12 * g11 + r22 * g21) - (r01 * g02 + r11 * g12 + r21 * g22),
+            (r00 * g02 + r10 * g12 + r20 * g22) - (r02 * g00 + r12 * g10 + r22 * g20),
+            (r01 * g00 + r11 * g10 + r21 * g20) - (r00 * g01 + r10 * g11 + r20 * g21)]
+
+
 def riemannian_grad(r, dl_dr) -> np.ndarray:
     """Tangent components of dL/dR at R: phi_k = <dL/dR, R @ hat(e_k)>."""
-    (_, c01, c02), (c10, _, c12), (c20, c21, _) = (np.asarray(r).T @ np.asarray(dl_dr)).tolist()
-    return np.array([c21 - c12, c02 - c20, c10 - c01])
+    return np.array(_riemannian_grad(so3._rows(r), so3._rows(dl_dr)))
 
 
 def goal_rotation(r, phi_grad, tau: float) -> np.ndarray:

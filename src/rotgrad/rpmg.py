@@ -17,16 +17,23 @@ methods and as exact short-circuits of the blend.  A small positive ``lam``
 keeps the raw output norm from collapsing while preserving most of the
 projective gradient's freedom.
 
-The per-sample ``rpmg_gradient`` (the reference) and the batched
-``rpmg_gradient_batch`` each get both pullbacks from one goal kernel,
-``_goal_terms`` and its row twin ``_goal_terms_batch``, and emit them
-through the one ``_blend`` that the sphere's rules also use.
+The per-sample ``rpmg_gradient`` and the batched ``rpmg_gradient_batch``
+each get both pullbacks from one goal kernel, ``_goal_terms`` (on Python
+floats, under ``_manifold_gradient``, which ``fit_single_rotation`` calls
+directly) and its row twin ``_goal_terms_batch``, and emit them through the
+one ``_blend`` that the sphere's rules also use (on arrays, or entry by
+entry on floats).
 
 The quat and 10d pullbacks read the goal as a unit quaternion, so for them
 the goal step is composed as one: q_g = q (x) exp(-tau phi / 2), where q is
-the forward's own quaternion (``so3._quat_step``).  6d and 9d read the goal
-matrix, R_g = R Rodrigues(-tau phi).  ``inverse_project``, which is given a
-goal rotation, takes its quaternion with ``so3.rot_to_quat``.
+the forward's own quaternion (``so3._quat_step``).  Both routes take that q
+as ``factors``, from ``baseline_rotation(rep, x, return_factors=True)`` or
+``rotations_from_raw(rep, xs, return_factors=True)``, and compute it
+through the same forward map when it is not given.  6d and 9d read the goal
+matrix, R_g = R Rodrigues(-tau phi).  The 10d pullback solves the 4x4
+normal system M M^T by an unrolled Cholesky factorization per sample and
+by ``numpy.linalg.solve`` over a batch.  ``inverse_project``, which is
+given a goal rotation, takes its quaternion with ``so3.rot_to_quat``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -46,20 +54,20 @@ from .representations import (
     _SYM4_ROWS,
     _forward,
     _sym4_batch,
-    _ten_d_embedding,
+    _ten_d_params,
     MANIFOLD_REPS,
     RepKind,
     baseline_backward,
-    sym4_from_params,
+    baseline_rotation,
     vanilla_backward_batch,
 )
 from .riemannian import (
     _check_weight,
+    _euclid_grad,
+    _riemannian_grad,
     LossKind,
     euclid_grad,
     euclid_grad_batch,
-    goal_rotation,
-    riemannian_grad,
 )
 
 
@@ -123,54 +131,109 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     x = _finite_ambient(rep, x)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold inverse image")
-    r_g = np.asarray(r_g, dtype=np.float64)
-    return _goal_terms(rep, x, so3.rot_to_quat(r_g) if rep in _QUAT_GOAL_REPS else r_g)[1]
+    goal = so3.rot_to_quat(r_g) if rep in _QUAT_GOAL_REPS else np.asarray(r_g, dtype=np.float64)
+    return np.array(_goal_terms(rep, x.tolist(), goal.ravel().tolist())[1])
 
 
-def _goal_terms(rep: RepKind, x: np.ndarray, goal: np.ndarray):
-    """(x_hat_g, x_gp) for one goal: a row of :func:`_goal_terms_batch`.
+def _solve_normal(q, b, c):
+    """(P^-1 b, P^-1 c) for P = M M^T = diag(|q|^2 - q*q) + q q^T, M =
+    ``constraint_rows(q)``, by an unrolled Cholesky factorization.
+
+    For a unit q, P has a unit diagonal and eigenvalues within [1/2, 2], so
+    the factorization needs no pivoting and no square root meets a
+    nonpositive operand.
+    """
+    q0, q1, q2, q3 = q
+    n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3  # every diagonal entry
+    l00 = math.sqrt(n2)
+    l10, l20, l30 = q1 * q0 / l00, q2 * q0 / l00, q3 * q0 / l00
+    l11 = math.sqrt(n2 - l10 * l10)
+    l21, l31 = (q2 * q1 - l20 * l10) / l11, (q3 * q1 - l30 * l10) / l11
+    l22 = math.sqrt(n2 - l20 * l20 - l21 * l21)
+    l32 = (q3 * q2 - l30 * l20 - l31 * l21) / l22
+    l33 = math.sqrt(n2 - l30 * l30 - l31 * l31 - l32 * l32)
+    out = []
+    for r0, r1, r2, r3 in (b, c):
+        # L y = r, then L^T w = y
+        y0 = r0 / l00
+        y1 = (r1 - l10 * y0) / l11
+        y2 = (r2 - l20 * y0 - l21 * y1) / l22
+        y3 = (r3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+        w3 = y3 / l33
+        w2 = (y2 - l32 * w3) / l22
+        w1 = (y1 - l21 * w2 - l31 * w3) / l11
+        w0 = (y0 - l10 * w1 - l20 * w2 - l30 * w3) / l00
+        out.append((w0, w1, w2, w3))
+    return out
+
+
+def _constraint_adjoint(q, w) -> list:
+    """M^T w for M = ``constraint_rows(q)``: parameter (a, b) of A collects
+    q_b w_a + q_a w_b, and (a, a) collects q_a w_a."""
+    q0, q1, q2, q3 = q
+    w0, w1, w2, w3 = w
+    return [q0 * w0, q1 * w0 + q0 * w1, q2 * w0 + q0 * w2, q3 * w0 + q0 * w3, q1 * w1,
+            q2 * w1 + q1 * w2, q3 * w1 + q1 * w3, q2 * w2, q3 * w2 + q2 * w3, q3 * w3]
+
+
+def _goal_terms(rep: RepKind, x: list, goal: list):
+    """(x_hat_g, x_gp) for one goal, on lists of floats: a row of
+    :func:`_goal_terms_batch`.
 
     The goal is a unit quaternion (either sign) for quat and 10d and the
-    goal rotation matrix for 6d and 9d.  x_hat_g is the embedded canonical
-    representation of the goal (for quat, the sheet nearer x); x_gp is
-    :func:`inverse_project`'s point.
+    goal rotation matrix, nine row-major floats, for 6d and 9d.  x_hat_g is
+    the embedded canonical representation of the goal (for quat, the sheet
+    nearer x); x_gp is :func:`inverse_project`'s point.
     """
     if rep is RepKind.QUAT4:
-        q = goal
-        dot = float(x.dot(q))
+        x0, x1, x2, x3 = x
+        q0, q1, q2, q3 = goal
+        dot = x0 * q0 + x1 * q1 + x2 * q2 + x3 * q3
         if dot < 0.0:  # nearer sheet of the double cover
-            q = -q
-        return q, abs(dot) * q
+            q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+        k = abs(dot)
+        return [q0, q1, q2, q3], [k * q0, k * q1, k * q2, k * q3]
 
     if rep is RepKind.SIX_D:
-        u_g, v_g = goal[:, 0], goal[:, 1]
-        k1, k2, k3 = float(x[:3].dot(u_g)), float(x[3:].dot(u_g)), float(x[3:].dot(v_g))
-        (a0, b0, _), (a1, b1, _), (a2, b2, _) = goal.tolist()
-        return np.array([a0, a1, a2, b0, b1, b2]), np.array([
+        u0, u1, u2, v0, v1, v2 = x
+        a0, b0, _, a1, b1, _, a2, b2, _ = goal  # the goal's first two columns
+        k1 = u0 * a0 + u1 * a1 + u2 * a2
+        k2 = v0 * a0 + v1 * a1 + v2 * a2
+        k3 = v0 * b0 + v1 * b1 + v2 * b2
+        return [a0, a1, a2, b0, b1, b2], [
             k1 * a0, k1 * a1, k1 * a2,
-            k2 * a0 + k3 * b0, k2 * a1 + k3 * b1, k2 * a2 + k3 * b2])
+            k2 * a0 + k3 * b0, k2 * a1 + k3 * b1, k2 * a2 + k3 * b2]
 
     if rep is RepKind.NINE_D:
-        m = x.reshape(3, 3)
-        s = 0.5 * (m @ goal.T + goal @ m.T)
-        return goal.reshape(9), (s @ goal).reshape(9)
+        # x_gp = S R_g with S the symmetric part of M R_g^T, M = x.reshape(3, 3)
+        c = so3._matmul(x, [goal[0], goal[3], goal[6], goal[1], goal[4], goal[7],
+                            goal[2], goal[5], goal[8]])
+        # S_ij = 0.5 (c_ij + c_ji), the diagonal included, as the batch forms it
+        c01, c02, c12 = 0.5 * (c[1] + c[3]), 0.5 * (c[2] + c[6]), 0.5 * (c[5] + c[7])
+        s = [0.5 * (c[0] + c[0]), c01, c02, c01, 0.5 * (c[4] + c[4]), c12, c02, c12, 0.5 * (c[8] + c[8])]
+        return list(goal), so3._matmul(s, goal)
 
     # [s t] = M^T (M M^T)^{-1} [q, A(x) q]; for a unit q, M M^T is
     # diag(1 - q*q) + q q^T, positive definite with eigenvalues <= 2, so
     # |s|^2 = q^T (M M^T)^{-1} q >= 1/2.  M and [q, A(x) q] are odd in q, so
     # either sign of the goal gives the same bits.
-    q = goal
-    x_hat = _ten_d_embedding(q)
-    m = constraint_rows(q)
-    w = np.linalg.solve(m @ m.T, np.stack([q, sym4_from_params(x) @ q], axis=1))
-    s, t = w.T @ m
-    lam_eig = float(s.dot(t)) / float(s.dot(s))
-    return x_hat, x + lam_eig * s - t
+    q0, q1, q2, q3 = goal
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = x
+    aq = (t0 * q0 + t1 * q1 + t2 * q2 + t3 * q3, t1 * q0 + t4 * q1 + t5 * q2 + t6 * q3,
+          t2 * q0 + t5 * q1 + t7 * q2 + t8 * q3, t3 * q0 + t6 * q1 + t8 * q2 + t9 * q3)
+    w, v = _solve_normal(goal, goal, aq)
+    s, t = _constraint_adjoint(goal, w), _constraint_adjoint(goal, v)
+    ss = st = 0.0
+    for a, b in zip(s, t):
+        ss += a * a
+        st += a * b
+    lam_eig = st / ss
+    return _ten_d_params(goal), [xi + lam_eig * si - ti for xi, si, ti in zip(x, s, t)]
 
 
 def _blend(x, x_hat_g, x_gp, lam: float):
     """The emitted gradient x - x_gp + lam (x_gp - x_hat_g), exact at lam = 1
-    (x - x_hat_g) and lam = 0 (x - x_gp)."""
+    (x - x_hat_g) and lam = 0 (x - x_gp): of arrays, or of single floats."""
     if lam == 1.0:
         return x - x_hat_g
     if lam == 0.0:
@@ -178,8 +241,28 @@ def _blend(x, x_hat_g, x_gp, lam: float):
     return x - x_gp + lam * (x_gp - x_hat_g)
 
 
+def _manifold_gradient(rep: RepKind, x: list, r: list, q, dl_dr: list, tau: float,
+                       lam: float, max_step: Optional[float]) -> list:
+    """The manifold methods' gradient for one sample on lists of floats: x,
+    R and dL/dR (row-major), and the forward's unit quaternion q for quat
+    and 10d (None for 6d and 9d); ``lam`` is the blend weight."""
+    p0, p1, p2 = _riemannian_grad(r, dl_dr)
+    if max_step is not None:
+        norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+        if tau * norm > max_step:
+            tau = max_step / norm
+    step = (-tau * p0, -tau * p1, -tau * p2)
+    if rep in _QUAT_GOAL_REPS:
+        goal = so3._quat_step(q, step)
+    else:
+        goal = so3._matmul(r, so3._rodrigues(*step))
+    x_hat_g, x_gp = _goal_terms(rep, x, goal)
+    return list(map(_blend, x, x_hat_g, x_gp, repeat(lam)))
+
+
 def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
-                  params: RpmgParams, max_step: Optional[float] = None) -> np.ndarray:
+                  params: RpmgParams, max_step: Optional[float] = None,
+                  factors=None) -> np.ndarray:
     """Ambient gradient emitted for one sample.
 
     ``r`` must be the rotation the forward pass produced from ``x`` (passed
@@ -189,30 +272,26 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
     ``x``.  With ``max_step`` (radians), a goal step tau |phi| past it is
     scaled down to exactly ``max_step``; a step within it keeps ``tau`` as
     given.  For quat and 10d the goal is composed as a quaternion, q (x)
-    exp(-tau phi / 2), from the forward's own q: x / |x| for quat and the
-    quaternion of ``r`` for 10d.
+    exp(-tau phi / 2), from the forward's own q: ``factors``, as
+    ``baseline_rotation(rep, x, return_factors=True)`` returned it for the
+    same x, spares projecting x again; without it the q comes from that
+    forward map, with the same result bit for bit.
     """
     r = np.asarray(r, dtype=np.float64)
-    dl_dr = euclid_grad(loss, r)
     if params.method is Method.VANILLA:
-        return baseline_backward(rep, x, dl_dr)
+        return baseline_backward(rep, x, euclid_grad(loss, r))
+    rows = so3._rows(r)
+    dl_dr = _euclid_grad(loss, rows)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} supports only the vanilla method")
     x = _finite_ambient(rep, x)
-
-    phi = riemannian_grad(r, dl_dr)
-    if max_step is not None:
-        norm = math.sqrt(phi.dot(phi))
-        if tau * norm > max_step:
-            tau = max_step / norm
-    if rep is RepKind.QUAT4:
-        goal = so3._quat_step(x / math.sqrt(x.dot(x)), -tau * phi)
-    elif rep is RepKind.TEN_D:
-        goal = so3._quat_step(so3.rot_to_quat(r), -tau * phi)
-    else:
-        goal = goal_rotation(r, phi, tau)
-    x_hat_g, x_gp = _goal_terms(rep, x, goal)
-    return _blend(x, x_hat_g, x_gp, params.blend_lam)
+    q = None
+    if rep in _QUAT_GOAL_REPS:
+        if factors is None:
+            _, factors = baseline_rotation(rep, x, return_factors=True)
+        q = np.asarray(factors, dtype=np.float64).tolist()
+    return np.array(_manifold_gradient(rep, x.tolist(), rows, q, dl_dr, tau,
+                                       params.blend_lam, max_step))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +306,11 @@ def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
     return m
 
 
+# the slots of x's two 6d columns, and of a flat goal rotation's first two columns
+_SIX_D_U, _SIX_D_V = np.arange(3), np.arange(3, 6)
+_GOAL_COLUMN_0, _GOAL_COLUMN_1 = np.array([0, 3, 6]), np.array([1, 4, 7])
+
+
 def _goal_terms_batch(rep: RepKind, xs: np.ndarray, goal: np.ndarray):
     """(x_hat_g, x_gp) for a batch of goals: C-contiguous (B, 4) unit
     quaternions (either sign) for quat and 10d, (B, 3, 3) goal rotations
@@ -238,8 +322,10 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, goal: np.ndarray):
         return q, np.abs(dots)[:, None] * q
 
     if rep is RepKind.SIX_D:
-        u, v = xs[:, :3], xs[:, 3:]
-        u_g, v_g = goal[:, :, 0], goal[:, :, 1]
+        # C-contiguous einsum operands: einsum's bits follow their strides
+        u, v = np.take(xs, _SIX_D_U, axis=1), np.take(xs, _SIX_D_V, axis=1)
+        flat = goal.reshape(-1, 9)
+        u_g, v_g = np.take(flat, _GOAL_COLUMN_0, axis=1), np.take(flat, _GOAL_COLUMN_1, axis=1)
         x_hat = np.concatenate([u_g, v_g], axis=1)
         k1 = np.einsum('bi,bi->b', u, u_g)[:, None]
         k2 = np.einsum('bi,bi->b', v, u_g)[:, None]
@@ -259,8 +345,7 @@ def _goal_terms_batch(rep: RepKind, xs: np.ndarray, goal: np.ndarray):
     mt = m.transpose(0, 2, 1)
     rhs = np.stack([q, np.einsum('bij,bj->bi', _sym4_batch(xs), q)], axis=2)
     w = np.linalg.solve(m @ mt, rhs)
-    st = mt @ w
-    s, t = st[:, :, 0], st[:, :, 1]
+    s, t = np.ascontiguousarray((mt @ w).transpose(2, 0, 1))  # two C-ordered (B, 10) rows
     lam_eig = np.einsum('bi,bi->b', s, t) / np.einsum('bi,bi->b', s, s)
     return x_hat, xs + lam_eig[:, None] * s - t
 

@@ -16,15 +16,18 @@ trace and the skew part of r1^T r2, atan2(|vee(C - C^T)|, tr(C) - 1), as
 ``sphere._row_angles`` reads them from a cross and a dot product: no
 quaternion extraction, and accurate to about eps at both 0 and pi.
 
-Per-sample functions read their scalars once with ``tolist()`` and compute
-on Python floats with the bits of numpy scalars: squares stay ``x ** 2``
-(libm ``pow``, not ``x * x``); no divisor may reach 0.0, nor a square
-overflow unhandled (Python raises, numpy gives inf); ``@``, ``.dot`` (for
-1-D, ``@``'s ddot at a third of its cost) and ``numpy.linalg`` stay numpy
-calls, as OpenBLAS fuses multiply-adds; and ``math.sqrt(v.dot(v))`` is
-``np.linalg.norm(v)`` only for a contiguous ``v``.  The angle and the
-quaternion step take their norms with ``math.hypot``, which neither
-overflows nor underflows.
+Per-sample functions are thin wrappers over kernels on Python floats: a
+wrapper reads its arrays once with ``tolist()`` (a 3x3 matrix as its nine
+row-major entries, ``_rows``) and builds one array from the kernel's list.
+The kernels write every sum out in a fixed order, rounding each multiply
+and each add, so their bits depend on no BLAS build; numpy's ``@`` and
+``.dot`` fuse multiply-adds and may differ from them in the last bit.  In a
+manifold-method fit step under l2 or geodesic, ``numpy.linalg.eigh`` (9d
+and 10d) is the only numpy call.  No
+divisor may reach 0.0, nor a square overflow unhandled (Python raises,
+numpy gives inf); the squares that pick Rodrigues' branch stay ``x ** 2``
+(libm ``pow``).  The angle and the quaternion step take their norms with
+``math.hypot``, which neither overflows nor underflows.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ def hat(phi) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _rodrigues(phi: np.ndarray) -> np.ndarray:
-    x, y, z = phi.tolist()
+def _rodrigues(x: float, y: float, z: float) -> list:
+    """Row-major entries of I + a hat(phi) + b hat(phi)^2, phi = (x, y, z)."""
     try:
         theta2 = x ** 2 + y ** 2 + z ** 2
     except OverflowError:  # past 1.8e308 Python's pow raises, numpy's gives inf
-        theta2 = float(phi[0] ** 2 + phi[1] ** 2 + phi[2] ** 2)
+        theta2 = float(np.float64(x) ** 2 + np.float64(y) ** 2 + np.float64(z) ** 2)
     theta = math.sqrt(theta2)
     if theta < _SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0
@@ -57,23 +60,48 @@ def _rodrigues(phi: np.ndarray) -> np.ndarray:
     else:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
-    k = hat(phi)
-    return _EYE3 + a * k + b * (k @ k)
+    # hat(phi)^2 = phi phi^T - |phi|^2 I, entry by entry
+    xy, xz, yz = b * (x * y), b * (x * z), b * (y * z)
+    ax, ay, az = a * x, a * y, a * z
+    return [1.0 + b * (-(z * z) - y * y), xy - az, xz + ay,
+            xy + az, 1.0 + b * (-(z * z) - x * x), yz - ax,
+            xz - ay, yz + ax, 1.0 + b * (-(y * y) - x * x)]
+
+
+def _matmul(a, b) -> list:
+    """Row-major product of two row-major 3x3 matrices given as 9 floats."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return [a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22]
+
+
+def _rows(m) -> list:
+    """The entries of a 3x3 array (or nested sequence), row-major, as floats."""
+    return np.asarray(m, dtype=np.float64).ravel().tolist()
 
 
 def exp_so3(r, phi) -> np.ndarray:
     """Geodesic step: start at rotation ``r``, move by tangent vector ``phi``."""
-    return np.asarray(r) @ _rodrigues(np.asarray(phi, dtype=np.float64))
+    x, y, z = np.asarray(phi, dtype=np.float64).tolist()
+    return np.array(_matmul(_rows(r), _rodrigues(x, y, z))).reshape(3, 3)
+
+
+def _quat_to_rot(q) -> list:
+    """Row-major entries of the rotation of a unit quaternion (4 floats)."""
+    q0, q1, q2, q3 = q
+    return [2.0 * (q0 * q0 + q1 * q1) - 1.0, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2),
+            2.0 * (q1 * q2 + q0 * q3), 2.0 * (q0 * q0 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q0 * q1),
+            2.0 * (q1 * q3 - q0 * q2), 2.0 * (q2 * q3 + q0 * q1), 2.0 * (q0 * q0 + q3 * q3) - 1.0]
 
 
 def quat_to_rot(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (either sign gives the same R)."""
-    q0, q1, q2, q3 = np.asarray(q, dtype=np.float64).tolist()
-    return np.array([
-        [2.0 * (q0 * q0 + q1 * q1) - 1.0, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2)],
-        [2.0 * (q1 * q2 + q0 * q3), 2.0 * (q0 * q0 + q2 * q2) - 1.0, 2.0 * (q2 * q3 - q0 * q1)],
-        [2.0 * (q1 * q3 - q0 * q2), 2.0 * (q2 * q3 + q0 * q1), 2.0 * (q0 * q0 + q3 * q3) - 1.0],
-    ])
+    return np.array(_quat_to_rot(np.asarray(q, dtype=np.float64).tolist())).reshape(3, 3)
 
 
 def rot_to_quat(r) -> np.ndarray:
@@ -103,17 +131,22 @@ def rot_to_quat(r) -> np.ndarray:
     return canonical_quat(q)
 
 
+def _canonical_sign(q) -> float:
+    """-1.0 where the quaternion (4 floats) must flip to be canonical: q0 < 0,
+    or q0 == 0 and the first nonzero component negative; else 1.0."""
+    if q[0] < 0.0:
+        return -1.0
+    if q[0] == 0.0:
+        for v in q[1:]:
+            if v != 0.0:
+                return 1.0 if v > 0.0 else -1.0
+    return 1.0
+
+
 def canonical_quat(q: np.ndarray) -> np.ndarray:
     """Fix the quaternion double-cover sign: q0 >= 0, ties broken by the
     first nonzero component being positive."""
-    c = np.asarray(q).tolist()
-    if c[0] < 0.0:
-        return -q
-    if c[0] == 0.0:
-        for v in c[1:]:
-            if v != 0.0:
-                return q if v > 0.0 else -q
-    return q
+    return q if _canonical_sign(np.asarray(q).tolist()) > 0.0 else -q
 
 
 def log_so3(r1, r2) -> np.ndarray:
@@ -131,6 +164,23 @@ def log_so3(r1, r2) -> np.ndarray:
     return (2.0 * math.atan2(s, q[0]) / s) * qv
 
 
+def _geodesic_distance(a, b) -> float:
+    """:func:`geodesic_distance` of two row-major 3x3 matrices given as 9 floats."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    # c_ij = sum_k a_ki b_kj, C = a^T b
+    c00 = a00 * b00 + a10 * b10 + a20 * b20
+    c11 = a01 * b01 + a11 * b11 + a21 * b21
+    c22 = a02 * b02 + a12 * b12 + a22 * b22
+    c21 = a02 * b01 + a12 * b11 + a22 * b21
+    c12 = a01 * b02 + a11 * b12 + a21 * b22
+    c02 = a00 * b02 + a10 * b12 + a20 * b22
+    c20 = a02 * b00 + a12 * b10 + a22 * b20
+    c10 = a01 * b00 + a11 * b10 + a21 * b20
+    c01 = a00 * b01 + a10 * b11 + a20 * b21
+    return math.atan2(math.hypot(c21 - c12, c02 - c20, c10 - c01), c00 + c11 + c22 - 1.0)
+
+
 def geodesic_distance(r1, r2) -> float:
     """Rotation angle of r1^T r2, in radians within [0, pi].
 
@@ -139,15 +189,15 @@ def geodesic_distance(r1, r2) -> float:
     quaternion extraction, and accurate to about eps at both 0 and pi,
     where acos((tr(C) - 1) / 2) loses half the digits.
     """
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (np.asarray(r1).T @ np.asarray(r2)).tolist()
-    return math.atan2(math.hypot(c21 - c12, c02 - c20, c10 - c01), c00 + c11 + c22 - 1.0)
+    return _geodesic_distance(_rows(r1), _rows(r2))
 
 
-def _quat_step(q: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """q (x) (cos(theta/2), sin(theta/2) phi/theta), theta = |phi|: the
-    Hamilton product whose rotation is quat_to_rot(q) @ _rodrigues(phi)."""
-    a0, a1, a2, a3 = q.tolist()
-    x, y, z = phi.tolist()
+def _quat_step(q, s) -> list:
+    """q (x) (cos(theta/2), sin(theta/2) s/theta), theta = |s|, for a
+    quaternion q (4 floats) and a step s (3 floats): the Hamilton product
+    whose rotation is quat_to_rot(q) @ Rodrigues(s)."""
+    a0, a1, a2, a3 = q
+    x, y, z = s
     theta = math.hypot(x, y, z)
     if theta < _SMALL_ANGLE:
         theta2 = theta ** 2
@@ -155,10 +205,10 @@ def _quat_step(q: np.ndarray, phi: np.ndarray) -> np.ndarray:
     else:
         c, k = math.cos(0.5 * theta), math.sin(0.5 * theta) / theta
     b1, b2, b3 = k * x, k * y, k * z
-    return np.array([a0 * c - a1 * b1 - a2 * b2 - a3 * b3,
-                     a0 * b1 + a1 * c + a2 * b3 - a3 * b2,
-                     a0 * b2 - a1 * b3 + a2 * c + a3 * b1,
-                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * c])
+    return [a0 * c - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * c + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * c + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * c]
 
 
 def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:

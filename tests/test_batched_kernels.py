@@ -12,11 +12,13 @@ of its operands.  The exception is the checks' descent oracle, whose
 per-step loop is now taken by repeated squaring: it is held to its loop
 within 1e-12 relative.
 
-Two rewrites changed the arithmetic and are held to their references at
+Three rewrites changed the arithmetic and are held to their references at
 stated bounds: ``geodesic_distance_batch`` reads the angle from the trace
-and the skew part of r1^T r2 (``_ANGLE_ATOL``), and ``rpmg_gradient_batch``
+and the skew part of r1^T r2 (``_ANGLE_ATOL``), ``rpmg_gradient_batch``
 composes the quat and 10d goals as quaternions from the forward's factors
-(``_GRAD_RTOL``).  Rows that neither reaches keep their bytes.
+(``_GRAD_RTOL``), and the 6d and 10d goal terms hand einsum C-ordered
+operands where the reference handed it strided views (``_GRAD_RTOL``).
+Rows that none reaches keep their bytes.
 """
 
 import itertools
@@ -397,15 +399,39 @@ BATCHES = (1, 32)
 # the trace-skew angle against the quaternion angle on rotations: measured
 # up to 1.1e-15 apart over 50,000 random pairs
 _ANGLE_ATOL = 4e-15
-# a gradient row that reads the angle or a quaternion goal against the
-# reference's row, relative to the larger of the row's and x's largest
-# entries: measured up to 1.3e-15
+# a gradient row that reads the angle, a quaternion goal or the 6d and 10d
+# goal terms' C-ordered einsum operands against the reference's row,
+# relative to the larger of the row's and x's largest entries: measured up
+# to 1.3e-15, and the relaid l2, flow and chamfer rows to 2.2e-15
 _GRAD_RTOL = 1e-14
+# the reps whose goal terms give einsum C-ordered operands where the
+# reference gave it strided views (einsum's bits follow the strides)
+_RELAID_GOAL_REPS = (RepKind.SIX_D, RepKind.TEN_D)
 
 
 def _moves(rep, method, loss) -> bool:
-    """Whether the trace-skew angle or the quaternion goal reaches a row."""
-    return loss == "geodesic" or (method is not Method.VANILLA and rep in _QUAT_GOAL_REPS)
+    """Whether the trace-skew angle, the quaternion goal or the relaid goal
+    terms reach a row."""
+    return loss == "geodesic" or (method is not Method.VANILLA
+                                  and rep in _QUAT_GOAL_REPS + _RELAID_GOAL_REPS)
+
+
+def _close_rows(got, want, xs):
+    """C-ordered rows within _GRAD_RTOL of the reference's, relative to the
+    larger of the row's and x's largest entries."""
+    scale = np.maximum(np.abs(want).max(axis=1), np.abs(xs).max(axis=1))
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert (np.abs(got - want).max(axis=1) <= _GRAD_RTOL * scale).all()
+
+
+def _check_goal_terms(rep, xs, r_g):
+    got = rpmg._goal_terms_batch(rep, xs, _goal_batch_of(rep, r_g))
+    want = _ref_goal_terms_batch(rep, xs, r_g)
+    if rep in _RELAID_GOAL_REPS:  # x_hat keeps its bits, x_gp is relaid
+        _same(got[0], want[0])
+        _close_rows(got[1], want[1], xs)
+    else:
+        _same(got, want)
 
 
 def _goal_batch_of(rep, r_g):
@@ -671,7 +697,7 @@ def test_goal_terms_random(rep, b):
     rng = np.random.default_rng(b + 7)
     xs = rng.standard_normal((b, rep.ambient_dim))
     r_g = _random_rotations(rng, b)
-    _same(rpmg._goal_terms_batch(rep, xs, _goal_batch_of(rep, r_g)), _ref_goal_terms_batch(rep, xs, r_g))
+    _check_goal_terms(rep, xs, r_g)
 
 
 @pytest.mark.parametrize("rep", (RepKind.QUAT4, RepKind.TEN_D), ids=lambda r: r.value)
@@ -684,7 +710,7 @@ def test_goal_terms_edge_rotations(rep):
         q = _ref_rot_to_quat_batch(r_g)
         xs[::2] = -q[::2] * 1.7
         xs[1] = np.array([-q[1, 1], q[1, 0], -q[1, 3], q[1, 2]])
-    _same(rpmg._goal_terms_batch(rep, xs, _goal_batch_of(rep, r_g)), _ref_goal_terms_batch(rep, xs, r_g))
+    _check_goal_terms(rep, xs, r_g)
 
 
 @pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
@@ -701,10 +727,7 @@ def test_rpmg_gradient_batch(rep, loss, b):
         got = rpmg.rpmg_gradient_batch(rep, xs, rs, r_gts, 0.05, params, loss, points)
         want = _ref_rpmg_gradient_batch(rep, xs, rs, r_gts, 0.05, params, loss, points)
         if _moves(rep, method, loss):
-            # relative to the row's scale: the larger of x's and the row's largest entry
-            scale = np.maximum(np.abs(want).max(axis=1), np.abs(xs).max(axis=1))
-            assert got.flags.c_contiguous and got.shape == want.shape
-            assert (np.abs(got - want).max(axis=1) <= _GRAD_RTOL * scale).all()
+            _close_rows(got, want, xs)
         else:
             _same(got, want)
 
@@ -796,11 +819,35 @@ def test_quat_step_and_angle_einsum_operands_are_c_contiguous(monkeypatch):
     rs, (_, vecs) = rotations_from_raw(RepKind.TEN_D, rng.standard_normal((32, 10)),
                                           return_factors=True)
     qs = np.ascontiguousarray(vecs[:, :, 0])
-    for fn, args in ((so3.geodesic_distance_batch, (rs, _random_rotations(rng, 32))),
-                     (so3._quat_step_batch, (qs, rng.standard_normal((32, 3))))):
+    calls = [(so3.geodesic_distance_batch, (rs, _random_rotations(rng, 32))),
+             (so3._quat_step_batch, (qs, rng.standard_normal((32, 3))))]
+    # every branch of the goal terms, on the goals rpmg_gradient_batch builds
+    for rep in MANIFOLD_REPS:
+        r_g = _random_rotations(rng, 32)
+        calls.append((rpmg._goal_terms_batch,
+                      (rep, rng.standard_normal((32, rep.ambient_dim)), _goal_batch_of(rep, r_g))))
+    for fn, args in calls:
         operands = _einsum_operands(monkeypatch, fn, *args)
-        assert operands and all(a.flags.c_contiguous for a in operands), [a.strides for a in operands]
+        if fn is not rpmg._goal_terms_batch or args[0] is not RepKind.NINE_D:  # 9d calls none
+            assert operands, fn
+        assert all(a.flags.c_contiguous for a in operands), [a.strides for a in operands]
     assert so3._quat_step_batch(qs, rng.standard_normal((32, 3))).flags.c_contiguous
+
+
+@pytest.mark.parametrize("rep", list(RepKind), ids=lambda r: r.value)
+@pytest.mark.parametrize("b", BATCHES)
+def test_vanilla_backward_rows_and_einsum_operands_are_c_contiguous(monkeypatch, rep, b):
+    """The rows nn.backward receives from the chain rule, whose products
+    sum in a layout-dependent order, and the backward's own einsum operands."""
+    rng = np.random.default_rng(b + 38)
+    xs = rng.standard_normal((b, rep.ambient_dim))
+    rs, factors = rotations_from_raw(rep, xs, return_factors=True)
+    gs = rng.standard_normal((b, 3, 3))
+    for given in (None, factors):
+        assert reps.vanilla_backward_batch(rep, xs, gs, given).flags.c_contiguous
+    # given the factors, every einsum call is the backward's own
+    operands = _einsum_operands(monkeypatch, reps.vanilla_backward_batch, rep, xs, gs, factors)
+    assert all(a.flags.c_contiguous for a in operands), [a.strides for a in operands]
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)

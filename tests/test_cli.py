@@ -300,3 +300,66 @@ def test_cell_echo_carries_lr_schedule():
         ExperimentConfig(lr=LrSchedule(base=1e-3, milestones=(30, 40))), sphere=False)
     assert stepped["lr"] == {"base": 1e-3, "milestones": [30, 40]}
     assert cli.config_hash(stepped) != cli.config_hash(default)
+
+
+def test_seeds_take_lists_and_inclusive_ranges():
+    assert cli._parse_seeds("0-2, 5,7-7,") == [0, 1, 2, 5, 7]
+    assert cli._parse_seeds("4") == [4]
+    for bad in ("x", "3-1", "1-", "-3", ",", "1.5"):
+        with pytest.raises(cli.CliConfigError):
+            cli._parse_seeds(bad)
+
+
+def test_single_seed_fit_keeps_its_run_directory(tmp_path, capsys):
+    # the directory name of this config before --seeds existed
+    for flag in ("--seed", "--seeds"):
+        out = tmp_path / flag.strip("-")
+        assert cli.main(["fit", "--rep", "quat", "--iters", "5", flag, "3", "--out-dir", str(out)]) == 0
+        assert (out / "fit-f066a379" / "report.json").exists()
+        assert capsys.readouterr().out.startswith("fit quat rpmg l2 seed 3: final error 4.848e-01 rad")
+
+
+def test_fit_seed_sweep_counts_aborted_and_stalled(monkeypatch, tmp_path, capsys):
+    fit = cli.fit_single_rotation
+
+    def aborting_odd_seeds(rep, method, **kwargs):
+        if kwargs["seed"] % 2:
+            return FitResult(rep=rep, method=method, errors=np.array([0.5, 0.4]),
+                             norms=np.ones(2), r_gt=None, x_final=None, aborted=True,
+                             diagnostic="synthetic abort at step 1")
+        return fit(rep, method, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_single_rotation", aborting_odd_seeds)
+    code = cli.main(["fit", "--rep", "quat", "--method", "pmg", "--seeds", "0-3,6",
+                     "--iters", "40", "--out-dir", str(tmp_path)])
+    assert code == 3  # a sweep with an aborted fit is a numeric failure
+    out = capsys.readouterr()
+    assert "2 of 5 fits aborted" in out.err
+    assert out.out.splitlines()[0] == (
+        "fit quat pmg l2 seeds 0-3,6: 5 fits, 2 aborted, 3 stalled (final error above 0.0001 rad)")
+    run_dir = _one_dir(tmp_path, "fit-sweep-*")
+    with open(run_dir / "fits.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == cli.FITS_CSV_HEADER
+    assert [int(r[0]) for r in rows[1:]] == [0, 1, 2, 3, 6]
+    assert [(r[3], r[4]) for r in rows[1:]] == [("0", "1"), ("1", "0"), ("0", "1"), ("1", "0"), ("0", "1")]
+    assert rows[2][5] == "synthetic abort at step 1"
+    doc = _load_report(run_dir / "report.json")
+    assert doc["manifest"]["config"]["seeds"] == [0, 1, 2, 3, 6]
+    assert doc["summary"]["aborted"] is True
+
+
+def test_fit_seed_sweep_rejects_bad_values_without_a_run_directory(tmp_path, capsys):
+    code = cli.main(["fit", "--seeds", "0-2", "--iters", "-1", "--out-dir", str(tmp_path)])
+    assert code == 2 and "iters must be an integer >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_fit_seed_sweep_over_jobs_matches_serial(tmp_path):
+    argv = ["fit", "--rep", "6d", "--method", "rpmg", "--seeds", "0-3", "--iters", "30"]
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert cli.main(argv + ["--jobs", jobs, "--out-dir", str(out)]) == 0
+        tables.append((_one_dir(out, "fit-sweep-*") / "fits.csv").read_text())
+    assert tables[0] == tables[1] and len(tables[0].splitlines()) == 5

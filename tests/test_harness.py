@@ -557,7 +557,11 @@ def test_fit_and_train_pass_the_cap_only_under_auto_tau(monkeypatch):
         seen.append(max_step)
         return np.zeros(np.shape(x))
 
-    monkeypatch.setattr(harness, "rpmg_gradient", record)
+    def record_kernel(rep, x, r, q, dl_dr, tau, lam, max_step):  # the fit step's kernel
+        seen.append(max_step)
+        return [0.0] * len(x)
+
+    monkeypatch.setattr(harness, "_manifold_gradient", record_kernel)
     monkeypatch.setattr(harness, "rpmg_gradient_batch", record)
     for tau in ("auto", 0.5):
         fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", tau=tau, iters=1)

@@ -1,31 +1,39 @@
-"""The per-sample route against its earlier numpy-scalar form, byte for byte.
+"""The per-sample route against its earlier numpy form.
 
 Each ``_ref_*`` function below is the previous implementation of a
 per-sample primitive, kept verbatim apart from calling the other references
-instead of the library.  The rewrites read their scalars once with
-``tolist()`` and do the scalar arithmetic on Python floats; ``@``, ``dot``
-and ``numpy.linalg`` stay numpy calls.  On every input they must return the
-same bytes (dtype, shape and strides included) or, where the reference
-raises, raise an exception of the same type.  The inputs are random ones and
-edge ones: exact pi rotations with tied diagonals, q0 = 0 ties, -0.0
-entries, rotation angles below ``_SMALL_ANGLE`` and exactly 0, matrices
-that are not rotations, NaN, inf and finite values whose squares overflow,
-and strided views.
+instead of the library.  The per-sample route now runs on Python floats:
+its kernels take and return lists (a 3x3 matrix as nine row-major floats)
+and write every sum out in a fixed order, rounding each multiply and add,
+where the references' ``@``, ``dot`` and BLAS calls fuse multiply-adds; in
+a manifold-method fit step under l2 or geodesic ``numpy.linalg.eigh`` is
+the only numpy call.  The public
+functions are thin wrappers that return the arrays they did.  The inputs
+are random ones and edge ones: exact pi rotations with tied diagonals,
+q0 = 0 ties, -0.0 entries, rotation angles below ``_SMALL_ANGLE`` and
+exactly 0, matrices that are not rotations, NaN, inf and finite values
+whose squares overflow, and strided views.  Where the reference raises,
+the rewrite must raise an exception of the same type, and where it gives
+NaN or inf, the same.
 
-The 9d map is the exception.  It runs through the 10d eigen route, so its
-reference is the SVD special orthogonalization of ``test_representations``
-with the 9d guard on sigma2 + det(M) sigma3 (``_nine_d_pair_floor``), and
-the 9d rows of the map and of the fit loop are compared at a stated
-tolerance instead of byte for byte (``_check_nine_d``, ``_NINE_D_ULPS``,
-``_NINE_D_FIT_TOL``).
+Rows whose arithmetic is unchanged keep the reference's bytes (dtype,
+shape and strides included): ``hat``, ``quat_to_rot``, ``rot_to_quat``,
+the Euler maps, the 10d map (its point now a C-contiguous array), the
+vanilla gradient rows under l2, flow and chamfer.  The others are compared
+at stated bounds: the angle, ``geodesic_distance``'s atan2(|vee(C - C^T)|,
+tr(C) - 1) of C = r1^T r2 (``_ANGLE_ATOL``); rotations and unit
+quaternions from a float kernel (``_ANGLE_ATOL``, relative to the largest
+entry); gradient rows, goal terms and ``inverse_project`` (``_GRAD_RTOL``),
+which also compose the quat and 10d goals as quaternions, q (x)
+exp(-tau phi / 2), instead of extracting the quaternion of r @
+Rodrigues(-tau phi), and solve the 10d projection by Cholesky; the fits,
+step by step (``_FIT_STEP_TOL``).
 
-Two later rewrites changed the arithmetic, so their rows are compared at
-stated bounds against the references too.  ``geodesic_distance`` reads the
-angle as atan2(|vee(C - C^T)|, tr(C) - 1) of C = r1^T r2 instead of from
-the quaternion of C (``_ANGLE_ATOL``); the manifold methods compose the
-quat and 10d goals as quaternions, q (x) exp(-tau phi / 2), instead of
-extracting the quaternion of r @ Rodrigues(-tau phi) (``_GRAD_RTOL``).
-Rows that neither reaches (``_moves``) keep their bytes.
+The 9d map runs through the 10d eigen route, so its reference is the SVD
+special orthogonalization of ``test_representations`` with the 9d guard on
+sigma2 + det(M) sigma3 (``_nine_d_pair_floor``), and the 9d rows of the
+map and of the fit loop are compared at their own tolerances
+(``_check_nine_d``, ``_NINE_D_ULPS``, ``_NINE_D_FIT_TOL``).
 
 A NaN result matches any NaN.  Where an add or a multiply has two NaN
 operands, the sign bit the result keeps depends on the operand order of the
@@ -395,10 +403,11 @@ def _check(fn, ref_fn, *args):
         _same(fn(*args), want)
 
 
-def _check_close(fn, ref_fn, rtol, *args):
+def _check_close(fn, ref_fn, rtol, *args, floor=0.0):
     """fn(*args) within ``rtol`` of ref_fn(*args), relative to the
-    reference's largest entry, with its dtype, shape and NaN positions, or
-    raises its exception type."""
+    reference's largest finite entry or ``floor``, whichever is larger, with
+    its dtype, shape, NaN positions and infinities, or raises its exception
+    type."""
     with np.errstate(all="ignore"):
         try:
             want = ref_fn(*args)
@@ -411,25 +420,36 @@ def _check_close(fn, ref_fn, rtol, *args):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
-    got, want = got[~nan], want[~nan]
-    assert np.abs(got - want).max(initial=0.0) <= rtol * np.abs(want).max(initial=0.0), (got, want)
+    assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])  # the same infinities
+    finite = np.isfinite(want)
+    got, want = got[finite], want[finite]
+    scale = max(np.abs(want).max(initial=0.0), floor)
+    assert np.abs(got - want).max(initial=0.0) <= rtol * scale, (got, want)
 
 
 # the trace-skew angle against the reference's quaternion angle, on
 # rotations (orthonormal within 1e-15): measured up to 1.3e-15 apart over
-# 20,000 random pairs
+# 20,000 random pairs.  Also the bound on the entries of rotations and unit
+# quaternions (the Rodrigues matrix, exp_so3, the quat, 6d and axis-angle
+# maps) against the reference's, relative to the largest entry: measured
+# up to 1.2e-15
 _ANGLE_ATOL = 4e-15
-# a gradient row that reads the angle or a quaternion goal against the
-# reference's row, relative to its largest entry and to the goal step's
-# angle past 1 rad (both routes carry a step to about eps times its angle,
-# and tau = 50 steps reach 100 rad): measured up to 3.8e-14
+# a gradient row that reads the angle, a quaternion goal or any float
+# kernel against the reference's row, relative to the larger of its largest
+# entry and |x|'s (a manifold row is x - x_gp, x_gp within a step of x, so
+# both routes round it to about eps |x|), and to the goal step's angle past
+# 1 rad (both routes carry a step to about eps times its angle, and tau = 50
+# steps reach 100 rad): measured up to 1.5e-14.  Also the bound on
+# riemannian_grad (3.7e-14 on matrices that are not rotations), the goal
+# terms and inverse_project (1.5e-15), relative to the largest entry
 _GRAD_RTOL = 1e-13
 
 
 def _moves(rep, method, loss) -> bool:
-    """Whether the trace-skew angle or the quaternion goal reaches a
-    gradient row; every other row keeps the reference's bytes."""
-    return loss == "geodesic" or (method is not Method.VANILLA and rep in rpmg._QUAT_GOAL_REPS)
+    """Whether the trace-skew angle or a float kernel of the manifold
+    methods reaches a gradient row; the vanilla rows under l2, flow and
+    chamfer keep the reference's bytes."""
+    return loss == "geodesic" or method is not Method.VANILLA
 
 
 def _is_rotation(r) -> bool:
@@ -521,11 +541,16 @@ def _phis():
 # ---------------------------------------------------------------------------
 # so3
 
+def _rodrigues_matrix(phi):
+    return np.array(so3._rodrigues(*phi.tolist())).reshape(3, 3)
+
+
 def test_hat_and_rodrigues():
     for phi in _phis():
         _check(so3.hat, _ref_hat, phi)
-        _check(so3._rodrigues, _ref_rodrigues, phi)
-        _check(so3.exp_so3, _ref_exp_so3, EDGE_ROTATIONS[5], phi)
+        # hat(phi)^2 and r @ Rodrigues round each product and sum on floats
+        _check_close(_rodrigues_matrix, _ref_rodrigues, _ANGLE_ATOL, phi)
+        _check_close(so3.exp_so3, _ref_exp_so3, _ANGLE_ATOL, EDGE_ROTATIONS[5], phi)
     _check(so3.hat, _ref_hat, (0.0, -0.0, 2))  # a sequence, as hat accepts
 
 
@@ -605,11 +630,26 @@ def test_manifold_map_and_rotation_map(rep):
         for j in range(wide.shape[1]):
             _check_nine_d(reps.manifold_map, _ref_manifold_map, wide[:, j])
         return
-    for x in np.concatenate([xs, tiny]):
-        _check(reps.manifold_map, _ref_manifold_map, rep, x)
-        _check(reps.baseline_rotation, _ref_baseline_rotation, rep, x)
-    for j in range(wide.shape[1]):
-        _check(reps.manifold_map, _ref_manifold_map, rep, wide[:, j])
+    rows = list(np.concatenate([xs, tiny])) + [wide[:, j] for j in range(wide.shape[1])]
+    if rep is RepKind.EULER3:  # the Euler maps run no float kernel
+        for x in rows:
+            _check(reps.manifold_map, _ref_manifold_map, rep, x)
+            _check(reps.baseline_rotation, _ref_baseline_rotation, rep, x)
+        return
+    if rep is RepKind.TEN_D:
+        # eigh's column, read into a new array: the reference's bits in a
+        # C-contiguous point, where the reference returned a strided view
+        for x in rows:
+            _check(lambda rep, x: reps.manifold_map(rep, x).value,
+                   lambda rep, x: np.ascontiguousarray(_ref_manifold_map(rep, x).value), rep, x)
+            _check(reps.baseline_rotation, _ref_baseline_rotation, rep, x)
+        return
+    # quat and 6d sum their norms and dot products on floats, and the
+    # axis-angle rotation is a Rodrigues matrix
+    for x in rows:
+        _check_close(lambda rep, x: reps.manifold_map(rep, x).value,
+                     lambda rep, x: _ref_manifold_map(rep, x).value, _ANGLE_ATOL, rep, x)
+        _check_close(reps.baseline_rotation, _ref_baseline_rotation, _ANGLE_ATOL, rep, x)
 
 
 def test_six_d_collinear_and_edge_columns():
@@ -629,7 +669,7 @@ def test_riemannian_grad():
     mats = _matrices(14)
     rng = np.random.default_rng(15)
     for r, g in zip(mats, mats[rng.permutation(len(mats))]):
-        _check(riemannian_grad, _ref_riemannian_grad, r, g)
+        _check_close(riemannian_grad, _ref_riemannian_grad, _GRAD_RTOL, r, g)
 
 
 def test_finite_ambient():
@@ -645,6 +685,12 @@ def _goal_of(rep, r_g):
     return _ref_rot_to_quat(r_g) if rep in rpmg._QUAT_GOAL_REPS else r_g
 
 
+def _goal_term(k):
+    """Term k of ``_goal_terms`` (a list of floats) for the reference's
+    arguments, as an array."""
+    return lambda rep, x, r_g: np.array(rpmg._goal_terms(rep, x.tolist(), _goal_of(rep, r_g).ravel().tolist())[k])
+
+
 @pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
 def test_goal_terms(rep):
     rng = np.random.default_rng(17)
@@ -654,8 +700,8 @@ def test_goal_terms(rep):
     xs[::7] = np.where(xs[::7] > 0.5, -0.0, xs[::7])
     for x, r_g in zip(xs, rots):
         # quat and 10d take the goal as a quaternion, the reference its rotation
-        _check(lambda rep, x, r_g: rpmg._goal_terms(rep, x, _goal_of(rep, r_g)),
-               _ref_goal_terms, rep, x, r_g)
+        for k in (0, 1):
+            _check_close(_goal_term(k), lambda *args: _ref_goal_terms(*args)[k], _GRAD_RTOL, rep, x, r_g)
 
 
 @pytest.mark.parametrize("rep", rpmg._QUAT_GOAL_REPS, ids=lambda r: r.value)
@@ -664,7 +710,8 @@ def test_inverse_project_converts_the_goal_rotation_itself(rep):
     rots = np.concatenate([_random_rotations(rng, 48), EDGE_ROTATIONS])
     xs = rng.standard_normal((len(rots), _ref_ambient_dim(rep)))
     for x, r_g in zip(xs, rots):
-        _check(rpmg.inverse_project, lambda rep, x, r_g: _ref_goal_terms(rep, x, r_g)[1], rep, x, r_g)
+        _check_close(rpmg.inverse_project, lambda rep, x, r_g: _ref_goal_terms(rep, x, r_g)[1],
+                     _GRAD_RTOL, rep, x, r_g)
 
 
 def test_quat_step_composes_rodrigues():
@@ -677,10 +724,10 @@ def test_quat_step_composes_rodrigues():
     phis = _phis()
     phis = phis[np.isfinite(phis).all(axis=1) & (np.abs(phis).max(axis=1) <= 1e3)]
     for q in quats:
-        for phi in (np.zeros(3), np.full(3, -0.0)):
-            assert np.array_equal(so3._quat_step(q, phi), q)
+        for phi in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]):
+            assert np.array_equal(so3._quat_step(q.tolist(), phi), q)
     for q, phi in zip(quats[rng.integers(0, len(quats), len(phis))], phis):
-        got = _ref_quat_to_rot(so3._quat_step(q, phi))
+        got = _ref_quat_to_rot(so3._quat_step(q.tolist(), phi.tolist()))
         want = _ref_quat_to_rot(q) @ _ref_rodrigues(phi)
         assert np.abs(got - want).max() <= 4e-15 * max(1.0, float(np.linalg.norm(phi)))
 
@@ -688,7 +735,7 @@ def test_quat_step_composes_rodrigues():
 @pytest.mark.parametrize("rep", rpmg._QUAT_GOAL_REPS, ids=lambda r: r.value)
 def test_zero_goal_step_keeps_the_forward_quaternion(rep):
     """At tau = 0 the goal is the forward's quaternion: MG emits x minus
-    the embedded forward point (10d reads that quaternion back off r)."""
+    the embedded forward point, exactly (both read the forward's q)."""
     rng = np.random.default_rng(24)
     for _ in range(64):
         x = rng.standard_normal(_ref_ambient_dim(rep)) * rng.uniform(0.3, 3.0)
@@ -696,13 +743,7 @@ def test_zero_goal_step_keeps_the_forward_quaternion(rep):
         r = reps.rotation_map(point)
         g = rpmg.rpmg_gradient(rep, x, r, L2Frobenius(_random_rotations(rng, 1)[0]), 0.0,
                                RpmgParams(Method.MG))
-        want = x - reps.embed(point)
-        if rep is RepKind.QUAT4:
-            assert np.array_equal(g, want)
-        else:
-            # entries of I - q q^T lie in [-1, 1], and rot_to_quat(R(q)) is q
-            # to rounding: up to 12.5 eps apart over 20,000 draws
-            assert np.abs(g - want).max() <= 32.0 * np.finfo(float).eps
+        assert np.array_equal(g, x - reps.embed(point))
 
 
 def _gradient_cases(rep, seed):
@@ -740,12 +781,85 @@ def test_rpmg_gradient(rep, method):
                 args = (rep, x, r, loss_inst, tau, params, cap)
                 if _moves(rep, method, loss):
                     rtol = _GRAD_RTOL * max(1.0, _goal_step_angle(r, loss_inst, tau, cap))
-                    _check_close(rpmg.rpmg_gradient, _ref_rpmg_gradient, rtol, *args)
+                    _check_close(rpmg.rpmg_gradient, _ref_rpmg_gradient, rtol, *args,
+                                 floor=np.abs(x).max())
                 else:
                     _check(rpmg.rpmg_gradient, _ref_rpmg_gradient, *args)
     bad = np.full(_ref_ambient_dim(rep), np.nan)
     _check(rpmg.rpmg_gradient, _ref_rpmg_gradient, rep, bad, np.eye(3),
            L2Frobenius(np.eye(3)), 0.25, params, None)
+
+
+@pytest.mark.parametrize("rep", MANIFOLD_REPS, ids=lambda r: r.value)
+def test_rpmg_gradient_same_bits_with_and_without_factors(rep):
+    """The twin of ``test_rpmg_gradient_batch_same_bits_with_and_without_factors``:
+    the forward's quaternion given as ``factors`` or computed again."""
+    rng = np.random.default_rng(25)
+    for _ in range(8):
+        x = rng.standard_normal(_ref_ambient_dim(rep)) * rng.uniform(0.3, 3.0)
+        r_gt = _random_rotations(rng, 1)[0]
+        r, q = reps.baseline_rotation(rep, x, return_factors=True)
+        assert (q is None) == (rep not in rpmg._QUAT_GOAL_REPS)
+        for method in Method:
+            for loss in (L2Frobenius(r_gt), GeodesicSquared(r_gt)):
+                for tau, cap in ((0.25, None), (3.0, 0.3)):
+                    args = (rep, x, r, loss, tau, RpmgParams(method), cap)
+                    _same(rpmg.rpmg_gradient(*args, factors=q), rpmg.rpmg_gradient(*args))
+
+
+def test_ten_d_fit_step_projects_once(monkeypatch):
+    """A 10d fit step runs one eigh, its forward's, and reads the goal's
+    starting quaternion off that forward: no rot_to_quat."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def refuse(*args):
+        raise AssertionError("rot_to_quat called")
+
+    rng = np.random.default_rng(26)
+    # a given start and target: drawing them takes a rot_to_quat of its own
+    x_init = reps.embed(reps.representation_map(_random_rotations(rng, 1)[0], RepKind.TEN_D))
+    r_gt = _random_rotations(rng, 1)[0]
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(so3, "rot_to_quat", refuse)
+    for method in (Method.MG, Method.PMG, Method.RPMG):
+        for loss in ("l2", "geodesic"):
+            calls.clear()
+            fit = fit_single_rotation(RepKind.TEN_D, method, loss=loss, iters=25,
+                                      x_init=x_init + 0.1 * rng.standard_normal(10), r_gt=r_gt)
+            assert not fit.aborted and calls == [(4, 4)] * 26  # the start and one per step
+    x = rng.standard_normal(10)
+    r, q = reps.baseline_rotation(RepKind.TEN_D, x, return_factors=True)
+    calls.clear()
+    rpmg.rpmg_gradient(RepKind.TEN_D, x, r, L2Frobenius(np.eye(3)), 0.25, RpmgParams(), factors=q)
+    assert calls == []
+
+
+# the unrolled Cholesky solve against LU (np.linalg.solve) on M M^T, relative
+# to the largest entry of the solution: P's eigenvalues lie in [1/2, 2], so
+# both are within a few eps of the exact solution; measured up to 4.3 eps
+# over 20,000 random unit q
+_CHOLESKY_RTOL = 8.0 * np.finfo(float).eps
+
+
+def test_cholesky_solve_matches_lu():
+    rng = np.random.default_rng(27)
+    axes = np.concatenate([np.eye(4), -np.eye(4)])
+    ties = _edge_quats()
+    ties = ties[ties[:, 0] == 0.0]  # q0 = 0 ties
+    rand = rng.standard_normal((256, 4))
+    quats = np.concatenate([axes, ties, rand / np.linalg.norm(rand, axis=1, keepdims=True)])
+    assert len(ties) > 0
+    for q in quats:
+        m = rpmg.constraint_rows(q)
+        b, c = rng.standard_normal(4), rng.standard_normal(4) * 10.0
+        want = np.linalg.solve(m @ m.T, np.stack([b, c], axis=1)).T
+        got = np.array(rpmg._solve_normal(q.tolist(), b.tolist(), c.tolist()))
+        assert np.abs(got - want).max() <= _CHOLESKY_RTOL * np.abs(want).max(), q
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +869,8 @@ def test_rpmg_gradient(rep, method):
 # raw vector, for the errors, the norms and the raw vector; steps differ by
 # at most 2.3e-12 (a geodesic error near 0), most by a few 1e-15
 _NINE_D_FIT_TOL = 1e-11
-# the same bound for the quat, 6d and 10d fits that ``_moves``: measured up
-# to 7.8e-14 (a 10d angle after one step), the raw vector to 5.0e-15
+# the same bound for the quat, 6d and 10d fits: measured up to 6.4e-14 (a
+# 10d angle after one step), the raw vector to 2.9e-14
 _FIT_STEP_TOL = 1e-12
 
 
@@ -795,18 +909,5 @@ def test_fit_loop(rep):
             r_gt = _random_rotations(rng, 1)[0]
             args = dict(rep=rep, method=method, loss=loss, tau="auto", lam=0.01, seed=3,
                         iters=40, lr=0.05, x_init=x_init, r_gt=r_gt)
-            if rep is RepKind.NINE_D:
-                _check_fit_steps(args, _NINE_D_FIT_TOL)
-                continue
-            if _moves(rep, method, loss):
-                _check_fit_steps(args, _FIT_STEP_TOL)
-                continue
-            with np.errstate(all="ignore"):
-                want = _ref_fit(**args)
-            got = fit_single_rotation(**args)
-            assert (got.aborted, got.diagnostic) == (want.aborted, want.diagnostic)
-            for field in ("norms", "r_gt", "x_final"):
-                _same(getattr(got, field), getattr(want, field))
-            # the recorded angles alone read the trace-skew form
-            assert got.errors.shape == want.errors.shape
-            assert np.abs(got.errors - want.errors).max(initial=0.0) <= _ANGLE_ATOL
+            # every fit records float-kernel angles and norms (math.hypot)
+            _check_fit_steps(args, _NINE_D_FIT_TOL if rep is RepKind.NINE_D else _FIT_STEP_TOL)

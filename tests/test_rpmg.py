@@ -209,9 +209,10 @@ def test_goal_terms_rows_match_batch(rep):
     quat_goal = rep in rpmg._QUAT_GOAL_REPS  # these take the goal as a quaternion
     batch = rpmg._goal_terms_batch(rep, xs, so3._rot_to_quat_batch(r_gs) if quat_goal else r_gs)
     for i, (x, r_g) in enumerate(zip(xs, r_gs)):
-        for one, rows in zip(rpmg._goal_terms(rep, x, so3.rot_to_quat(r_g) if quat_goal else r_g), batch):
+        goal = so3.rot_to_quat(r_g) if quat_goal else r_g  # the kernel reads lists of floats
+        for one, rows in zip(rpmg._goal_terms(rep, x.tolist(), goal.ravel().tolist()), batch):
             scale = max(np.linalg.norm(rows[i]), np.linalg.norm(x))
-            assert np.linalg.norm(one - rows[i]) <= 1e-12 * scale, i
+            assert np.linalg.norm(np.array(one) - rows[i]) <= 1e-12 * scale, i
 
 
 def test_blend_lam_fixes_mg_and_pmg():
