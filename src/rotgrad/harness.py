@@ -27,7 +27,6 @@ from .representations import (
     RepKind,
     _forward_one,
     _quat_to_rot_batch,
-    baseline_backward,
     baseline_rotation,
     embed,
     representation_map,
@@ -37,7 +36,6 @@ from .riemannian import (
     _check_count,
     _check_positive_real,
     _check_weight,
-    _euclid_grad,
     CutLocusError,
     TauSchedule,
     euclid_grad,
@@ -52,7 +50,7 @@ from .rpmg import (
     BLEND_LAM,
     Method,
     RpmgParams,
-    _manifold_gradient,
+    _sample_gradient,
     rpmg_gradient,  # unused here: perfbench's tracer binds harness.rpmg_gradient
     rpmg_gradient_batch,
 )
@@ -361,9 +359,9 @@ def fit_single_rotation(
     crawls. A degenerate raw vector, or a geodesic step from the cut
     locus, aborts the run and is reported through the diagnostic instead
     of raising. Each step runs one forward map and the per-sample
-    gradient on Python floats (the kernels behind ``baseline_rotation``
-    and ``rpmg_gradient``, which the step calls directly, without their
-    array round trips) at the step ``_resolve_tau`` picks; under
+    gradient on Python floats (``_forward_one`` and
+    ``rpmg._sample_gradient``, the functions ``baseline_rotation`` and
+    ``rpmg_gradient`` wrap for arrays) at the step ``_resolve_tau`` picks; under
     ``tau="auto"`` with l2 or geodesic its goal step is capped at
     ``AUTO_MAX_GOAL_STEP`` radians.
     Bad ``iters``, ``seed``, ``lr``, ``lam``, ``loss`` or ``tau`` (by
@@ -405,7 +403,8 @@ def fit_single_rotation(
     aborted = False
     diagnostic = ""
     try:
-        r_start, q = baseline_rotation(rep, x, return_factors=True)
+        r, q = _forward_one(rep, x.tolist())
+        r_start = np.array(r).reshape(3, 3)
     except DegenerateInputError as exc:
         r_start = None
         aborted = True
@@ -423,19 +422,15 @@ def fit_single_rotation(
 
     if not aborted:
         # the step runs on Python floats: x, R and the target as lists
-        x, r, gt = x.tolist(), so3._rows(r_start), so3._rows(r_gt)
-        q = None if q is None else q.tolist()
+        x, gt = x.tolist(), so3._rows(r_gt)
         for it in range(iters + 1):
             errors.append(so3._geodesic_distance(r, gt))
             norms.append(math.hypot(*x))
             if it == iters:
                 break
             try:
-                dl_dr = _euclid_grad(loss_inst, r, gt)
-                if method is Method.VANILLA:
-                    g = baseline_backward(rep, np.array(x), np.reshape(dl_dr, (3, 3))).tolist()
-                else:
-                    g = _manifold_gradient(rep, x, r, q, dl_dr, tau_fn(it), params.blend_lam, max_step)
+                g = _sample_gradient(rep, method, x, r, q, loss_inst, gt, tau_fn(it),
+                                     params.blend_lam, max_step)
             except DegenerateInputError as exc:
                 aborted = True
                 diagnostic = f"degenerate raw vector at step {it}: {exc}"

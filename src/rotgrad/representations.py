@@ -22,15 +22,15 @@ same arithmetic, and their rotations agree byte for byte.  Both reject a
 raw vector with an inf or NaN entry before any factorization, with
 ``DegenerateInputError``.  Tests pin the two routes against each other.
 
-Both routes are forward/backward pairs, like ``nn.forward`` and
-``nn.backward``.  ``rotations_from_raw(rep, xs, return_factors=True)``
+The batched route is a forward/backward pair, like ``nn.forward`` and
+``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)``
 returns the rotations with the factorization that produced them
 (normalized quaternion, Gram-Schmidt frame, eigen-decomposition of
 A(theta)), and ``vanilla_backward_batch`` and ``rpmg_gradient_batch`` read
-those factors instead of factorizing the batch a second time.
-``baseline_rotation(rep, x, return_factors=True)`` returns the rotation
-with the forward's unit quaternion (quat and 10d), which ``rpmg_gradient``
-reads as its goal's starting point.
+those factors instead of factorizing the batch a second time.  The
+per-sample ``_forward_one`` returns the rotation with the forward's unit
+quaternion (quat and 10d), which the per-sample gradient reads as its
+goal's starting point.
 """
 
 from __future__ import annotations
@@ -287,21 +287,10 @@ def embed(point: ManifoldPoint) -> np.ndarray:
     return val.copy()
 
 
-def baseline_rotation(rep: RepKind, x, return_factors: bool = False):
-    """Full forward map: raw ambient vector -> rotation matrix.
-
-    With ``return_factors`` it returns ``(R, q)``, where q is the forward's
-    unit quaternion for quat (x / |x|) and 10d (the canonical smallest
-    eigenvector of A(x)), and None for every other rep.  Pass it to
-    :func:`rpmg.rpmg_gradient` to differentiate the same x without
-    projecting it again.
-    """
+def baseline_rotation(rep: RepKind, x) -> np.ndarray:
+    """Full forward map: raw ambient vector -> rotation matrix."""
     x = _check_dim(rep, x)
-    r, q = _forward_one(rep, x.tolist())
-    r = np.array(r).reshape(3, 3)
-    if not return_factors:
-        return r
-    return r, (None if q is None else np.array(q))
+    return np.array(_forward_one(rep, x.tolist())[0]).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------

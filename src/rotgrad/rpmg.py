@@ -19,17 +19,21 @@ projective gradient's freedom.
 
 The per-sample ``rpmg_gradient`` and the batched ``rpmg_gradient_batch``
 each get both pullbacks from one goal kernel, ``_goal_terms`` (on Python
-floats, under ``_manifold_gradient``, which ``fit_single_rotation`` calls
-directly) and its row twin ``_goal_terms_batch``, and emit them through the
+floats) and its row twin ``_goal_terms_batch``, and emit them through the
 one ``_blend`` that the sphere's rules also use (on arrays, or entry by
-entry on floats).
+entry on floats).  The per-sample dispatch is ``_sample_gradient`` on
+Python floats, which ``rpmg_gradient`` wraps for arrays and
+``fit_single_rotation`` calls on its floats; its quat PMG row is written as
+a sum of two orthogonal terms (``_quat_rows``) rather than the difference
+x - x_gp, so it keeps its relative precision near the goal.
 
 The quat and 10d pullbacks read the goal as a unit quaternion, so for them
 the goal step is composed as one: q_g = q (x) exp(-tau phi / 2), where q is
-the forward's own quaternion (``so3._quat_step``).  Both routes take that q
-as ``factors``, from ``baseline_rotation(rep, x, return_factors=True)`` or
-``rotations_from_raw(rep, xs, return_factors=True)``, and compute it
-through the same forward map when it is not given.  6d and 9d read the goal
+the forward's own quaternion (``so3._quat_step``).  The batched route takes
+that q as ``factors``, from ``rotations_from_raw(rep, xs,
+return_factors=True)``, and computes it through the same forward map when
+it is not given; the per-sample route reads it off ``_forward_one``, which
+``fit_single_rotation`` runs once per step.  6d and 9d read the goal
 matrix, R_g = R Rodrigues(-tau phi).  The 10d pullback solves the 4x4
 normal system M M^T by an unrolled Cholesky factorization per sample and
 by ``numpy.linalg.solve`` over a batch.  ``inverse_project``, which is
@@ -53,12 +57,12 @@ from .representations import (
     _SYM4_GATHER,
     _SYM4_ROWS,
     _forward,
+    _forward_one,
     _sym4_batch,
     _ten_d_params,
     MANIFOLD_REPS,
     RepKind,
     baseline_backward,
-    baseline_rotation,
     vanilla_backward_batch,
 )
 from .riemannian import (
@@ -241,18 +245,47 @@ def _blend(x, x_hat_g, x_gp, lam: float):
     return x - x_gp + lam * (x_gp - x_hat_g)
 
 
-def _manifold_gradient(rep: RepKind, x: list, r: list, q, dl_dr: list, tau: float,
-                       lam: float, max_step: Optional[float]) -> list:
-    """The manifold methods' gradient for one sample on lists of floats: x,
-    R and dL/dR (row-major), and the forward's unit quaternion q for quat
-    and 10d (None for 6d and 9d); ``lam`` is the blend weight."""
+def _quat_rows(x: list, q: list, step, lam: float) -> list:
+    """The quat rows of :func:`_sample_gradient`.  For the step's half-angle
+    quaternion (c, b), the goal is q_g = q (x) (c, b), x . q_g = |x| c, and
+    x - x_gp = x - (x . q_g) q_g = (b . b) x - c x (x) (0, b), a sum of two
+    orthogonal terms: the PMG row keeps its relative precision where x_gp
+    nears x, where the difference would round to about eps |x|."""
+    c, b1, b2, b3 = half = so3._half_step(step)
+    s2 = b1 * b1 + b2 * b2 + b3 * b3  # sin^2(theta/2)
+    xb = so3._hamilton(x, (0.0, b1, b2, b3))
+    pmg = [s2 * xi - c * yi for xi, yi in zip(x, xb)]
+    if lam == 0.0:
+        return pmg
+    x_hat_g, x_gp = _goal_terms(RepKind.QUAT4, x, so3._hamilton(q, half))
+    if lam == 1.0:
+        return [xi - hi for xi, hi in zip(x, x_hat_g)]
+    return [d + lam * (p - h) for d, p, h in zip(pmg, x_gp, x_hat_g)]
+
+
+def _sample_gradient(rep: RepKind, method: Method, x: list, r: list, q, loss: LossKind,
+                     gt: Optional[list], tau: float, lam: float,
+                     max_step: Optional[float]) -> list:
+    """The gradient emitted for one sample, on lists of floats: x, R
+    (row-major) and, for quat and 10d, the forward's unit quaternion q
+    (None otherwise).  ``gt`` is the target's rows for l2 and geodesic, or
+    None to read them off ``loss``; ``lam`` is the blend weight.  The one
+    per-sample dispatch: :func:`rpmg_gradient` wraps it for arrays, and
+    ``fit_single_rotation`` calls it on its floats."""
+    if method is Method.VANILLA:  # the chain rule runs on arrays
+        return baseline_backward(rep, np.array(x), euclid_grad(loss, np.reshape(r, (3, 3)))).tolist()
+    dl_dr = _euclid_grad(loss, r, gt)
+    if rep not in MANIFOLD_REPS:
+        raise ValueError(f"{rep.value} supports only the vanilla method")
     p0, p1, p2 = _riemannian_grad(r, dl_dr)
     if max_step is not None:
         norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
         if tau * norm > max_step:
             tau = max_step / norm
     step = (-tau * p0, -tau * p1, -tau * p2)
-    if rep in _QUAT_GOAL_REPS:
+    if rep is RepKind.QUAT4:
+        return _quat_rows(x, q, step, lam)
+    if rep is RepKind.TEN_D:
         goal = so3._quat_step(q, step)
     else:
         goal = so3._matmul(r, so3._rodrigues(*step))
@@ -261,8 +294,7 @@ def _manifold_gradient(rep: RepKind, x: list, r: list, q, dl_dr: list, tau: floa
 
 
 def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
-                  params: RpmgParams, max_step: Optional[float] = None,
-                  factors=None) -> np.ndarray:
+                  params: RpmgParams, max_step: Optional[float] = None) -> np.ndarray:
     """Ambient gradient emitted for one sample.
 
     ``r`` must be the rotation the forward pass produced from ``x`` (passed
@@ -272,26 +304,18 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
     ``x``.  With ``max_step`` (radians), a goal step tau |phi| past it is
     scaled down to exactly ``max_step``; a step within it keeps ``tau`` as
     given.  For quat and 10d the goal is composed as a quaternion, q (x)
-    exp(-tau phi / 2), from the forward's own q: ``factors``, as
-    ``baseline_rotation(rep, x, return_factors=True)`` returned it for the
-    same x, spares projecting x again; without it the q comes from that
-    forward map, with the same result bit for bit.
+    exp(-tau phi / 2), from the forward's own q, which this computes from x
+    through the forward map.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if params.method is Method.VANILLA:
-        return baseline_backward(rep, x, euclid_grad(loss, r))
-    rows = so3._rows(r)
-    dl_dr = _euclid_grad(loss, rows)
-    if rep not in MANIFOLD_REPS:
-        raise ValueError(f"{rep.value} supports only the vanilla method")
-    x = _finite_ambient(rep, x)
     q = None
-    if rep in _QUAT_GOAL_REPS:
-        if factors is None:
-            _, factors = baseline_rotation(rep, x, return_factors=True)
-        q = np.asarray(factors, dtype=np.float64).tolist()
-    return np.array(_manifold_gradient(rep, x.tolist(), rows, q, dl_dr, tau,
-                                       params.blend_lam, max_step))
+    if params.method is Method.VANILLA or rep not in MANIFOLD_REPS:
+        x = np.asarray(x, dtype=np.float64)
+    else:
+        x = _finite_ambient(rep, x)
+        if rep in _QUAT_GOAL_REPS:
+            q = _forward_one(rep, x.tolist())[1]
+    return np.array(_sample_gradient(rep, params.method, x.tolist(), so3._rows(r), q, loss,
+                                     None, tau, params.blend_lam, max_step))
 
 
 # ---------------------------------------------------------------------------

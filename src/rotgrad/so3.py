@@ -192,11 +192,9 @@ def geodesic_distance(r1, r2) -> float:
     return _geodesic_distance(_rows(r1), _rows(r2))
 
 
-def _quat_step(q, s) -> list:
-    """q (x) (cos(theta/2), sin(theta/2) s/theta), theta = |s|, for a
-    quaternion q (4 floats) and a step s (3 floats): the Hamilton product
-    whose rotation is quat_to_rot(q) @ Rodrigues(s)."""
-    a0, a1, a2, a3 = q
+def _half_step(s) -> tuple:
+    """(cos(theta/2), sin(theta/2) s/theta), theta = |s|, for a step s (3
+    floats): the unit quaternion whose rotation is Rodrigues(s)."""
     x, y, z = s
     theta = math.hypot(x, y, z)
     if theta < _SMALL_ANGLE:
@@ -204,11 +202,24 @@ def _quat_step(q, s) -> list:
         c, k = 1.0 - theta2 / 8.0, 0.5 - theta2 / 48.0
     else:
         c, k = math.cos(0.5 * theta), math.sin(0.5 * theta) / theta
-    b1, b2, b3 = k * x, k * y, k * z
-    return [a0 * c - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * c + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * c + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * c]
+    return c, k * x, k * y, k * z
+
+
+def _hamilton(a, b) -> list:
+    """The Hamilton product a (x) b of two quaternions given as 4 floats."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return [a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0]
+
+
+def _quat_step(q, s) -> list:
+    """q (x) :func:`_half_step` (s) for a quaternion q (4 floats) and a step
+    s (3 floats): the Hamilton product whose rotation is quat_to_rot(q) @
+    Rodrigues(s)."""
+    return _hamilton(q, _half_step(s))
 
 
 def sample_uniform_rotation(rng: np.random.Generator) -> np.ndarray:

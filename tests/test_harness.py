@@ -557,11 +557,11 @@ def test_fit_and_train_pass_the_cap_only_under_auto_tau(monkeypatch):
         seen.append(max_step)
         return np.zeros(np.shape(x))
 
-    def record_kernel(rep, x, r, q, dl_dr, tau, lam, max_step):  # the fit step's kernel
+    def record_sample(rep, method, x, r, q, loss, gt, tau, lam, max_step):  # the fit step's
         seen.append(max_step)
         return [0.0] * len(x)
 
-    monkeypatch.setattr(harness, "_manifold_gradient", record_kernel)
+    monkeypatch.setattr(harness, "_sample_gradient", record_sample)
     monkeypatch.setattr(harness, "rpmg_gradient_batch", record)
     for tau in ("auto", 0.5):
         fit_single_rotation(RepKind.NINE_D, Method.PMG, loss="geodesic", tau=tau, iters=1)
