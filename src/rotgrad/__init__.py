@@ -13,10 +13,10 @@ The subpackages split as: representation mappings
 (:mod:`~rotgrad.so3`), losses and Riemannian descent
 (:mod:`~rotgrad.riemannian`), the gradient layers themselves
 (:mod:`~rotgrad.rpmg`), the 2-sphere analogue (:mod:`~rotgrad.sphere`),
-a small dense solver that only its own check still calls
-(:mod:`~rotgrad.lin_core`), a numpy MLP (:mod:`~rotgrad.nn`), experiment
-drivers (:mod:`~rotgrad.harness`), and the verification checks
-(:mod:`~rotgrad.checks`).  The checks load on first use of
+a numpy MLP (:mod:`~rotgrad.nn`), experiment drivers
+(:mod:`~rotgrad.harness`), and the verification checks
+(:mod:`~rotgrad.checks`).  :mod:`~rotgrad.lin_core`, a small dense solver,
+is imported by no module of the package.  The checks load on first use of
 ``rotgrad.CheckResult`` or ``rotgrad.run_checks``, so importing the package
 for training does not compile or load them.
 """
@@ -65,7 +65,6 @@ from .harness import (
     MetricsReport,
     MetricsRow,
     S2Method,
-    compute_metrics,
     fit_single_rotation,
     make_dataset,
     tau_probe,
@@ -110,7 +109,6 @@ __all__ = [
     "MetricsReport",
     "MetricsRow",
     "S2Method",
-    "compute_metrics",
     "fit_single_rotation",
     "make_dataset",
     "tau_probe",

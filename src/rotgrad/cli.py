@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -177,7 +178,15 @@ def _parse_seeds(text: str) -> List[int]:
         seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise CliConfigError("--seeds needs at least one seed")
+    _check_unique("--seeds", seeds)
     return seeds
+
+
+def _check_unique(flag: str, values: Sequence) -> None:
+    """A repeated value would run its cell twice and write its outputs twice."""
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise CliConfigError(f"{flag} repeats {repeated[0]}")
 
 
 def _tau_spec(tau: Optional[float], tau_init: Optional[float],
@@ -344,6 +353,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                     if args.methods else [args.method])
     if not method_names:
         raise CliConfigError("--methods needs at least one method name")
+    _check_unique("--methods", method_names)
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     sweep = args.methods is not None or len(seeds) > 1
 

@@ -273,6 +273,7 @@ def _resolve_tau(spec: TauSpec,
 
 
 def _row_from_errors(errors_deg: np.ndarray, iteration: int, mean_norm: float) -> MetricsRow:
+    """Summary of geodesic errors in degrees; an even count's median is the lower middle error."""
     ordered = np.sort(errors_deg)
     median = float(ordered[(len(ordered) - 1) // 2])
     return MetricsRow(
@@ -283,27 +284,6 @@ def _row_from_errors(errors_deg: np.ndarray, iteration: int, mean_norm: float) -
         acc3=float(np.mean(errors_deg <= 3.0)),
         mean_norm=mean_norm,
     )
-
-
-def compute_metrics(
-    predictions: Sequence[np.ndarray],
-    ground_truths: Sequence[np.ndarray],
-    iteration: int = 0,
-    mean_norm: float = float("nan"),
-) -> MetricsRow:
-    """Summarize geodesic errors between predicted and true rotations.
-
-    The median is the lower middle element for even counts, so it is always
-    an error that actually occurred.
-    """
-    preds = np.asarray(predictions, dtype=float)
-    gts = np.asarray(ground_truths, dtype=float)
-    if preds.shape != gts.shape or preds.ndim != 3 or preds.shape[1:] != (3, 3):
-        raise ValueError(f"expected matching (n, 3, 3) stacks, got {preds.shape} and {gts.shape}")
-    if len(preds) == 0:
-        raise ValueError("cannot summarize an empty set of predictions")
-    errors_deg = np.degrees(so3.geodesic_distance_batch(preds, gts))
-    return _row_from_errors(errors_deg, iteration, mean_norm)
 
 
 # ---------------------------------------------------------------------------

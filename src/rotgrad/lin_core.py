@@ -1,8 +1,9 @@
 """Small fixed-size dense linear algebra: a pivoted Gaussian solve for
 systems up to 14x14.
 
-It has no caller in the library beyond its own check (``lin-core-solve``).
-The solve is deterministic: same input bits, same output bits.
+No library module imports it; it stays, with its tests, only while the
+benchmark's tracer names ``lin_core.solve_columns``.  The solve is
+deterministic: same input bits, same output bits.
 """
 
 from __future__ import annotations

@@ -127,11 +127,6 @@ def sym4_from_params(theta) -> np.ndarray:
     return theta[_SYM4_GATHER]
 
 
-def params_from_sym4(a) -> np.ndarray:
-    """Inverse of :func:`sym4_from_params` (reads the upper triangle)."""
-    return np.asarray(a, dtype=np.float64)[_SYM4_ROWS, _SYM4_COLS]
-
-
 def _ten_d_params(q) -> list:
     """Packed parameters of I - q q^T, the 10d embedding of a unit quaternion
     q (4 floats): the symmetric form with eigenvalue 0 exactly on q (either

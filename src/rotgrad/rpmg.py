@@ -56,6 +56,8 @@ from .representations import (
     _SYM4_COLS,
     _SYM4_GATHER,
     _SYM4_ROWS,
+    _check_dim,
+    _check_finite,
     _forward,
     _forward_one,
     _sym4_batch,
@@ -112,18 +114,6 @@ class RpmgParams:
         return BLEND_LAM.get(self.method.value, self.lam)
 
 
-def constraint_rows(q) -> np.ndarray:
-    """4x10 matrix M with M @ theta == sym4_from_params(theta) @ q for all theta."""
-    return _constraint_rows_batch(np.asarray(q, dtype=np.float64)[None])[0]
-
-
-def _finite_ambient(rep: RepKind, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (rep.ambient_dim,) or not all(map(math.isfinite, x.tolist())):
-        raise ValueError(f"{rep.value}: need a finite ({rep.ambient_dim},) vector")
-    return x
-
-
 def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     """Closest point to x within the inverse image of the goal rotation.
 
@@ -132,16 +122,18 @@ def inverse_project(rep: RepKind, x, r_g) -> np.ndarray:
     10-dim eigenvalue need not be the smallest), so far from the goal the
     result can leave the true inverse image; near it the relaxation is tight.
     """
-    x = _finite_ambient(rep, x)
+    xs = _check_dim(rep, x).tolist()
+    _check_finite(rep, xs)
     if rep not in MANIFOLD_REPS:
         raise ValueError(f"{rep.value} has no manifold inverse image")
     goal = so3.rot_to_quat(r_g) if rep in _QUAT_GOAL_REPS else np.asarray(r_g, dtype=np.float64)
-    return np.array(_goal_terms(rep, x.tolist(), goal.ravel().tolist())[1])
+    return np.array(_goal_terms(rep, xs, goal.ravel().tolist())[1])
 
 
 def _solve_normal(q, b, c):
-    """(P^-1 b, P^-1 c) for P = M M^T = diag(|q|^2 - q*q) + q q^T, M =
-    ``constraint_rows(q)``, by an unrolled Cholesky factorization.
+    """(P^-1 b, P^-1 c) for P = M M^T = diag(|q|^2 - q*q) + q q^T, M the
+    constraint matrix of q (:func:`_constraint_rows_batch`), by an unrolled
+    Cholesky factorization.
 
     For a unit q, P has a unit diagonal and eigenvalues within [1/2, 2], so
     the factorization needs no pivoting and no square root meets a
@@ -172,7 +164,7 @@ def _solve_normal(q, b, c):
 
 
 def _constraint_adjoint(q, w) -> list:
-    """M^T w for M = ``constraint_rows(q)``: parameter (a, b) of A collects
+    """M^T w for M the constraint matrix of q: parameter (a, b) of A collects
     q_b w_a + q_a w_b, and (a, a) collects q_a w_a."""
     q0, q1, q2, q3 = q
     w0, w1, w2, w3 = w
@@ -300,21 +292,23 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
     ``r`` must be the rotation the forward pass produced from ``x`` (passed
     in to avoid recomputing the projection).  Vanilla delegates to the plain
     chain rule and works for all six representations; the manifold methods
-    require a representation with a nontrivial projection and a finite
-    ``x``.  With ``max_step`` (radians), a goal step tau |phi| past it is
-    scaled down to exactly ``max_step``; a step within it keeps ``tau`` as
-    given.  For quat and 10d the goal is composed as a quaternion, q (x)
-    exp(-tau phi / 2), from the forward's own q, which this computes from x
-    through the forward map.
+    require a representation with a nontrivial projection and raise
+    ``DegenerateInputError`` on a non-finite ``x``.  With ``max_step``
+    (radians), a goal step tau |phi| past it is scaled down to exactly
+    ``max_step``; a step within it keeps ``tau`` as given.  For quat and
+    10d the goal is composed as a quaternion, q (x) exp(-tau phi / 2), from
+    the forward's own q, which this computes from x through the forward map.
     """
     q = None
     if params.method is Method.VANILLA or rep not in MANIFOLD_REPS:
-        x = np.asarray(x, dtype=np.float64)
+        xs = np.asarray(x, dtype=np.float64).tolist()
     else:
-        x = _finite_ambient(rep, x)
+        xs = _check_dim(rep, x).tolist()
         if rep in _QUAT_GOAL_REPS:
-            q = _forward_one(rep, x.tolist())[1]
-    return np.array(_sample_gradient(rep, params.method, x.tolist(), so3._rows(r), q, loss,
+            q = _forward_one(rep, xs)[1]  # checks that xs is finite
+        else:
+            _check_finite(rep, xs)
+    return np.array(_sample_gradient(rep, params.method, xs, so3._rows(r), q, loss,
                                      None, tau, params.blend_lam, max_step))
 
 
@@ -323,7 +317,8 @@ def rpmg_gradient(rep: RepKind, x, r, loss: LossKind, tau: float,
 # are pinned to the per-sample functions above by equality tests.
 
 def _constraint_rows_batch(qs: np.ndarray) -> np.ndarray:
-    """Batched :func:`constraint_rows`, (B, 4, 10), in one scatter."""
+    """(B, 4, 10) matrices M with M @ theta == sym4_from_params(theta) @ q
+    for every theta, one per row q of ``qs``, in one scatter."""
     m = np.zeros((qs.shape[0], 4, 10))
     # (A(theta) q)_i = sum_j theta[_SYM4_GATHER[i, j]] q_j
     m[:, np.arange(4)[:, None], _SYM4_GATHER] = qs[:, None, :]

@@ -41,12 +41,6 @@ _SMALL_ANGLE = 1e-6
 _EYE3 = np.eye(3)
 
 
-def hat(phi) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector, hat(a) @ b == cross(a, b)."""
-    x, y, z = np.asarray(phi, dtype=np.float64).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def _rodrigues(x: float, y: float, z: float) -> list:
     """Row-major entries of I + a hat(phi) + b hat(phi)^2, phi = (x, y, z)."""
     try:
@@ -238,7 +232,7 @@ _HAT_MINUS = np.array([5, 6, 1])
 
 
 def _hat_batch(phis: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`hat` over rows of a (B, 3) array."""
+    """hat(phi) of each row of a (B, 3) array: skew-symmetric, hat(a) @ b == cross(a, b)."""
     k = np.zeros((phis.shape[0], 9))
     k[:, _HAT_PLUS] = phis
     k[:, _HAT_MINUS] = -phis

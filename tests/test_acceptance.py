@@ -37,7 +37,6 @@ from rotgrad.checks import (
     check_goal_direction,
     check_kkt_eigen_residual,
     check_lambda_one_equals_mg,
-    check_lin_core_solve,
     check_mg_tau_gt_identity,
     check_projection_membership,
     check_projection_optimality,
@@ -276,8 +275,7 @@ def test_criterion_09_sphere_regression(capsys, s2_runs):
 
 
 def test_criterion_10_numerics_substrate(capsys):
-    results = [check_forward_map_9d(), check_forward_map_10d(),
-               check_lin_core_solve(), check_kkt_eigen_residual(n=1000)]
+    results = [check_forward_map_9d(), check_forward_map_10d(), check_kkt_eigen_residual(n=1000)]
     ok = all(r.passed for r in results)
     _verdict(capsys, 10, "numerics-substrate", ok,
              "; ".join(f"{r.name} {r.measured:.2e}" for r in results))

@@ -62,7 +62,8 @@ def test_registry_is_ordered_and_named():
     assert "tau-converge-s2" in CHECK_NAMES
     assert "vanilla-backward-fd" in CHECK_NAMES
     assert "forward-map-9d" in CHECK_NAMES and "forward-map-10d" in CHECK_NAMES
-    assert len(CHECK_NAMES) == 25
+    assert "lin-core-solve" not in CHECK_NAMES
+    assert len(CHECK_NAMES) == 24
 
 
 def test_full_registry_passes():

@@ -85,6 +85,10 @@ def test_config_errors_exit_2(argv, tmp_path, capsys):
     (["train", "--tau-init", "0.1", "--tau-converge", "inf", "--iters", "1"],
      "tau_converge must be a finite positive real"),
     (["fit", "--lr", "inf"], "lr must be a finite positive real"),
+    (["fit", "--seeds", "0-3,2", "--iters", "1"], "--seeds repeats 2"),
+    (["train", "--seeds", "1,1", "--iters", "1"], "--seeds repeats 1"),
+    (["train", "--methods", "rpmg,vanilla,rpmg", "--iters", "1"], "--methods repeats rpmg"),
+    (["train", "--sphere", "--methods", "pmg,pmg", "--iters", "1"], "--methods repeats pmg"),
 ])
 def test_invalid_values_exit_2_without_a_run_directory(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2

@@ -2,7 +2,9 @@
 
 Each ``_ref_*`` function below is the previous implementation of a
 per-sample primitive, kept verbatim apart from calling the other references
-instead of the library.  The per-sample route now runs on Python floats:
+instead of the library; ``_ref_finite_ambient`` raises the exceptions of the
+one raw-vector rule (``representations._check_dim`` and ``_check_finite``).
+The per-sample route now runs on Python floats:
 its kernels take and return lists (a 3x3 matrix as nine row-major floats)
 and write every sum out in a fixed order, rounding each multiply and add,
 where the references' ``@``, ``dot`` and BLAS calls fuse multiply-adds; in
@@ -17,7 +19,7 @@ the rewrite must raise an exception of the same type, and where it gives
 NaN or inf, the same.
 
 Rows whose arithmetic is unchanged keep the reference's bytes (dtype,
-shape and strides included): ``hat``, ``quat_to_rot``, ``rot_to_quat``,
+shape and strides included): ``quat_to_rot``, ``rot_to_quat``,
 the Euler maps, the 10d map (its point now a C-contiguous array), the
 vanilla gradient rows under l2, flow and chamfer.  The others are compared
 at stated bounds: the angle, ``geodesic_distance``'s atan2(|vee(C - C^T)|,
@@ -262,8 +264,10 @@ def _ref_goal_rotation(r, phi_grad, tau: float) -> np.ndarray:
 
 def _ref_finite_ambient(rep: RepKind, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (_ref_ambient_dim(rep),) or not np.isfinite(x).all():
-        raise ValueError(f"{rep.value}: need a finite ({_ref_ambient_dim(rep)},) vector")
+    if x.shape != (_ref_ambient_dim(rep),):
+        raise ValueError(f"{rep.value}: expected shape ({_ref_ambient_dim(rep)},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DegenerateInputError(f"{rep.value}: raw vector is not finite")
     return x
 
 
@@ -290,7 +294,7 @@ def _ref_goal_terms(rep: RepKind, x: np.ndarray, r_g: np.ndarray):
 
     q = _ref_rot_to_quat(r_g)
     x_hat = reps._ten_d_embedding(q)
-    m = rpmg.constraint_rows(q)
+    m = rpmg._constraint_rows_batch(q[None])[0]
     w = np.linalg.solve(m @ m.T, np.stack([q, reps.sym4_from_params(x) @ q], axis=1))
     s, t = w.T @ m
     lam_eig = float(s @ t) / float(s @ s)
@@ -552,11 +556,9 @@ def _rodrigues_matrix(phi):
 
 def test_hat_and_rodrigues():
     for phi in _phis():
-        _check(so3.hat, _ref_hat, phi)
         # hat(phi)^2 and r @ Rodrigues round each product and sum on floats
         _check_close(_rodrigues_matrix, _ref_rodrigues, _ANGLE_ATOL, phi)
         _check_close(so3.exp_so3, _ref_exp_so3, _ANGLE_ATOL, EDGE_ROTATIONS[5], phi)
-    _check(so3.hat, _ref_hat, (0.0, -0.0, 2))  # a sequence, as hat accepts
 
 
 def test_quat_to_rot():
@@ -678,11 +680,25 @@ def test_riemannian_grad():
 
 
 def test_finite_ambient():
+    """rpmg_gradient and inverse_project raise DegenerateInputError on a raw
+    vector with a NaN or an infinity, and a plain ValueError on one of the
+    wrong length, as the forward maps do."""
+    r = np.eye(3)
     for rep in MANIFOLD_REPS:
         n = _ref_ambient_dim(rep)
-        for x in _vectors(16, n):
-            _check(rpmg._finite_ambient, _ref_finite_ambient, rep, x)
-        _check(rpmg._finite_ambient, _ref_finite_ambient, rep, np.zeros(n + 1))
+        xs = _vectors(16, n)
+        bad = xs[~np.isfinite(xs).all(axis=1)]
+        assert np.isnan(bad).any() and np.isposinf(bad).any() and np.isneginf(bad).any()
+        cases = ([(x, DegenerateInputError) for x in bad]
+                 + [(np.zeros(n + 1), ValueError), (np.zeros(n - 1), ValueError)])
+        for x, error in cases:
+            for method in (Method.MG, Method.PMG, Method.RPMG):
+                with pytest.raises(ValueError) as info:
+                    rpmg.rpmg_gradient(rep, x, r, L2Frobenius(r), 0.25, RpmgParams(method))
+                assert type(info.value) is error, (rep, x, info.value)
+            with pytest.raises(ValueError) as info:
+                rpmg.inverse_project(rep, x, r)
+            assert type(info.value) is error, (rep, x, info.value)
 
 
 def _goal_of(rep, r_g):
@@ -871,7 +887,7 @@ def test_cholesky_solve_matches_lu():
     quats = np.concatenate([axes, ties, rand / np.linalg.norm(rand, axis=1, keepdims=True)])
     assert len(ties) > 0
     for q in quats:
-        m = rpmg.constraint_rows(q)
+        m = rpmg._constraint_rows_batch(q[None])[0]
         b, c = rng.standard_normal(4), rng.standard_normal(4) * 10.0
         want = np.linalg.solve(m @ m.T, np.stack([b, c], axis=1)).T
         got = np.array(rpmg._solve_normal(q.tolist(), b.tolist(), c.tolist()))

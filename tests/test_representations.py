@@ -12,6 +12,8 @@ from rotgrad import so3
 from rotgrad.checks import _forward_map_fd
 from rotgrad.harness import BLAS_THREAD_VARS
 from rotgrad.representations import (
+    _SYM4_COLS,
+    _SYM4_ROWS,
     MANIFOLD_REPS,
     DegenerateInputError,
     ManifoldPoint,
@@ -21,7 +23,6 @@ from rotgrad.representations import (
     embed,
     euler_xyz_to_rot,
     manifold_map,
-    params_from_sym4,
     representation_map,
     rot_to_euler_xyz,
     rotation_map,
@@ -167,7 +168,7 @@ def test_ten_d_projection_recovers_quaternion():
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
         q = so3.canonical_quat(q)
-        x = params_from_sym4(np.eye(4) - np.outer(q, q))
+        x = (np.eye(4) - np.outer(q, q))[_SYM4_ROWS, _SYM4_COLS]
         assert np.allclose(manifold_map(RepKind.TEN_D, x).value, q, atol=1e-9)
 
 
@@ -177,7 +178,7 @@ def test_sym4_param_layout():
                                        [2, 5, 6, 7],
                                        [3, 6, 8, 9],
                                        [4, 7, 9, 10]]))
-    assert np.array_equal(params_from_sym4(a), np.arange(1.0, 11.0))
+    assert np.array_equal(a[_SYM4_ROWS, _SYM4_COLS], np.arange(1.0, 11.0))
 
 
 @pytest.mark.parametrize("n", [9, 11])
@@ -226,7 +227,7 @@ def test_degenerate_inputs_raise():
     with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap"):
         manifold_map(RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel())
     with pytest.raises(DegenerateInputError, match="eigengap|gap"):
-        manifold_map(RepKind.TEN_D, params_from_sym4(np.eye(4)))
+        manifold_map(RepKind.TEN_D, np.eye(4)[_SYM4_ROWS, _SYM4_COLS])
     # a gap within rounding of the eigenvalue scale, though far above the
     # absolute floors
     for rep, x in _ROUNDING_GAP_ROWS:
@@ -461,7 +462,7 @@ def test_closed_form_backward_keeps_forward_guards():
     xs9 = np.stack([np.eye(3).ravel(), np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()])
     with pytest.raises(DegenerateInputError, match="9d smallest-eigenvalue gap .* sample 1"):
         vanilla_backward_batch(RepKind.NINE_D, xs9, np.ones((2, 3, 3)))
-    xs10 = np.stack([params_from_sym4(np.diag([0.0, 1.0, 2.0, 3.0])), params_from_sym4(np.eye(4))])
+    xs10 = np.stack([np.diag([0.0, 1.0, 2.0, 3.0]), np.eye(4)])[:, _SYM4_ROWS, _SYM4_COLS]
     with pytest.raises(DegenerateInputError, match="10d smallest-eigenvalue gap .* sample 1"):
         vanilla_backward_batch(RepKind.TEN_D, xs10, np.ones((2, 3, 3)))
 
@@ -479,7 +480,7 @@ def _factor_cases(rep, rng):
     if rep is RepKind.TEN_D:
         for i in range(8):
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            xs[i] = params_from_sym4(q @ np.diag([0.5, 0.5 + 1e-8, 1.5, 2.0]) @ q.T)
+            xs[i] = (q @ np.diag([0.5, 0.5 + 1e-8, 1.5, 2.0]) @ q.T)[_SYM4_ROWS, _SYM4_COLS]
         gaps = np.diff(np.linalg.eigvalsh(np.stack([sym4_from_params(x) for x in xs[:8]]))[:, :2])
         assert (gaps > 1e-10).all() and (gaps < 1e-7).all()
     return xs
@@ -509,7 +510,7 @@ def _message(fn):
     (RepKind.SIX_D, np.array([1.0, 0, 0, 2, 0, 0])),
     (RepKind.NINE_D, np.outer([1.0, 0, 0], [1.0, 0, 0]).ravel()),
     (RepKind.NINE_D, np.diag([2.0, 1.0, -1.0]).ravel()),
-    (RepKind.TEN_D, params_from_sym4(np.eye(4))),
+    (RepKind.TEN_D, np.eye(4)[_SYM4_ROWS, _SYM4_COLS]),
     *_ROUNDING_GAP_ROWS,
 ], ids=["quat-norm", "6d-first-column", "6d-gram-schmidt", "9d-sigma-sum", "9d-negative-det-tie",
         "10d-eigengap", "10d-rounding-gap-1e16", "10d-rounding-gap-1e200", "9d-rounding-gap-1e16",

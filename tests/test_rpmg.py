@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from rotgrad import rpmg, so3
 from rotgrad.checks import oracle_inverse_image_batch, sample_projection_cases
 from rotgrad.representations import (
     MANIFOLD_REPS,
+    DegenerateInputError,
     ManifoldPoint,
     RepKind,
     baseline_backward,
@@ -28,7 +31,6 @@ from rotgrad.riemannian import (
 from rotgrad.rpmg import (
     Method,
     RpmgParams,
-    constraint_rows,
     inverse_project,
     rpmg_gradient,
     rpmg_gradient_batch,
@@ -79,7 +81,7 @@ def test_constraint_rows_bilinear_identity():
     for _ in range(50):
         q = rng.standard_normal(4)
         theta = rng.standard_normal(10)
-        lhs = constraint_rows(q) @ theta
+        lhs = rpmg._constraint_rows_batch(q[None])[0] @ theta
         rhs = sym4_from_params(theta) @ q
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
@@ -147,7 +149,7 @@ def _bordered_kkt_projection(x, r_g):
     """10d x_gp through the bordered 14x14 KKT system [[I, M^T], [M, 0]],
     whose upper-right block is M^T (M M^T)^{-1}."""
     q = so3.rot_to_quat(r_g)
-    m = constraint_rows(q)
+    m = rpmg._constraint_rows_batch(q[None])[0]
     kkt = np.zeros((14, 14))
     kkt[:10, :10] = np.eye(10)
     kkt[:10, 10:] = m.T
@@ -226,7 +228,7 @@ def test_blend_lam_fixes_mg_and_pmg():
 def test_manifold_methods_reject_non_finite_raw_vector(method):
     x = np.array([1.0, np.nan, 0.0, 0.0])
     r = np.eye(3)
-    with pytest.raises(ValueError, match="need a finite"):
+    with pytest.raises(DegenerateInputError, match="raw vector is not finite"):
         rpmg_gradient(RepKind.QUAT4, x, r, L2Frobenius(r), 0.25, RpmgParams(method))
 
 
@@ -240,6 +242,20 @@ def test_ten_d_projection_needs_no_dense_solver(monkeypatch):
     assert np.isfinite(inverse_project(RepKind.TEN_D, x, so3.sample_uniform_rotation(rng))).all()
     for params in (RpmgParams(Method.PMG), RpmgParams(Method.RPMG, lam=0.01)):
         assert np.isfinite(rpmg_gradient(RepKind.TEN_D, x, r, loss, 0.2, params)).all()
+
+
+def test_no_library_module_imports_lin_core():
+    for path in sorted(Path(rpmg.__file__).parent.glob("*.py")):
+        if path.name == "lin_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("lin_core" in name.split(".") for name in names), (path.name, node.lineno)
 
 
 @pytest.mark.parametrize("rep,filter_kind", [

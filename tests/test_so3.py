@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from rotgrad.so3 import (
     _rot_to_quat_batch,
@@ -10,7 +9,6 @@ from rotgrad.so3 import (
     exp_so3,
     geodesic_distance,
     geodesic_distance_batch,
-    hat,
     log_so3,
     quat_to_rot,
     rot_to_quat,
@@ -20,30 +18,10 @@ from rotgrad.so3 import (
     sample_uniform_rotation,
 )
 
-finite3 = st.tuples(*([st.floats(-1e3, 1e3)] * 3))
-
 
 def random_rotations(seed, n):
     rng = np.random.default_rng(seed)
     return [sample_uniform_rotation(rng) for _ in range(n)]
-
-
-def test_hat_example():
-    assert np.array_equal(hat((0.0, 0.0, 1.0)),
-                          np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-
-
-@given(finite3, finite3)
-def test_hat_is_cross_product(a, b):
-    a, b = np.array(a), np.array(b)
-    assert np.allclose(hat(a) @ b, np.cross(a, b), atol=1e-6)
-
-
-def test_hat_antisymmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        k = hat(rng.standard_normal(3))
-        assert np.array_equal(k, -k.T)
 
 
 def test_exp_axis_example():
