@@ -1,11 +1,14 @@
 """Command-line front end: experiments, sweeps, and the verification suite.
 
 Three subcommands.  ``fit`` descends from a single raw output to a single
-target rotation (optionally over a seed sweep, counted into aborted and
-stalled fits), ``train`` runs the synthetic point-cloud regression task
+target rotation, ``train`` runs the synthetic point-cloud regression task
 (optionally as a method and seed sweep), ``check`` runs the named
-verification checks.  Every run writes a JSON report that validates against the schema
-shipped next to this module plus a CSV error trace with a fixed header.
+verification checks.  One driver runs ``fit`` for one seed or many: one
+seed writes its error trace, several write one CSV row per fit and count
+the aborted and stalled fits.  ``fit`` and ``train`` run their cells
+through ``_map_cells``.  Every run writes a JSON report that validates
+against the schema shipped next to this module plus a CSV with a fixed
+header.
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 numeric
 failure.  All randomness descends from ``--seed``.
@@ -21,18 +24,19 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .harness import (
     ExperimentConfig,
+    FitResult,
     LrSchedule,
     MetricsReport,
     MetricsRow,
     S2_METHOD_BY_NAME,
+    S2Method,
     fit_single_rotation,
     single_thread_pool,
     train,
@@ -57,17 +61,6 @@ FIT_TOLERANCE_RAD = 1e-4
 
 class CliConfigError(Exception):
     """Unusable flag combination or unknown name; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every JSON report."""
-    config: Dict[str, object]
-    config_hash: str
-    started_at: str
-    finished_at: str
-    tool_version: str
-    outputs: List[str]
 
 
 def config_hash(config: Dict[str, object]) -> str:
@@ -119,18 +112,20 @@ def _write_trace(path: Path, rows: Sequence[MetricsRow]) -> None:
                              repr(float(row.acc3)), repr(float(row.mean_norm))])
 
 
-def _write_report(path: Path, kind: str, manifest: RunManifest,
-                  summary: Dict[str, object]) -> None:
+def _write_report(path: Path, kind: str, echo: Dict[str, object], started: str,
+                  data_path: Path, summary: Dict[str, object]) -> None:
+    """Write the JSON report of a run whose other output is ``data_path``,
+    finished now."""
     doc = {
         "schema_version": "1",
         "kind": kind,
         "manifest": {
-            "config": manifest.config,
-            "config_hash": manifest.config_hash,
-            "started_at": manifest.started_at,
-            "finished_at": manifest.finished_at,
-            "tool_version": manifest.tool_version,
-            "outputs": manifest.outputs,
+            "config": echo,
+            "config_hash": config_hash(echo),
+            "started_at": started,
+            "finished_at": _utc_now(),
+            "tool_version": __version__,
+            "outputs": [str(path), str(data_path)],
         },
         "summary": summary,
     }
@@ -202,107 +197,83 @@ def _tau_spec(tau: Optional[float], tau_init: Optional[float],
     return "auto"
 
 
+def _map_cells(fn: Callable, payloads: list, jobs: int) -> list:
+    """``fn`` of every payload, in order; over ``jobs`` spawn workers with
+    one BLAS thread each when there is more than one of both."""
+    if jobs > 1 and len(payloads) > 1:
+        with single_thread_pool(min(jobs, len(payloads))) as pool:
+            return pool.map(fn, payloads)
+    return [fn(p) for p in payloads]
+
+
 # ---------------------------------------------------------------------------
 # fit
 
-def _run_fit(payload: Tuple) -> Tuple[float, int, bool, str]:
-    """(final error, iterations run, aborted, diagnostic) of one fit."""
+def _run_fit(payload: Tuple) -> FitResult:
     rep, method, loss, tau, lam, seed, iters, lr = payload
-    result = fit_single_rotation(rep, method, loss=loss, tau=tau, lam=lam,
-                                 seed=seed, iters=iters, lr=lr)
-    return result.final_error, len(result.errors) - 1, result.aborted, result.diagnostic
-
-
-def _fit_sweep(args: argparse.Namespace, rep: RepKind, method, tau, seeds: List[int]) -> int:
-    """One fit per seed, one CSV row per fit, one summary line for the cell."""
-    echo = {"rep": rep.value, "method": method.value, "loss": args.loss,
-            "lambda": args.lam, "tau": _tau_echo(tau), "seeds": seeds,
-            "iters": args.iters, "lr": args.lr}
-    digest = config_hash(echo)
-    started = _utc_now()
-    payloads = [(rep, method, args.loss, tau, args.lam, seed, args.iters, args.lr) for seed in seeds]
-    if args.jobs > 1:
-        with single_thread_pool(min(args.jobs, len(payloads))) as pool:
-            results = pool.map(_run_fit, payloads)
-    else:
-        results = [_run_fit(p) for p in payloads]
-
-    # made after the fits, so that a config the fits reject leaves no directory
-    run_dir = _out_root(args.out_dir) / f"fit-sweep-{digest[:8]}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    fits_path = run_dir / "fits.csv"
-    aborted = stalled = 0
-    with open(fits_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FITS_CSV_HEADER)
-        for seed, (final, iters_run, was_aborted, diagnostic) in zip(seeds, results):
-            # NaN (an abort at step 0) compares False: only finished fits stall
-            is_stalled = not was_aborted and not final <= FIT_TOLERANCE_RAD
-            aborted += was_aborted
-            stalled += is_stalled
-            writer.writerow([seed, repr(float(final)), iters_run, int(was_aborted),
-                             int(is_stalled), diagnostic])
-    counts = (f"{len(seeds)} fits, {aborted} aborted, {stalled} stalled "
-              f"(final error above {FIT_TOLERANCE_RAD:g} rad)")
-    report_path = run_dir / "report.json"
-    summary = {"rep": rep.value, "method": method.value, "loss": args.loss,
-               "aborted": aborted > 0, "diagnostic": counts}
-    manifest = RunManifest(echo, digest, started, _utc_now(), __version__,
-                           [str(report_path), str(fits_path)])
-    _write_report(report_path, "fit", manifest, summary)
-
-    print(f"fit {rep.value} {method.value} {args.loss} seeds {args.seeds}: {counts}")
-    print(f"fits: {fits_path}")
-    print(f"report: {report_path}")
-    if aborted:
-        print(f"numeric failure: {aborted} of {len(seeds)} fits aborted", file=sys.stderr)
-        return EXIT_NUMERIC_FAILURE
-    return EXIT_OK
+    return fit_single_rotation(rep, method, loss=loss, tau=tau, lam=lam,
+                               seed=seed, iters=iters, lr=lr)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    """One fit per seed.  One seed writes its error trace and summary;
+    several write one CSV row per fit and a count of the aborted and
+    stalled fits."""
     rep = _parse_rep(args.rep)
     method = _parse_method(args.method, sphere=False)
     tau = args.tau if args.tau is not None else "auto"
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-    if len(seeds) > 1:
-        return _fit_sweep(args, rep, method, tau, seeds)
-
+    sweep = len(seeds) > 1
     echo = {"rep": rep.value, "method": method.value, "loss": args.loss,
-            "lambda": args.lam, "tau": _tau_echo(tau), "seed": seeds[0],
-            "iters": args.iters, "lr": args.lr}
-    digest = config_hash(echo)
+            "lambda": args.lam, "tau": _tau_echo(tau), "iters": args.iters, "lr": args.lr,
+            **({"seeds": seeds} if sweep else {"seed": seeds[0]})}
     started = _utc_now()
-    result = fit_single_rotation(rep, method, loss=args.loss, tau=tau, lam=args.lam,
-                                 seed=seeds[0], iters=args.iters, lr=args.lr)
+    results = _map_cells(_run_fit, [(rep, method, args.loss, tau, args.lam, seed, args.iters, args.lr)
+                                    for seed in seeds], args.jobs)
 
-    run_dir = _out_root(args.out_dir) / f"fit-{digest[:8]}"
+    # made after the fits, so that a config the fits reject leaves no directory
+    run_dir = _out_root(args.out_dir) / f"fit-{'sweep-' if sweep else ''}{config_hash(echo)[:8]}"
     run_dir.mkdir(parents=True, exist_ok=True)
     report_path = run_dir / "report.json"
-    trace_path = run_dir / "trace.csv"
-
-    rows = [MetricsRow(iteration=i,
-                       mean_deg=math.degrees(err), median_deg=math.degrees(err),
-                       acc5=1.0 if math.degrees(err) <= 5.0 else 0.0,
-                       acc3=1.0 if math.degrees(err) <= 3.0 else 0.0,
-                       mean_norm=norm)
-            for i, (err, norm) in enumerate(zip(result.errors, result.norms))]
-    _write_trace(trace_path, rows)
-
-    summary = {"rep": rep.value, "method": method.value, "loss": args.loss,
-               "final_error_rad": _json_num(result.final_error),
-               "iters_run": len(result.errors) - 1,
-               "aborted": result.aborted, "diagnostic": result.diagnostic}
-    manifest = RunManifest(echo, digest, started, _utc_now(), __version__,
-                           [str(report_path), str(trace_path)])
-    _write_report(report_path, "fit", manifest, summary)
-
-    print(f"fit {rep.value} {method.value} {args.loss} seed {seeds[0]}: "
-          f"final error {result.final_error:.3e} rad "
-          f"({len(result.errors) - 1} iters)")
+    summary = {"rep": rep.value, "method": method.value, "loss": args.loss}
+    label = f"fit {rep.value} {method.value} {args.loss}"
+    if sweep:
+        data_path = run_dir / "fits.csv"
+        aborted = stalled = 0
+        with open(data_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(FITS_CSV_HEADER)
+            for seed, result in zip(seeds, results):
+                # NaN (an abort at step 0) compares False: only finished fits stall
+                is_stalled = not result.aborted and not result.final_error <= FIT_TOLERANCE_RAD
+                aborted += result.aborted
+                stalled += is_stalled
+                writer.writerow([seed, repr(result.final_error), len(result.errors) - 1,
+                                 int(result.aborted), int(is_stalled), result.diagnostic])
+        counts = (f"{len(seeds)} fits, {aborted} aborted, {stalled} stalled "
+                  f"(final error above {FIT_TOLERANCE_RAD:g} rad)")
+        summary.update(aborted=aborted > 0, diagnostic=counts)
+        print(f"{label} seeds {args.seeds}: {counts}")
+        print(f"fits: {data_path}")
+        failed = aborted > 0
+        failure = f"{aborted} of {len(seeds)} fits aborted"
+    else:
+        result, = results
+        data_path = run_dir / "trace.csv"
+        degrees = [math.degrees(err) for err in result.errors]
+        _write_trace(data_path, [MetricsRow(i, deg, deg, float(deg <= 5.0), float(deg <= 3.0), norm)
+                                 for i, (deg, norm) in enumerate(zip(degrees, result.norms))])
+        summary.update(final_error_rad=_json_num(result.final_error),
+                       iters_run=len(result.errors) - 1,
+                       aborted=result.aborted, diagnostic=result.diagnostic)
+        print(f"{label} seed {seeds[0]}: final error {result.final_error:.3e} rad "
+              f"({len(result.errors) - 1} iters)")
+        failed = result.aborted or not math.isfinite(result.final_error)
+        failure = result.diagnostic
+    _write_report(report_path, "fit", echo, started, data_path, summary)
     print(f"report: {report_path}")
-    if result.aborted or not math.isfinite(result.final_error):
-        print(f"numeric failure: {result.diagnostic}", file=sys.stderr)
+    if failed:
+        print(f"numeric failure: {failure}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     return EXIT_OK
 
@@ -310,9 +281,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _cell_config(args: argparse.Namespace, method_name: str, seed: int,
-                 sphere: bool) -> ExperimentConfig:
-    method = _parse_method(method_name, sphere)
+def _cell_config(args: argparse.Namespace, method_name: str, seed: int) -> ExperimentConfig:
+    method = _parse_method(method_name, args.sphere)
     tau = _tau_spec(args.tau, args.tau_init, args.tau_converge, args.iters)
     return ExperimentConfig(rep=_parse_rep(args.rep), method=method,
                             loss=args.loss, lam=args.lam,
@@ -320,19 +290,18 @@ def _cell_config(args: argparse.Namespace, method_name: str, seed: int,
                             batch=args.batch)
 
 
-def _cell_echo(config: ExperimentConfig, sphere: bool) -> Dict[str, object]:
+def _cell_echo(config: ExperimentConfig) -> Dict[str, object]:
     return {"rep": config.rep.value, "method": config.method.value,
             "loss": config.loss, "lambda": config.lam,
             "tau": _tau_echo(config.tau), "seed": config.seed,
             "iters": config.iters, "batch": config.batch,
             "n_points": config.n_points, "n_rotations": config.n_rotations,
             "lr": _lr_echo(config.lr), "eval_every": config.eval_every,
-            "hidden": list(config.hidden), "sphere": sphere}
+            "hidden": list(config.hidden), "sphere": isinstance(config.method, S2Method)}
 
 
-def _run_cell(payload: Tuple[ExperimentConfig, bool]) -> MetricsReport:
-    config, sphere = payload
-    return train_s2(config) if sphere else train(config)
+def _run_cell(config: ExperimentConfig) -> MetricsReport:
+    return train_s2(config) if isinstance(config.method, S2Method) else train(config)
 
 
 def _train_summary(config: ExperimentConfig, report: MetricsReport) -> Dict[str, object]:
@@ -348,7 +317,6 @@ def _train_summary(config: ExperimentConfig, report: MetricsReport) -> Dict[str,
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    sphere = args.sphere
     method_names = ([m.strip() for m in args.methods.split(",") if m.strip()]
                     if args.methods else [args.method])
     if not method_names:
@@ -357,37 +325,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
     sweep = args.methods is not None or len(seeds) > 1
 
-    cells = [(_cell_config(args, m, s, sphere), sphere)
-             for m in method_names for s in seeds]
-    kind = "train-s2" if sphere else "train"
+    cells = [_cell_config(args, m, s) for m in method_names for s in seeds]
+    kind = "train-s2" if args.sphere else "train"
 
     if sweep:
-        sweep_echo = {"methods": method_names, "seeds": seeds,
-                      **_cell_echo(cells[0][0], sphere)}
+        sweep_echo = {"methods": method_names, "seeds": seeds, **_cell_echo(cells[0])}
         run_dir = _out_root(args.out_dir) / f"sweep-{config_hash(sweep_echo)[:8]}"
     else:
-        run_dir = _out_root(args.out_dir) / f"{kind}-{config_hash(_cell_echo(cells[0][0], sphere))[:8]}"
+        run_dir = _out_root(args.out_dir) / f"{kind}-{config_hash(_cell_echo(cells[0]))[:8]}"
     run_dir.mkdir(parents=True, exist_ok=True)
 
     started = _utc_now()
-    if args.jobs > 1 and len(cells) > 1:
-        with single_thread_pool(min(args.jobs, len(cells))) as pool:
-            reports = pool.map(_run_cell, cells)
-    else:
-        reports = [_run_cell(cell) for cell in cells]
+    reports = _map_cells(_run_cell, cells, args.jobs)
 
     exit_code = EXIT_OK
     trend_rows = []
-    for (config, _), report in zip(cells, reports):
+    for config, report in zip(cells, reports):
         suffix = f"-{config.method.value}-seed{config.seed}" if sweep else ""
         report_path = run_dir / f"report{suffix}.json"
         trace_path = run_dir / f"trace{suffix}.csv"
         _write_trace(trace_path, report.rows)
-        manifest = RunManifest(_cell_echo(config, sphere),
-                               config_hash(_cell_echo(config, sphere)),
-                               started, _utc_now(), __version__,
-                               [str(report_path), str(trace_path)])
-        _write_report(report_path, kind, manifest, _train_summary(config, report))
+        _write_report(report_path, kind, _cell_echo(config), started, trace_path,
+                      _train_summary(config, report))
         final = report.final if report.rows else None
         median = final.median_deg if final else float("nan")
         trend_rows.append((config.method.value, config.seed, median))

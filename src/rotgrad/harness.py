@@ -338,10 +338,13 @@ def fit_single_rotation(
     next to the critical set of the loss where every first-order rule
     crawls. A degenerate raw vector, or a geodesic step from the cut
     locus, aborts the run and is reported through the diagnostic instead
-    of raising. Each step runs one forward map and the per-sample
-    gradient on Python floats (``_forward_one`` and
+    of raising. Each step runs one forward map, at its top, and the
+    per-sample gradient on Python floats (``_forward_one`` and
     ``rpmg._sample_gradient``, the functions ``baseline_rotation`` and
-    ``rpmg_gradient`` wrap for arrays) at the step ``_resolve_tau`` picks; under
+    ``rpmg_gradient`` wrap for arrays) at the step ``_resolve_tau`` picks,
+    so a fit of ``iters`` steps runs iters + 1 forwards. The target (unless
+    given) is drawn around the first forward's rotation and the loss's
+    points after it; a degenerate start leaves ``r_gt`` the identity. Under
     ``tau="auto"`` with l2 or geodesic its goal step is capped at
     ``AUTO_MAX_GOAL_STEP`` radians.
     Bad ``iters``, ``seed``, ``lr``, ``lam``, ``loss`` or ``tau`` (by
@@ -378,67 +381,50 @@ def fit_single_rotation(
             x = representation_map(r_rand, rep).value
         x = x + 0.1 * init_rng.standard_normal(rep.ambient_dim)
 
+    # the step runs on Python floats: x, R and the target as lists
+    x = x.tolist()
     errors: List[float] = []
     norms: List[float] = []
-    aborted = False
     diagnostic = ""
-    try:
-        r, q = _forward_one(rep, x.tolist())
-        r_start = np.array(r).reshape(3, 3)
-    except DegenerateInputError as exc:
-        r_start = None
-        aborted = True
-        diagnostic = f"degenerate raw vector at step 0: {exc}"
-
-    if r_gt is None and r_start is not None:
-        axis = data_rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angle = data_rng.uniform(0.5, 2.5)
-        r_gt = so3.exp_so3(r_start, angle * axis)
-    elif r_gt is None:
-        r_gt = np.eye(3)
-    points = data_rng.uniform(-1.0, 1.0, size=(16, 3))
-    loss_inst = make_loss(loss, r_gt, points)
-
-    if not aborted:
-        # the step runs on Python floats: x, R and the target as lists
-        x, gt = x.tolist(), so3._rows(r_gt)
-        for it in range(iters + 1):
-            errors.append(so3._geodesic_distance(r, gt))
-            norms.append(math.hypot(*x))
-            if it == iters:
-                break
-            try:
-                g = _sample_gradient(rep, method, x, r, q, loss_inst, gt, tau_fn(it),
-                                     params.blend_lam, max_step)
-            except DegenerateInputError as exc:
-                aborted = True
-                diagnostic = f"degenerate raw vector at step {it}: {exc}"
-                break
-            except CutLocusError as exc:
-                aborted = True
-                diagnostic = f"cut locus at step {it}: {exc}"
-                break
-            if not all(map(math.isfinite, g)):
-                aborted = True
-                diagnostic = f"non-finite gradient at step {it}"
-                break
-            x = [a - lr * b for a, b in zip(x, g)]
-            try:
-                r, q = _forward_one(rep, x)
-            except DegenerateInputError as exc:
-                aborted = True
-                diagnostic = f"degenerate raw vector at step {it + 1}: {exc}"
-                break
-        x = np.array(x)
+    for it in range(iters + 1):
+        try:
+            r, q = _forward_one(rep, x)
+        except DegenerateInputError as exc:
+            diagnostic = f"degenerate raw vector at step {it}: {exc}"
+            break
+        if it == 0:
+            if r_gt is None:
+                axis = data_rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                angle = data_rng.uniform(0.5, 2.5)
+                r_gt = so3.exp_so3(np.array(r).reshape(3, 3), angle * axis)
+            loss_inst = make_loss(loss, r_gt, data_rng.uniform(-1.0, 1.0, size=(16, 3)))
+            gt = so3._rows(r_gt)
+        errors.append(so3._geodesic_distance(r, gt))
+        norms.append(math.hypot(*x))
+        if it == iters:
+            break
+        try:
+            g = _sample_gradient(rep, method, x, r, q, loss_inst, gt, tau_fn(it),
+                                 params.blend_lam, max_step)
+        except DegenerateInputError as exc:
+            diagnostic = f"degenerate raw vector at step {it}: {exc}"
+            break
+        except CutLocusError as exc:
+            diagnostic = f"cut locus at step {it}: {exc}"
+            break
+        if not all(map(math.isfinite, g)):
+            diagnostic = f"non-finite gradient at step {it}"
+            break
+        x = [a - lr * b for a, b in zip(x, g)]
     return FitResult(
         rep=rep,
         method=method,
         errors=np.asarray(errors),
         norms=np.asarray(norms),
-        r_gt=r_gt,
-        x_final=x,
-        aborted=aborted,
+        r_gt=np.eye(3) if r_gt is None else r_gt,
+        x_final=np.array(x),
+        aborted=bool(diagnostic),
         diagnostic=diagnostic,
     )
 
@@ -674,12 +660,11 @@ def tau_probe(
         x = rng.uniform(0.5, 2.0) * embed(representation_map(r0, rep))
         x = x + 0.05 * rng.standard_normal(x.shape)
         r = baseline_rotation(rep, x)
-        cases.append((r, loss_inst))
+        cases.append((r, riemannian_grad(r, euclid_grad(loss_inst, r))))
     results = []
     for tau in taus:
         total = 0.0
-        for r, loss_inst in cases:
-            phi = riemannian_grad(r, euclid_grad(loss_inst, r))
+        for r, phi in cases:
             total += so3.geodesic_distance(r, goal_rotation(r, phi, float(tau)))
         results.append((float(tau), total / n_samples))
     return results

@@ -26,20 +26,6 @@ _ANTIPODAL_TOL = 1e-12
 # small-angle limit (the tangent gradient has norm 2 sin(theta))
 TAU_CONVERGE_S2 = 0.5
 
-# stationary antipodal targets produce a zero gradient; training jitters past
-# them, but the event is worth counting when it happens
-_antipodal_events = 0
-
-
-def antipodal_event_count() -> int:
-    return _antipodal_events
-
-
-def reset_antipodal_event_count() -> None:
-    global _antipodal_events
-    _antipodal_events = 0
-
-
 def _unit_rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a (B, 3) array normalized, and their norms.
 
@@ -59,12 +45,11 @@ def _s2_goal_batch(x_hat: np.ndarray, targets: np.ndarray, tau: float) -> np.nda
     """Goal points of (B, 3) unit rows: the geodesic step along v = -tau *
     2((x_hat . t) x_hat - t), the tangent gradient of ||x_hat - t||^2.
 
-    Antipodal rows are stationary; each bumps the event counter once.
+    Antipodal rows (x_hat . t <= -1 + ``_ANTIPODAL_TOL``) take the zero
+    gradient, so they are stationary; training jitters past them.
     """
-    global _antipodal_events
     dots = np.sum(x_hat * targets, axis=1)
     antipodal = dots <= -1.0 + _ANTIPODAL_TOL
-    _antipodal_events += int(np.count_nonzero(antipodal))
     grads = np.where(antipodal[:, None], 0.0, 2.0 * (dots[:, None] * x_hat - targets))
     v = -tau * grads
     theta = np.linalg.norm(v, axis=1)

@@ -35,7 +35,6 @@ from rotgrad.checks import (
     check_gradient_fd,
     check_gradient_hand_case,
     check_goal_direction,
-    check_kkt_eigen_residual,
     check_lambda_one_equals_mg,
     check_mg_tau_gt_identity,
     check_projection_membership,
@@ -52,7 +51,7 @@ from rotgrad.harness import (
     train,
     train_s2,
 )
-from rotgrad.representations import MANIFOLD_REPS
+from rotgrad.representations import MANIFOLD_REPS, RepKind
 from rotgrad.rpmg import Method
 
 TOL_FIT_ERROR_RAD = 1e-4
@@ -275,7 +274,7 @@ def test_criterion_09_sphere_regression(capsys, s2_runs):
 
 
 def test_criterion_10_numerics_substrate(capsys):
-    results = [check_forward_map_9d(), check_forward_map_10d(), check_kkt_eigen_residual(n=1000)]
+    results = [check_forward_map_9d(), check_forward_map_10d(), check_projection_membership(RepKind.TEN_D)]
     ok = all(r.passed for r in results)
     _verdict(capsys, 10, "numerics-substrate", ok,
              "; ".join(f"{r.name} {r.measured:.2e}" for r in results))

@@ -58,12 +58,11 @@ def test_registry_is_ordered_and_named():
     for rep in MANIFOLD_REPS:
         assert f"projection-optimality-{rep.value}" in CHECK_NAMES
         assert f"projection-membership-{rep.value}" in CHECK_NAMES
-    assert "kkt-eigen-residual-10d" in CHECK_NAMES
     assert "tau-converge-s2" in CHECK_NAMES
     assert "vanilla-backward-fd" in CHECK_NAMES
     assert "forward-map-9d" in CHECK_NAMES and "forward-map-10d" in CHECK_NAMES
     assert "lin-core-solve" not in CHECK_NAMES
-    assert len(CHECK_NAMES) == 24
+    assert len(CHECK_NAMES) == 23
 
 
 def test_full_registry_passes():
@@ -83,7 +82,6 @@ def test_filter_selects_substring_matches():
     assert {r.name for r in only_10d} == {
         "projection-optimality-10d",
         "projection-membership-10d",
-        "kkt-eigen-residual-10d",
         "forward-map-10d",
     }
 

@@ -298,10 +298,9 @@ def test_tau_schedule_flags_accepted(tmp_path):
 
 
 def test_cell_echo_carries_lr_schedule():
-    default = cli._cell_echo(ExperimentConfig(), sphere=False)
+    default = cli._cell_echo(ExperimentConfig())
     assert default["lr"] == 1e-3
-    stepped = cli._cell_echo(
-        ExperimentConfig(lr=LrSchedule(base=1e-3, milestones=(30, 40))), sphere=False)
+    stepped = cli._cell_echo(ExperimentConfig(lr=LrSchedule(base=1e-3, milestones=(30, 40))))
     assert stepped["lr"] == {"base": 1e-3, "milestones": [30, 40]}
     assert cli.config_hash(stepped) != cli.config_hash(default)
 
@@ -367,3 +366,34 @@ def test_fit_seed_sweep_over_jobs_matches_serial(tmp_path):
         assert cli.main(argv + ["--jobs", jobs, "--out-dir", str(out)]) == 0
         tables.append((_one_dir(out, "fit-sweep-*") / "fits.csv").read_text())
     assert tables[0] == tables[1] and len(tables[0].splitlines()) == 5
+
+
+def test_fit_sweep_rows_match_single_seed_runs(monkeypatch, tmp_path, capsys):
+    # seed 1 starts a half turn from its target, on the cut locus, and aborts
+    fit = cli.fit_single_rotation
+
+    def half_turn_for_seed_1(rep, method, **kwargs):
+        if kwargs["seed"] == 1:
+            kwargs.update(x_init=np.eye(3).ravel(), r_gt=np.diag([1.0, -1.0, -1.0]))
+        return fit(rep, method, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_single_rotation", half_turn_for_seed_1)
+    argv = ["fit", "--rep", "9d", "--method", "pmg", "--loss", "geodesic", "--iters", "40"]
+    assert cli.main(argv + ["--seeds", "0-2", "--out-dir", str(tmp_path / "sweep")]) == 3
+    with open(_one_dir(tmp_path / "sweep", "fit-sweep-*") / "fits.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["aborted"] for row in rows] == ["0", "1", "0"]
+    for seed, row in enumerate(rows):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(argv + ["--seed", str(seed), "--out-dir", str(out)]) == (3 if seed == 1 else 0)
+        run_dir = _one_dir(out, "fit-*")
+        summary = _load_report(run_dir / "report.json")["summary"]
+        with open(run_dir / "trace.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert float(row["final_error_rad"]) == summary["final_error_rad"]
+        assert math.degrees(float(row["final_error_rad"])) == float(last["mean_deg"])
+        assert int(row["iters_run"]) == summary["iters_run"] == int(last["iteration"])
+        assert bool(int(row["aborted"])) is summary["aborted"]
+        assert row["diagnostic"] == summary["diagnostic"]
+    assert rows[1]["iters_run"] == "0" and rows[1]["diagnostic"].startswith("cut locus at step 0")
+    capsys.readouterr()

@@ -18,6 +18,12 @@ cases per manifold rep with goals out to pi, the sphere's
 ``_s2_gradient_batch`` one row at a time (B = 1) over 100 fixed cases at
 each of lam = 0, 0.01 and 1, ``euclid_grad`` under each loss
 over 100 fixed cases, one ``tau_probe``, and every ``run_checks()`` result.
+CLI: ``cli.main`` into a temporary directory for one ``fit``, one
+three-seed ``fit --seeds`` sweep, one ``train`` and one two-method
+``train --methods`` sweep, at tiny iteration counts; each such line hashes
+the exit code, stdout, stderr, and every output file under its path
+relative to the output root (so the run-directory names count), with the
+temporary prefix and the ``started_at``/``finished_at`` times masked.
 It hashes the ``repr`` of every result in that order, a fit's arrays byte
 for byte (numpy's repr rounds them).  It prints one short digest per run,
 to find the first one that differs, and the total hex digest on the last
@@ -34,14 +40,24 @@ either side of a change.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ITERS = 150
 FIT_SEED = 1
 LAYER_CASES_SEED = 2
+CLI_RUNS = (
+    ("fit", "--rep", "6d", "--seed", "1", "--iters", "30"),
+    ("fit", "--rep", "quat", "--method", "pmg", "--seeds", "0-2", "--iters", "30"),
+    ("train", "--rep", "quat", "--seed", "2", "--iters", "20"),
+    ("train", "--rep", "6d", "--methods", "vanilla,rpmg", "--iters", "20"),
+)
 
 
 def configs() -> list:
@@ -148,6 +164,21 @@ def _euclid_text(loss: str) -> str:
     return "".join(out)
 
 
+def _cli_text(argv) -> str:
+    """Exit code, stdout, stderr and every output file of one CLI run."""
+    from rotgrad import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out-dir", tmp])
+        parts = [f"exit {code}", out.getvalue(), err.getvalue()]
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            parts += [str(path.relative_to(tmp)), path.read_text()]
+        text = "\n".join(parts).replace(tmp, "<out-dir>")
+    return re.sub(r'"(started_at|finished_at)": "[^"]*"', r'"\1": "<time>"', text)
+
+
 def runs() -> list:
     """(label, thunk) pairs; each thunk returns the text that is hashed."""
     from rotgrad import Method
@@ -177,6 +208,8 @@ def runs() -> list:
     out.append((f"tau_probe 6d flow {taus}",
                 lambda: repr(tau_probe(RepKind.SIX_D, "flow", taus))))
     out.append(("run_checks", lambda: repr(run_checks())))
+    for argv in CLI_RUNS:
+        out.append(("cli " + " ".join(argv), lambda argv=argv: _cli_text(argv)))
     return out
 
 
