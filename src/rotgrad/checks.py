@@ -361,19 +361,17 @@ def _stencil_steps(h: float) -> np.ndarray:
     return np.array([so3.exp_so3(np.eye(3), s * h * e) for e in np.eye(3) for s in (1.0, -1.0)])
 
 
-def _fd_riemannian(loss, stencil: np.ndarray, h: float) -> np.ndarray:
-    values = np.array([_riem.loss_value(loss, r) for r in stencil])
-    return (values[0::2] - values[1::2]) / (2.0 * h)
-
-
-def _chamfer_assignment_stable(loss, r: np.ndarray, stencil: np.ndarray) -> bool:
-    """True when no nearest-neighbor match flips across the stencil."""
+def _chamfer_stencil_values(loss, r: np.ndarray, stencil: np.ndarray):
+    """The chamfer values at the stencil rotations, read off the matches that
+    test them; None when a nearest-neighbor match flips across the stencil."""
     _, _, jz0, iy0 = _riem._chamfer_pairs(loss, r)
+    values = []
     for r_s in stencil:
-        _, _, jz, iy = _riem._chamfer_pairs(loss, r_s)
+        _, d2, jz, iy = _riem._chamfer_pairs(loss, r_s)
         if not (np.array_equal(jz, jz0) and np.array_equal(iy, iy0)):
-            return False
-    return True
+            return None
+        values.append(_riem._chamfer_value(d2, jz, iy))
+    return values
 
 
 def check_gradient_fd(loss_name: str, n: int = 100, seed: int = 211) -> CheckResult:
@@ -401,10 +399,13 @@ def check_gradient_fd(loss_name: str, n: int = 100, seed: int = 211) -> CheckRes
             points = rng.uniform(-1.0, 1.0, (64, 3))
         loss = _riem.make_loss(loss_name, r_gt, points)
         stencil = r @ steps
-        if loss_name == "chamfer" and not _chamfer_assignment_stable(loss, r, stencil):
+        values = (_chamfer_stencil_values(loss, r, stencil) if loss_name == "chamfer"
+                  else [_riem.loss_value(loss, r_s) for r_s in stencil])
+        if values is None:
             continue
+        values = np.array(values)
         phis.append(_riem.riemannian_grad(r, _riem.euclid_grad(loss, r)))
-        phi_fds.append(_fd_riemannian(loss, stencil, h))
+        phi_fds.append((values[0::2] - values[1::2]) / (2.0 * h))
     phis, phi_fds = np.array(phis), np.array(phi_fds)
     rel = np.linalg.norm(phi_fds - phis, axis=1) / np.maximum(1.0, np.linalg.norm(phis, axis=1))
     worst = float(np.max(rel))

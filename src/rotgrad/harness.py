@@ -383,6 +383,7 @@ def fit_single_rotation(
 
     # the step runs on Python floats: x, R and the target as lists
     x = x.tolist()
+    blend_lam = params.blend_lam
     errors: List[float] = []
     norms: List[float] = []
     diagnostic = ""
@@ -406,7 +407,7 @@ def fit_single_rotation(
             break
         try:
             g = _sample_gradient(rep, method, x, r, q, loss_inst, gt, tau_fn(it),
-                                 params.blend_lam, max_step)
+                                 blend_lam, max_step)
         except DegenerateInputError as exc:
             diagnostic = f"degenerate raw vector at step {it}: {exc}"
             break

@@ -17,10 +17,12 @@ Per-sample projections map one vector, on Python floats (``_project``,
 implement the same maps over a leading batch axis, which the training loops
 need for throughput.  The 9d map, the special orthogonalization of
 x.reshape(3, 3), is the 10d map of theta = L x (``_NINE_TO_TEN``), so both
-routes compute 9d and 10d with one ``eigh`` call, the same guards and the
-same arithmetic, and their rotations agree byte for byte.  Both reject a
-raw vector with an inf or NaN entry before any factorization, with
-``DegenerateInputError``.  Tests pin the two routes against each other.
+routes compute 9d and 10d with one LAPACK call (``_eigh_sym4``, the kernel
+of ``numpy.linalg.eigh`` without its wrapper), the same guards and the same
+arithmetic, and their rotations agree byte for byte.  Both reject a raw
+vector with an inf or NaN entry before any factorization, and a 9d vector
+whose theta overflows by its NaN spectrum, with ``DegenerateInputError``.
+Tests pin the two routes against each other.
 
 The batched route is a forward/backward pair, like ``nn.forward`` and
 ``nn.backward``: ``rotations_from_raw(rep, xs, return_factors=True)``
@@ -40,6 +42,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# np.linalg.eigh's own LAPACK gufunc (syevd on the lower triangle), called
+# without the wrapper's type checks, errstate context and result tuple: the
+# same eigenvalues and eigenvectors bit for bit, at well under half the cost
+# of a 4x4 call.  test_representations pins it to np.linalg.eigh.
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from . import so3
 
@@ -88,6 +95,14 @@ _NINE_D_GAP_MIN = 2.0 * SIGMA_SUM_MIN
 
 class DegenerateInputError(ValueError):
     """Raw vector is not finite or lies too close to the projection's singular set."""
+
+
+def _eigh_sym4(a: np.ndarray):
+    """``np.linalg.eigh`` of a float64 symmetric (..., 4, 4) array: ascending
+    eigenvalues and eigenvector columns.  Where ``eigh`` would raise
+    ``LinAlgError`` (a non-finite matrix) the spectrum is NaN, with numpy's
+    invalid-value warning, and fails both routes' gap guards."""
+    return _eigh_lo(a, signature="d->dd")
 
 
 class RepKind(enum.Enum):
@@ -190,11 +205,11 @@ def _project(rep: RepKind, x: list) -> list:
     else:
         t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = x
         gap_min = EIGENGAP_MIN
-    vals, vecs = np.linalg.eigh(np.array([t0, t1, t2, t3, t1, t4, t5, t6,
-                                          t2, t5, t7, t8, t3, t6, t8, t9]).reshape(4, 4))
+    vals, vecs = _eigh_sym4(np.array([t0, t1, t2, t3, t1, t4, t5, t6,
+                                      t2, t5, t7, t8, t3, t6, t8, t9]).reshape(4, 4))
     l0, l1, _, l3 = vals.tolist()  # ascending, so max(|l0|, |l3|) = max(-l0, l3)
     gap, floor = l1 - l0, max(gap_min, EIGENGAP_REL_MIN * max(-l0, l3))
-    if gap <= floor:
+    if not gap > floor:  # a NaN gap (an overflowing 9d theta) fails too
         raise DegenerateInputError(f"{rep.value} smallest-eigenvalue gap {gap:.3e} below {floor:.0e}")
     q = vecs[:, 0].tolist()
     return q if so3._canonical_sign(q) > 0.0 else [-v for v in q]
@@ -379,11 +394,14 @@ def _ten_d_forward_batch(thetas: np.ndarray, name: str = "10d", gap_min: float =
 
     9d passes x L^T with its own name and threshold.  The eigenvector takes
     its canonical sign; the factors are A's ascending eigenvalues and its
-    eigenvector columns, as ``eigh`` returns them.
+    eigenvector columns, as :func:`_eigh_sym4` returns them.  A row whose
+    theta overflowed has a NaN spectrum and fails the gap guard.
     """
-    vals, vecs = np.linalg.eigh(_sym4_batch(thetas))
-    floor = np.maximum(gap_min, EIGENGAP_REL_MIN * np.maximum(-vals[:, 0], vals[:, 3]))
-    bad = vals[:, 1] - vals[:, 0] <= floor
+    vals, vecs = _eigh_sym4(_sym4_batch(thetas))
+    # fmax, like the per-sample max(), leaves a NaN row the floor gap_min;
+    # its NaN gap fails the guard
+    floor = np.fmax(gap_min, EIGENGAP_REL_MIN * np.fmax(-vals[:, 0], vals[:, 3]))
+    bad = ~(vals[:, 1] - vals[:, 0] > floor)
     if bad.any():
         i = int(np.nonzero(bad)[0][0])
         raise DegenerateInputError(f"{name} smallest-eigenvalue gap below {floor[i]:.0e} at sample {i}")
@@ -438,7 +456,9 @@ _FORWARD = {
 
 def _forward(rep: RepKind, xs: np.ndarray):
     """``_FORWARD[rep]`` on finite rows: a non-finite row would pass the quat
-    and 6d guards as NaN and make the 9d/10d ``eigh`` raise ``LinAlgError``."""
+    and 6d guards as NaN.  A finite 9d row whose theta = L x overflows fails
+    the gap guard on its NaN spectrum; every rejected row raises
+    ``DegenerateInputError``."""
     if not np.isfinite(xs).all():
         bad = int(np.nonzero(~np.isfinite(xs).all(axis=1))[0][0])
         raise DegenerateInputError(f"{rep.value}: non-finite raw output at sample {bad}")

@@ -138,6 +138,13 @@ def _chamfer_pairs(loss: Chamfer, r: np.ndarray):
     return y, d2, d2.argmin(axis=1), d2.argmin(axis=0)
 
 
+def _chamfer_value(d2: np.ndarray, jz: np.ndarray, iy: np.ndarray) -> float:
+    """The chamfer loss of a (K, M) distance table and its matches, as
+    :func:`_chamfer_pairs` returns them."""
+    k, m = d2.shape
+    return float(d2[np.arange(k), jz].mean() + d2[iy, np.arange(m)].mean())
+
+
 def loss_value(loss: LossKind, r) -> float:
     r = np.asarray(r, dtype=np.float64)
     if isinstance(loss, L2Frobenius):
@@ -148,9 +155,7 @@ def loss_value(loss: LossKind, r) -> float:
         d = (r - loss.r_gt) @ loss.points
         return float((d * d).sum())
     if isinstance(loss, Chamfer):
-        _, d2, jz, iy = _chamfer_pairs(loss, r)
-        k, m = d2.shape
-        return float(d2[np.arange(k), jz].mean() + d2[iy, np.arange(m)].mean())
+        return _chamfer_value(*_chamfer_pairs(loss, r)[1:])
     raise TypeError(f"unknown loss {type(loss).__name__}")
 
 

@@ -22,8 +22,9 @@ row-major entries, ``_rows``) and builds one array from the kernel's list.
 The kernels write every sum out in a fixed order, rounding each multiply
 and each add, so their bits depend on no BLAS build; numpy's ``@`` and
 ``.dot`` fuse multiply-adds and may differ from them in the last bit.  In a
-manifold-method fit step under l2 or geodesic, ``numpy.linalg.eigh`` (9d
-and 10d) is the only numpy call.  No
+manifold-method fit step under l2 or geodesic, 9d's and 10d's 4x4
+eigensolver (``representations._eigh_sym4``, numpy's ``eigh`` LAPACK
+kernel called without its wrapper) is the only numpy call.  No
 divisor may reach 0.0, nor a square overflow unhandled (Python raises,
 numpy gives inf); the squares that pick Rodrigues' branch stay ``x ** 2``
 (libm ``pow``).  The angle and the quaternion step take their norms with

@@ -8,8 +8,8 @@ The per-sample route now runs on Python floats:
 its kernels take and return lists (a 3x3 matrix as nine row-major floats)
 and write every sum out in a fixed order, rounding each multiply and add,
 where the references' ``@``, ``dot`` and BLAS calls fuse multiply-adds; in
-a manifold-method fit step under l2 or geodesic ``numpy.linalg.eigh`` is
-the only numpy call.  The public
+a manifold-method fit step under l2 or geodesic the 9d/10d eigensolver
+(``representations._eigh_sym4``) is the only numpy call.  The public
 functions are thin wrappers that return the arrays they did.  The inputs
 are random ones and edge ones: exact pi rotations with tied diagonals,
 q0 = 0 ties, -0.0 entries, rotation angles below ``_SMALL_ANGLE`` and
@@ -845,10 +845,10 @@ def test_rpmg_gradient(rep, method):
 
 
 def test_ten_d_fit_step_projects_once(monkeypatch):
-    """A 10d fit step runs one eigh, its forward's, and reads the goal's
-    starting quaternion off that forward: no rot_to_quat."""
+    """A 10d fit step runs one eigensolve, its forward's, and reads the
+    goal's starting quaternion off that forward: no rot_to_quat."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = reps._eigh_sym4
 
     def counting(a):
         calls.append(a.shape)
@@ -861,7 +861,7 @@ def test_ten_d_fit_step_projects_once(monkeypatch):
     # a given start and target: drawing them takes a rot_to_quat of its own
     x_init = reps.embed(reps.representation_map(_random_rotations(rng, 1)[0], RepKind.TEN_D))
     r_gt = _random_rotations(rng, 1)[0]
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(reps, "_eigh_sym4", counting)
     monkeypatch.setattr(so3, "rot_to_quat", refuse)
     for method in (Method.MG, Method.PMG, Method.RPMG):
         for loss in ("l2", "geodesic"):

@@ -9,14 +9,17 @@ import pytest
 
 import rotgrad
 from rotgrad import so3
-from rotgrad.checks import _forward_map_fd
+from rotgrad.checks import _forward_map_fd, _vanilla_fd_cases
 from rotgrad.harness import BLAS_THREAD_VARS
 from rotgrad.representations import (
+    _NINE_TO_TEN,
     _SYM4_COLS,
     _SYM4_ROWS,
     MANIFOLD_REPS,
     DegenerateInputError,
     ManifoldPoint,
+    _eigh_sym4,
+    _sym4_batch,
     RepKind,
     baseline_backward,
     baseline_rotation,
@@ -233,6 +236,37 @@ def test_degenerate_inputs_raise():
     for rep, x in _ROUNDING_GAP_ROWS:
         with pytest.raises(DegenerateInputError, match=f"{rep.value} smallest-eigenvalue gap"):
             manifold_map(rep, x)
+
+
+def _same_eigh(a):
+    """_eigh_sym4(a) and np.linalg.eigh(a) give the same dtype, shape and bytes."""
+    got, ref = _eigh_sym4(a), np.linalg.eigh(a)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+def test_eigh_sym4_is_numpy_eigh_byte_for_byte():
+    """The private gufunc both forward routes call against the public eigh:
+    a numpy whose kernel or wrapper diverges fails here."""
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((2000, 4, 4)) * rng.uniform(0.01, 100.0, (2000, 1, 1))
+    for m in a + a.transpose(0, 2, 1):
+        _same_eigh(m)
+    # spectra with the two smallest eigenvalues 1e-12 to 1e-3 apart
+    vecs = np.linalg.qr(rng.standard_normal((200, 4, 4)))[0]
+    gaps = 10.0 ** rng.uniform(-12.0, -3.0, 200)
+    lam = np.stack([np.zeros(200), gaps, gaps + 0.5, gaps + 1.5], axis=1) + rng.normal(0.0, 1.0, (200, 1))
+    for m in vecs @ (lam[:, :, None] * vecs.transpose(0, 2, 1)):
+        _same_eigh(m)
+    b = rng.standard_normal((32, 4, 4))
+    _same_eigh(b + b.transpose(0, 2, 1))
+    # vanilla-backward-fd's cases: 9d rows with det < 0, 10d eigengaps in [5e-4, 2e-3]
+    cases = _vanilla_fd_cases(np.random.default_rng(853), 100)
+    for thetas in (cases[RepKind.NINE_D] @ _NINE_TO_TEN.T, cases[RepKind.TEN_D]):
+        forms = _sym4_batch(thetas)
+        _same_eigh(forms)
+        for m in forms:
+            _same_eigh(m)
 
 
 def _large_entry_row(n, big):
@@ -592,7 +626,8 @@ from rotgrad import Method, nn
 from rotgrad.harness import ExperimentConfig, train
 from rotgrad.representations import RepKind
 
-where, method = sys.argv[1], Method(sys.argv[2])
+# the last row's first entries take the values given
+where, method, values = sys.argv[1], Method(sys.argv[2]), list(map(float, sys.argv[3:]))
 config = ExperimentConfig(rep=RepKind.NINE_D, method=method, iters=4, eval_every=2,
                           n_rotations=64)
 forward = nn.forward
@@ -603,7 +638,7 @@ def overflowing(mlp, x, **kwargs):
     calls.append(len(x))
     # the first call calibrates the output head
     if len(calls) > 1 and (where == "batch") == (len(x) == config.batch):
-        ys[-1, 0] = np.inf
+        ys[-1, :len(values)] = values
     return ys, cache
 
 nn.forward = overflowing
@@ -640,4 +675,38 @@ def test_non_finite_raw_vectors_raise_degenerate_on_both_routes(rep, values):
     ("batch", "degenerate sample at iteration 0: 9d: non-finite raw output at sample 31"),
 ], ids=["eval", "batch"])
 def test_train_aborts_on_a_non_finite_nine_d_output(method, where, diagnostic):
-    assert _run_child(_TRAIN_ABORT_CHILD, where, method) == [f"True {diagnostic}"]
+    assert _run_child(_TRAIN_ABORT_CHILD, where, method, "inf") == [f"True {diagnostic}"]
+
+
+_OVERFLOW_FIT_CHILD = """
+import numpy as np
+from rotgrad.harness import fit_single_rotation
+from rotgrad.representations import DegenerateInputError, RepKind, manifold_map
+
+x = np.full(9, 1e308)
+try:
+    manifold_map(RepKind.NINE_D, x)
+except DegenerateInputError as exc:
+    print(exc)
+fit = fit_single_rotation(RepKind.NINE_D, x_init=x)
+print(fit.aborted, fit.diagnostic)
+"""
+
+
+def test_fit_aborts_on_an_overflowing_nine_d_raw_vector():
+    # a finite x whose theta = L x overflows: the eigensolver returns a NaN
+    # spectrum, whose NaN gap fails the per-sample guard
+    message = "9d smallest-eigenvalue gap nan below 2e-08"
+    assert _run_child(_OVERFLOW_FIT_CHILD) == [
+        message, f"True degenerate raw vector at step 0: {message}"]
+
+
+@pytest.mark.parametrize("method", ["vanilla", "rpmg"])
+@pytest.mark.parametrize("where, diagnostic", [
+    ("eval", "degenerate raw output in evaluation at iteration 0: "
+             "9d smallest-eigenvalue gap below 2e-08 at sample 12"),
+    ("batch", "degenerate sample at iteration 0: 9d smallest-eigenvalue gap below 2e-08 at sample 31"),
+], ids=["eval", "batch"])
+def test_train_aborts_on_an_overflowing_nine_d_output(method, where, diagnostic):
+    # the batched guard: a finite row whose theta overflows has a NaN gap
+    assert _run_child(_TRAIN_ABORT_CHILD, where, method, *["1e308"] * 9) == [f"True {diagnostic}"]

@@ -165,7 +165,7 @@ def test_s2_grad_basis_independent():
         np.testing.assert_allclose(s2_riemannian_grad(x, gt), built, atol=1e-12)
 
 
-def test_s2_antipodal_counted():
+def test_s2_antipodal_target_is_stationary():
     e3 = np.eye(3)[2]
     assert np.array_equal(s2_riemannian_grad(e3, -e3), np.zeros(3))
     goal = _s2_goal_batch(e3[None], -e3[None], 0.3)
@@ -184,7 +184,7 @@ def test_s2_gradient_batch_matches_per_sample():
             np.testing.assert_allclose(batch[i], single, atol=1e-9)
 
 
-def test_s2_gradient_batch_counts_antipodal_rows():
+def test_s2_gradient_batch_matches_reference_at_antipodal_rows():
     # one row exactly antipodal, one at x_hat . t = -1 + 1e-13, one regular
     t = np.array([0.0, 0.0, 1.0])
     delta = math.sqrt(2e-13)
